@@ -46,7 +46,7 @@ def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
     target = io.load_target(out_dir / "target.json")
     system = fem.assemble(mesh, layout)
     lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
-    problem = fem.split_problem(lf, target, cfg.mu, cfg.gamma)
+    problem = fem.split_problem(lf, target, cfg.mu)
     io.write_lead_field(lf, problem, out_dir / "leadfield.bin", target=target)
     print(f"lead field: {lf.matrix.shape[0]}x{lf.matrix.shape[1]} "
           f"-> {out_dir / 'leadfield.bin'}")

@@ -288,7 +288,7 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-6, max_iter: int = 10000) -> 
     return float(np.sqrt(lam))
 
 
-def split_problem(lf: LeadField, target: TargetSpec, mu: float, gamma: float):
+def split_problem(lf: LeadField, target: TargetSpec, mu: float):
     """Split the lead field into target / nuisance rows and scale factors."""
     from .optimizers import StimulusProblem  # deferred: avoids a module cycle
 
@@ -306,7 +306,6 @@ def split_problem(lf: LeadField, target: TargetSpec, mu: float, gamma: float):
         L2=L2,
         x1=x1,
         mu=float(mu),
-        gamma=float(gamma),
         zeta=float(np.abs(lf.matrix).sum(axis=0).max()),
         nu=float(np.abs(x1).max()),
         sigma_scale=spectral_norm(lf.matrix),

@@ -7,6 +7,7 @@ endian doubles behind a magic header.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
@@ -207,7 +208,6 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         L2=lf.matrix[mask],
         x1=np.asarray(sidecar["x1"], dtype=float),
         mu=float(sidecar["mu"]),
-        gamma=float(sidecar["mu"]) / 2.0,
         zeta=float(sidecar["zeta"]),
         nu=float(sidecar["nu"]),
         sigma_scale=float(sidecar["sigma_scale"]),
@@ -225,20 +225,22 @@ def _fmt(x: float) -> str:
 def write_lattice_csv(grid: CandidateGrid, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(LATTICE_HEADERS)]
-    for row in grid.cells:
-        for c in row:
-            status = "ok" if c.valid else (c.reason or "invalid")
-            lines.append(",".join([
-                _fmt(c.params.alpha_db),
-                _fmt(c.params.weight_db),
-                _fmt(c.metrics.gamma),
-                _fmt(c.metrics.theta),
-                _fmt(c.metrics.ad_deg),
-                _fmt(c.metrics.max_current * 1e3),
-                status,
-            ]))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        # csv quoting keeps a solver message containing a comma in one field
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LATTICE_HEADERS)
+        for row in grid.cells:
+            for c in row:
+                status = "ok" if c.valid else (c.reason or "invalid")
+                writer.writerow([
+                    _fmt(c.params.alpha_db),
+                    _fmt(c.params.weight_db),
+                    _fmt(c.metrics.gamma),
+                    _fmt(c.metrics.theta),
+                    _fmt(c.metrics.ad_deg),
+                    _fmt(c.metrics.max_current * 1e3),
+                    status,
+                ])
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
-PROJECTION_MAX_CYCLES = 1000
-PROJECTION_TOL = 1e-10
 
 
 class OptimizerError(RuntimeError):
@@ -36,14 +34,15 @@ class StimulusProblem:
 
     ``L1`` holds the three target rows, ``L2`` the nuisance rows.  The
     scale factors are zeta = ||L||_1, nu = ||x||_inf and sigma_scale =
-    ||L||_2 of the stacked lead field.
+    ||L||_2 of the stacked lead field.  There is no separate per-channel
+    cap: a balanced pattern within the dose ``mu`` puts at most mu/2 on
+    each sign, hence on any one channel.
     """
 
     L1: np.ndarray              # (3, L) A/m^2 per A
     L2: np.ndarray              # (M, L)
     x1: np.ndarray              # (3,) A/m^2
     mu: float                   # total dose cap (A)
-    gamma: float                # per-channel cap (A), mu/2
     zeta: float
     nu: float
     sigma_scale: float
@@ -53,8 +52,11 @@ class StimulusProblem:
     def __post_init__(self):
         if not self.electrode_ids:
             self.electrode_ids = tuple(range(1, self.L1.shape[1] + 1))
-        if abs(self.gamma - self.mu / 2.0) > 1e-12 * self.mu:
-            raise OptimizerError("channel cap gamma must equal mu/2")
+
+    @property
+    def gamma(self) -> float:
+        """Per-channel cap (A) implied by balance and the dose cap."""
+        return self.mu / 2.0
 
     @property
     def n_electrodes(self) -> int:
@@ -80,7 +82,6 @@ class StimulusProblem:
             L2=L2,
             x1=x1,
             mu=float(mu),
-            gamma=float(mu) / 2.0,
             zeta=float(np.abs(stacked).sum(axis=0).max()),
             nu=float(np.abs(x1).max()),
             sigma_scale=spectral_norm(stacked),
@@ -207,8 +208,9 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     """Epigraph LP for the dead-zone L1 fitting problem.
 
     Variables are (y, t1, t2, t3); t1/t2 bound the absolute fit and
-    nuisance residuals, t3 bounds |y| and carries the dose caps and the
-    weighted pattern penalty.
+    nuisance residuals, t3 bounds |y| and carries the dose cap and the
+    weighted pattern penalty.  The per-channel cap mu/2 follows from
+    balance and the dose cap, so it has no rows of its own.
     """
     if alpha < 0.0 or eps < 0.0:
         raise OptimizerError("alpha and eps must be non-negative")
@@ -232,7 +234,6 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
             [None, -I3, None, None],
             [None, None, -IM, None],
             [None, None, None, -IL],
-            [None, None, None, IL],
             [None, None, None, ones_row],
         ],
         format="csr",
@@ -247,7 +248,6 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
         np.zeros(3),
         -eps * p.nu * np.ones(M),
         np.zeros(L),
-        p.gamma * np.ones(L),
         [p.mu],
     ])
     c = np.concatenate([
@@ -284,65 +284,42 @@ def solve_l1l1(p: StimulusProblem, params: MethodParams, **kwargs) -> CurrentPat
     )
 
 
-def _project_l1_ball(y: np.ndarray, radius: float) -> np.ndarray:
-    l1 = np.abs(y).sum()
-    if l1 <= radius:
-        return y
-    u = np.sort(np.abs(y))[::-1]
-    css = np.cumsum(u)
-    k = np.nonzero(u * np.arange(1, y.size + 1) > css - radius)[0][-1]
-    theta = (css[k] - radius) / (k + 1.0)
-    return np.sign(y) * np.maximum(np.abs(y) - theta, 0.0)
+def _simplex_threshold(w: np.ndarray, r: float) -> float:
+    """The t with sum((w - t)_+) = r, for r > 0 (Duchi et al., ICML 2008)."""
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - r
+    k = np.nonzero(u * np.arange(1, w.size + 1) > css)[0][-1]
+    return float(css[k] / (k + 1.0))
 
 
-def _soft_threshold(y: np.ndarray, lam: float) -> np.ndarray:
-    return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
+def project_feasible(w: np.ndarray, mu: float, l1_weight: float = 0.0) -> np.ndarray:
+    """Exact prox of l1_weight*||.||_1 over {1'x = 0, ||x||_1 <= mu}.
 
-
-def project_feasible(y: np.ndarray, mu: float, gamma: float, l1_weight: float = 0.0,
-                     max_cycles: int = PROJECTION_MAX_CYCLES,
-                     tol: float = PROJECTION_TOL) -> np.ndarray:
-    """Prox of l1_weight*||.||_1 over {1'y = 0, ||y||_1 <= mu, |y| <= gamma}.
-
-    Cyclic projections with Dykstra corrections onto the three constraint
-    sets, with the L1 soft threshold joining the cycle; stops once the
-    constraint violations drop below ``tol`` times the dose and the cycle
-    has stopped moving.  With l1_weight = 0 this is the plain projection.
+    The minimizer is x = (w - a)_+ - (b - w)_+.  With the dose slack,
+    a - b = 2*l1_weight and a balances the two parts; the balance is
+    piecewise linear in a with kinks at w_i and w_i + 2*l1_weight, so a
+    is interpolated on the bracketing pair of kinks.  When that x
+    exceeds the dose, each part carries exactly mu/2 and a, b are the
+    two simplex thresholds.  With l1_weight = 0 this is the plain
+    projection.
     """
-    x = np.asarray(y, dtype=float).copy()
-    n = x.size
-    inv_n = 1.0 / n
-    use_l1 = l1_weight > 0.0
-    inc0 = np.zeros(n)
-    inc1 = np.zeros(n)
-    inc2 = np.zeros(n)
-    inc3 = np.zeros(n)
-    scale = max(mu, 1e-300)
-    bound = tol * scale
-    for _ in range(max_cycles):
-        x_prev = x
-        if use_l1:
-            w = x + inc0
-            x = np.sign(w) * np.maximum(np.abs(w) - l1_weight, 0.0)
-            inc0 = w - x
-        w = x + inc1
-        x = w - w.sum() * inv_n
-        inc1 = w - x
-        w = x + inc2
-        x = _project_l1_ball(w, mu)
-        inc2 = w - x
-        w = x + inc3
-        x = np.minimum(np.maximum(w, -gamma), gamma)
-        inc3 = w - x
-        abs_x = np.abs(x)
-        viol = max(
-            abs(x.sum()),
-            abs_x.sum() - mu,
-            abs_x.max() - gamma,
-        )
-        if viol <= bound and np.abs(x - x_prev).max() <= bound:
-            break
-    return x
+    w = np.asarray(w, dtype=float)
+    lam2 = 2.0 * l1_weight
+    if w.max() - w.min() <= lam2:
+        return np.zeros_like(w)
+    kinks = np.sort(np.concatenate([w, w + lam2]))
+    d = w[None, :] - kinks[:, None]
+    balance = np.maximum(d, 0.0).sum(axis=1) - np.maximum(-d - lam2, 0.0).sum(axis=1)
+    k = int(np.argmax(balance <= 0.0))   # balance(kinks[0]) > 0 here
+    lo, hi = balance[k - 1], balance[k]
+    a = kinks[k - 1] + (kinks[k] - kinks[k - 1]) * (lo / (lo - hi))
+    b = a - lam2
+    pos = np.maximum(w - a, 0.0)
+    neg = np.maximum(b - w, 0.0)
+    if pos.sum() + neg.sum() > mu:
+        pos = np.maximum(w - _simplex_threshold(w, 0.5 * mu), 0.0)
+        neg = np.maximum(-_simplex_threshold(-w, 0.5 * mu) - w, 0.0)
+    return pos - neg
 
 
 def solve_l1l2_linear(
@@ -352,28 +329,14 @@ def solve_l1l2_linear(
     """First-order primal-dual splitting for the L2-fit variant.
 
     Dual blocks handle the fit norm and the dead-zone nuisance norm; the
-    primal step takes the prox of the weighted L1 penalty restricted to
-    the dose polytope (cyclic projections).  Step sizes come from the
-    power-iterated norm of the stacked matrix, split so primal moves are
-    on the dose scale and dual moves on the unit-ball scale.
+    primal step takes the exact prox of the weighted L1 penalty
+    restricted to the dose polytope.  Step sizes come from the norm of
+    the stacked matrix (``sigma_scale``), split so primal moves are on
+    the dose scale and dual moves on the unit-ball scale.
     """
     L = p.n_electrodes
     K = np.vstack([p.L1, p.L2])
-    gram = K.T @ K
-    v = np.ones(L) / np.sqrt(L)
-    lam = 0.0
-    for _ in range(10000):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-        lam_new = float(v @ gram @ v)
-        if abs(lam_new - lam) <= 1e-6 * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    op_norm = max(np.sqrt(lam), 1e-300)
+    op_norm = max(p.sigma_scale, 1e-300)
     tau = 0.99 * p.mu / op_norm
     sigma = 0.99 / (p.mu * op_norm)
 
@@ -394,8 +357,7 @@ def solve_l1l2_linear(
         qn[:3] = w1 / max(1.0, np.linalg.norm(w1))
         n2 = np.linalg.norm(w2)
         qn[3:] = w2 * (min(max(n2 - sigma * dead, 0.0), 1.0) / n2) if n2 > 0 else w2
-        y_new = project_feasible(y - tau * (K.T @ qn), p.mu, p.gamma,
-                                 l1_weight=tau * thr)
+        y_new = project_feasible(y - tau * (K.T @ qn), p.mu, l1_weight=tau * thr)
         if it == 1 or it % 25 == 0:
             dq = q - qn
             dy = y - y_new

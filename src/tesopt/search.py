@@ -129,13 +129,16 @@ def _init_worker(p, method, opts):
     _WORKER_STATE["args"] = (p, method, opts)
 
 
-def _worker(cell):
-    p, method, opts = _WORKER_STATE["args"]
+def _solve_cell(p, method, opts, cell):
     alpha_db, weight_db = cell
     try:
         return solve_single_cell(p, method, alpha_db, weight_db, opts)
     except Exception as exc:  # per-cell failures never abort the sweep
         return ("error", f"{type(exc).__name__}: {exc}")
+
+
+def _worker(cell):
+    return _solve_cell(*_WORKER_STATE["args"], cell)
 
 
 def evaluate_lattice(
@@ -162,12 +165,7 @@ def evaluate_lattice(
             chunk = max(1, len(cells_in) // (4 * threads))
             results = list(pool.map(_worker, cells_in, chunksize=chunk))
     else:
-        results = []
-        for a, w in cells_in:
-            try:
-                results.append(solve_single_cell(p, method, a, w, opts))
-            except Exception as exc:
-                results.append(("error", f"{type(exc).__name__}: {exc}"))
+        results = [_solve_cell(p, method, opts, cell) for cell in cells_in]
 
     rows: list[list[CandidateCell]] = []
     it = iter(results)

@@ -65,7 +65,7 @@ def desk(tmp_path_factory):
     t0 = time.perf_counter()
     system = fem.assemble(mesh, layout)
     lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
-    problem = fem.split_problem(lf, target, cfg.mu, cfg.gamma)
+    problem = fem.split_problem(lf, target, cfg.mu)
     t_leadfield = time.perf_counter() - t0
 
     from tesopt.search import evaluate_lattice

@@ -245,7 +245,7 @@ def test_split_problem_shapes_and_scales(bar_setup):
     pts = sample_field_points(mesh, 1, 10, seed=6)
     target = place_target(mesh, pts, (1.0, 0.0, 0.0), 0.2)
     lf = lead_field(sys_, mesh, pts, target_point=target.point_index)
-    p = split_problem(lf, target, 4e-3, 2e-3)
+    p = split_problem(lf, target, 4e-3)
     assert p.L1.shape == (3, 2)
     assert p.L2.shape == (27, 2)
     assert p.n_nuisance == 27

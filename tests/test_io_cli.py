@@ -117,6 +117,27 @@ def test_lattice_csv_headers(tmp_path, rng):
     assert len(lines) == 1 + spec.dims[0] * spec.dims[1]
 
 
+def test_lattice_csv_reason_with_comma(tmp_path, rng):
+    import csv
+    import dataclasses
+
+    from tesopt.search import LatticeSpec, evaluate_lattice
+
+    p = random_problem(rng)
+    spec = LatticeSpec(-60.0, -30.0, -60.0, -30.0, step_db=30.0)
+    grid = evaluate_lattice(p, "tls", spec)
+    reason = "LinAlgError: 2-th leading minor, not positive definite"
+    grid.cells[0][0] = dataclasses.replace(grid.cells[0][0], valid=False, reason=reason)
+    io.write_lattice_csv(grid, tmp_path / "lat.csv")
+    text = (tmp_path / "lat.csv").read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert all(len(row) == 7 for row in rows)
+    assert rows[1][6] == reason
+    # rows without a comma in any field keep the plain comma-joined bytes
+    for line, row in zip(text.splitlines()[2:], rows[2:]):
+        assert line == ",".join(row)
+
+
 def test_config_defaults_and_gamma_lock(tmp_path):
     cfg = RunConfig()
     cfg.validate()

@@ -12,6 +12,7 @@ from tesopt.optimizers import (
     StimulusProblem,
     build_l1l1_lp,
     equalize_dose,
+    project_feasible,
     solve_l1l1,
     solve_l1l1_linear,
     solve_l1l2_linear,
@@ -26,7 +27,7 @@ def test_lp_block_counts(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=9)
     lp = build_l1l1_lp(p, 0.1, 0.01)
     assert lp.c.size == 4 + 3 + 9 + 4
-    assert lp.G.shape == (3 * 3 + 3 * 9 + 4 * 4 + 1, 20)
+    assert lp.G.shape == (3 * 3 + 3 * 9 + 3 * 4 + 1, 20)
     assert lp.E.shape == (1, 20)
     # objective carries the weighted pattern penalty on the last block
     assert np.allclose(lp.c, np.concatenate(
@@ -49,7 +50,7 @@ def test_lp_epigraph_tight_at_optimum(rng):
 
 def test_l1l1_zero_target_degenerate(rng):
     p = random_problem(rng)
-    p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu, gamma=p.gamma,
+    p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
                         zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
     pat = solve_l1l1_linear(p, 0.0, 0.0)
     assert pat.status == "degenerate"
@@ -82,7 +83,7 @@ def test_l1l2_matches_grid_oracle(rng):
 
 def test_l1l2_zero_target(rng):
     p = random_problem(rng)
-    p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu, gamma=p.gamma,
+    p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
                         zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
     pat = solve_l1l2_linear(p, 0.0, 0.0)
     assert pat.status == "degenerate"
@@ -122,6 +123,45 @@ def test_balanced_scaling_hits_caps(vals):
     assert np.abs(out).max() <= mu / 2 * (1 + 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=32),
+       st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+def test_project_feasible_exact_prox(vals, lam_frac, seed):
+    # prox of lam*||.||_1 over {1'x = 0, ||x||_1 <= mu}, inputs on the dose scale
+    mu = 4e-3
+    w = np.asarray(vals) * mu
+    lam = lam_frac * mu
+    x = project_feasible(w, mu, lam)
+    assert abs(x.sum()) <= 1e-12 * mu
+    assert np.abs(x).sum() <= mu * (1 + 1e-12)
+
+    # f is 1-strongly convex, so the minimizer over the feasible set has
+    # f(z) - f(x) >= |z - x|^2 / 2 for every feasible z
+    def f(v):
+        return 0.5 * np.sum((v - w) ** 2) + lam * np.abs(v).sum()
+
+    roundoff = 1e-12 * (mu**2 + w @ w)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        z = rng.normal(size=w.size)
+        z -= z.mean()
+        z *= mu * rng.uniform() / np.abs(z).sum()
+        assert f(z) - f(x) >= 0.5 * np.sum((z - x) ** 2) - roundoff
+
+    spread = w.max() - w.min()
+    if spread <= 2 * lam:
+        assert not x.any()
+    elif spread - 2 * lam > 1e-9 * mu:
+        assert x.any()
+
+    free = project_feasible(w, np.inf, lam)
+    if np.abs(free).sum() > mu * (1 + 1e-9):
+        assert abs(x[x > 0].sum() - mu / 2) <= 1e-12 * mu
+        assert abs(-x[x < 0].sum() - mu / 2) <= 1e-12 * mu
+    elif np.abs(free).sum() < mu * (1 - 1e-9):
+        assert np.array_equal(x, free)
+
+
 def test_tls_delta_zero_matches_ridge(rng):
     p = random_problem(rng, n_electrodes=5, n_nuisance=12)
     diag = tls_diagnostics(p, 0.05)
@@ -133,7 +173,7 @@ def test_tls_delta_zero_matches_ridge(rng):
 
 def test_tls_scalar_analog():
     p = StimulusProblem(L1=np.array([[1.0], [0.0], [0.0]]), L2=np.array([[1.0]]),
-                        x1=np.array([0.3, 0.0, 0.0]), mu=4e-3, gamma=2e-3,
+                        x1=np.array([0.3, 0.0, 0.0]), mu=4e-3,
                         zeta=2.0, nu=0.3, sigma_scale=np.sqrt(2.0),
                         electrode_ids=(1,))
     alpha, delta = 0.1, 0.5
@@ -179,8 +219,7 @@ def test_tls_diagnostics_consistency(rng):
     diag = tls_diagnostics(p, 0.07)
     assert np.isclose(diag.gamma_tilde, focused_density(p, diag.y_tilde))
     zero = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
-                           gamma=p.gamma, zeta=p.zeta, nu=1.0,
-                           sigma_scale=p.sigma_scale)
+                           zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
     assert not tls_diagnostics(zero, 0.07).y_tilde.any()
     # W-norm utility agrees with the explicit inverse
     vec = np.random.default_rng(0).normal(size=5)
@@ -190,7 +229,7 @@ def test_tls_diagnostics_consistency(rng):
 
 def test_sign_symmetry(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=8)
-    flipped = StimulusProblem(L1=p.L1, L2=p.L2, x1=-p.x1, mu=p.mu, gamma=p.gamma,
+    flipped = StimulusProblem(L1=p.L1, L2=p.L2, x1=-p.x1, mu=p.mu,
                               zeta=p.zeta, nu=p.nu, sigma_scale=p.sigma_scale)
     y1 = solve_tls_linear(p, 0.02, 0.3).y
     y2 = solve_tls_linear(flipped, 0.02, 0.3).y
@@ -247,9 +286,3 @@ def test_restrict_and_scatter(rng):
     full = sub.scatter(y_sub, p.electrode_ids)
     assert np.allclose(full, [0.0, 1.0, 0.0, -0.5, -0.5])
 
-
-def test_gamma_must_be_half_mu(rng):
-    p = random_problem(rng)
-    with pytest.raises(OptimizerError):
-        StimulusProblem(L1=p.L1, L2=p.L2, x1=p.x1, mu=4e-3, gamma=1e-3,
-                        zeta=p.zeta, nu=p.nu, sigma_scale=p.sigma_scale)
