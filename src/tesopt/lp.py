@@ -9,10 +9,13 @@ a quasi-definite KKT system
     ( G' W G + d I    E' ) (dv)
     ( E              -d I ) (dy)
 
-with W = z/s and a static regularization d, factored sparsely; one step
-of iterative refinement removes the regularization error.  Ruiz row and
-column equilibration is applied to the constraint matrix up front, and
-all stopping tests are evaluated on the original (unscaled) data.
+with W = z/s and a static regularization d.  By default it is factored
+sparsely; a caller that knows the structure of its LP can pass a solver
+that reduces the same system further.  Iterative refinement against the
+unregularized system removes the regularization error of either.  Ruiz
+row and column equilibration is applied to the constraint matrix up
+front, and all stopping tests are evaluated on the original (unscaled)
+data.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 REGULARIZATION = 1e-12
+REFINE_PASSES = 4        # iterative-refinement corrections per Newton solve
+REFINE_TOL = 1e-14       # relative residual that ends refinement early
 FRACTION_TO_BOUNDARY = 0.99
 CERT_TOL = 1e-8          # certificate tolerance on equilibrated data
 DIVERGENCE_RATIO = 1e8   # iterate blow-up ratio for the heuristic flags
@@ -78,52 +83,77 @@ def make_program(c, G, h, E=None, f=None) -> LinearProgram:
     return lp
 
 
+def _scale_factors(maxima: np.ndarray) -> np.ndarray:
+    """Square roots of positive maxima; empty rows or columns keep 1."""
+    return np.where(maxima > 0, np.sqrt(np.where(maxima > 0, maxima, 1.0)), 1.0)
+
+
+def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
+    out = np.zeros(A.shape[0])
+    filled = np.diff(A.indptr) > 0
+    if A.nnz:
+        out[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
+    return out
+
+
 def _ruiz_equilibration(G, E, iters: int = 10):
-    """Row/column scalings making [G; E] entries O(1)."""
+    """Row/column scalings making [G; E] entries O(1).
+
+    Scales copies of the CSR ``data`` arrays in place: row maxima come
+    from segment reductions over ``indptr``, column maxima from a
+    scatter-max over ``indices``.  Each entry is multiplied by the
+    reciprocal of its factor, exactly as a product with a diagonal
+    matrix would do it.
+    """
     m, n = G.shape
     p = E.shape[0]
+    Gs, Es = G.tocsr(copy=True), E.tocsr(copy=True)
+    g_rows, e_rows = np.diff(Gs.indptr), np.diff(Es.indptr)
     dr_g = np.ones(m)
     dr_e = np.ones(p)
     dc = np.ones(n)
-    Gs, Es = G.copy(), E.copy()
     for _ in range(iters):
-        row_g = abs(Gs).max(axis=1).toarray().ravel()
-        rg = np.where(row_g > 0, np.sqrt(np.where(row_g > 0, row_g, 1.0)), 1.0)
-        re = np.ones(p)
-        if p:
-            row_e = abs(Es).max(axis=1).toarray().ravel()
-            re = np.where(row_e > 0, np.sqrt(np.where(row_e > 0, row_e, 1.0)), 1.0)
-        Gs = sp.diags(1.0 / rg) @ Gs
-        if p:
-            Es = sp.diags(1.0 / re) @ Es
-        col_g = abs(Gs).max(axis=0).toarray().ravel()
-        col_e = abs(Es).max(axis=0).toarray().ravel() if p else 0.0
-        col = np.maximum(col_g, col_e)
-        cc = np.where(col > 0, np.sqrt(np.where(col > 0, col, 1.0)), 1.0)
-        Gs = Gs @ sp.diags(1.0 / cc)
-        if p:
-            Es = Es @ sp.diags(1.0 / cc)
+        rg = _scale_factors(_row_maxima(Gs))
+        re = _scale_factors(_row_maxima(Es))
+        Gs.data *= np.repeat(1.0 / rg, g_rows)
+        Es.data *= np.repeat(1.0 / re, e_rows)
+        col = np.zeros(n)
+        np.maximum.at(col, Gs.indices, np.abs(Gs.data))
+        np.maximum.at(col, Es.indices, np.abs(Es.data))
+        cc = _scale_factors(col)
+        Gs.data *= (1.0 / cc)[Gs.indices]
+        Es.data *= (1.0 / cc)[Es.indices]
         dr_g *= rg
         dr_e *= re
         dc *= cc
-    return Gs.tocsr(), (Es.tocsr() if p else E), dr_g, dr_e, dc
+    return Gs, Es, dr_g, dr_e, dc
 
 
 class _KktFactory:
-    """Factors [[Hw + dI, E'], [E, -rI]] for a fixed sparsity pattern.
+    """Sparse LU of [[Gs'WGs + dI, Es'], [Es, -dI]] for a fixed pattern.
 
-    The CSC structure of the assembled KKT matrix is built once; later
-    factorizations only gather fresh ``Hw`` values through an index map,
-    skipping the per-iteration block assembly and format conversions.
-    The primal regularization d is scaled to stay visible next to the
-    largest diagonal entry when active-set weights blow up; the equality
-    block is O(1) after equilibration and keeps the absolute value.
+    The generic Newton-system solver of ``solve_lp`` and the reference
+    for structured ones.  ``factor(W)`` forms Gs'WGs and factors the
+    regularized KKT matrix; ``solve(r1, r2)`` returns (dv, dy) for it.
+    The CSC structure of the KKT matrix is built once; later
+    factorizations only gather fresh Gs'WGs values through an index
+    map, skipping the per-iteration block assembly and format
+    conversions.  The primal regularization d is scaled to stay visible
+    next to the largest diagonal entry when active-set weights blow up;
+    the equality block is O(1) after equilibration and keeps the
+    absolute value.  The equilibration scalings are not needed.
     """
 
-    def __init__(self, E: sp.spmatrix):
-        self.E = E.tocsr()
-        self.p = E.shape[0]
+    def __init__(self, Gs: sp.csr_matrix, Es: sp.csr_matrix, *scalings):
+        self.Gs = Gs
+        self.GsT = Gs.T.tocsc()
+        self.Gw = Gs.copy()              # row-scaled workspace, pattern fixed
+        self.row_counts = np.diff(Gs.indptr)
+        self.E = Es
+        self.n = Gs.shape[1]
+        self.p = Es.shape[0]
         self._pattern = None
+        self._lu = None
 
     def _build(self, Hw: sp.csr_matrix):
         n = Hw.shape[0]
@@ -163,8 +193,9 @@ class _KktFactory:
         self._diag_positions = np.nonzero(np.isin(self._src, diag_src))[0]
         self._pattern = True
 
-    def factor(self, Hw: sp.csr_matrix):
-        Hw = Hw.tocsr()
+    def factor(self, W: np.ndarray) -> None:
+        np.multiply(self.Gs.data, np.repeat(W, self.row_counts), out=self.Gw.data)
+        Hw = (self.GsT @ self.Gw).tocsr()
         Hw.sort_indices()
         if self._pattern is None or not (
             np.array_equal(Hw.indptr, self._hw_indptr)
@@ -176,31 +207,33 @@ class _KktFactory:
         delta_p = REGULARIZATION * max(1.0, abs(Hw.diagonal()).max())
         data[self._diag_positions] += delta_p
         K = sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
-        return spla.splu(K)
+        self._lu = spla.splu(K)
+
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
+        x = self._lu.solve(np.concatenate([r1, r2]))
+        return x[: self.n], x[self.n :]
 
 
-def _kkt_residual(Hw, E, x, r1, r2):
-    p = E.shape[0]
-    if p:
-        dv, dy = x[: r1.size], x[r1.size :]
-        return np.concatenate([r1 - (Hw @ dv + E.T @ dy), r2 - E @ dv])
-    return r1 - Hw @ x
+def _refined_solve(kkt, Gs, GsT, Es, EsT, W, r1, r2):
+    """Solve the unregularized Newton system by iterative refinement.
 
-
-def _kkt_solve(lu, Hw, E, r1, r2, refine: int = 4):
-    """Solve the unregularized KKT system with iterative refinement."""
-    p = E.shape[0]
-    rhs = np.concatenate([r1, r2]) if p else r1
-    rhs_norm = np.linalg.norm(rhs)
-    x = lu.solve(rhs)
-    for _ in range(refine):
-        res = _kkt_residual(Hw, E, x, r1, r2)
-        if np.linalg.norm(res) <= 1e-14 * (1.0 + rhs_norm):
+    The system is Gs'WGs dv + Es'dy = r1, Es dv = r2, with ``GsT`` and
+    ``EsT`` the transposes of Gs and Es; ``kkt`` holds a factorization
+    of a regularized or reduced form of it.  Refinement stops after
+    REFINE_PASSES corrections or once the residual falls below
+    REFINE_TOL relative to the right-hand side.
+    """
+    dv, dy = kkt.solve(r1, r2)
+    rhs_norm = np.linalg.norm(np.concatenate([r1, r2]))
+    for _ in range(REFINE_PASSES):
+        e1 = r1 - (GsT @ (W * (Gs @ dv)) + EsT @ dy)
+        e2 = r2 - Es @ dv
+        if np.linalg.norm(np.concatenate([e1, e2])) <= REFINE_TOL * (1.0 + rhs_norm):
             break
-        x = x + lu.solve(res)
-    if p:
-        return x[: r1.size], x[r1.size :]
-    return x, np.zeros(0)
+        c1, c2 = kkt.solve(e1, e2)
+        dv = dv + c1
+        dy = dy + c2
+    return dv, dy
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -214,8 +247,19 @@ def solve_lp(
     lp: LinearProgram,
     tol: float = 1e-10,
     max_iter: int = 200,
+    kkt=_KktFactory,
 ) -> LpSolution:
-    """Solve the LP; statuses other than ``optimal`` carry best iterates."""
+    """Solve the LP; statuses other than ``optimal`` carry best iterates.
+
+    ``kkt(Gs, Es, dr_g, dr_e, dc)`` builds the Newton-system solver from
+    the equilibrated data Gs = diag(1/dr_g) G diag(1/dc) and
+    Es = diag(1/dr_e) E diag(1/dc).  The solver's ``factor(W)`` prepares
+    a step for the weights W = z/s, and ``solve(r1, r2)`` returns
+    (dv, dy) with Gs'WGs dv + Es'dy = r1 and Es dv = r2, up to the error
+    iterative refinement removes.  The default is the generic sparse
+    solver; a caller that knows the structure of its LP may pass a
+    faster one.
+    """
     lp.validate()
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -231,21 +275,19 @@ def solve_lp(
     f_scale = 1.0 + np.abs(lp.f).max(initial=0.0)
     c_scale = 1.0 + np.abs(lp.c).max(initial=0.0)
 
-    GsT = Gs.T.tocsc()
-    Gw = Gs.copy()                       # row-scaled workspace, pattern fixed
-    row_counts = np.diff(Gs.indptr)
-
     # starting point: primal/dual least-squares with unit weights, then a
     # positive shift (Mehrotra-style) on the slacks and multipliers
-    factory = _KktFactory(Es)
-    Hw0 = (GsT @ Gw).tocsr()             # weights start at one
-    lu0 = factory.factor(Hw0)
-    v, _ = _kkt_solve(lu0, Hw0, Es, Gs.T @ hs, fs)
+    newton = kkt(Gs, Es, dr_g, dr_e, dc)
+    GsT, EsT = Gs.T.tocsr(), Es.T.tocsr()
+    GT, ET = lp.G.T.tocsr(), lp.E.T.tocsr()
+    W = np.ones(m)
+    newton.factor(W)
+    v, _ = _refined_solve(newton, Gs, GsT, Es, EsT, W, GsT @ hs, fs)
     r = hs - Gs @ v
     shift = -r.min()
     s = r if shift < 0 else r + (1.0 + shift)
     s = np.maximum(s, 1e-8)
-    u, yw = _kkt_solve(lu0, Hw0, Es, cs, np.zeros(p))
+    u, yw = _refined_solve(newton, Gs, GsT, Es, EsT, W, cs, np.zeros(p))
     z = -(Gs @ u)
     y = -yw
     shift = -z.min()
@@ -263,7 +305,7 @@ def solve_lp(
         z_o = z / dr_g
         y_o = y / dr_e if p else y
         s_o = s * dr_g
-        rd = lp.c + lp.G.T @ z_o + (lp.E.T @ y_o if p else 0.0)
+        rd = lp.c + GT @ z_o + (ET @ y_o if p else 0.0)
         rp = (lp.E @ v_o - lp.f) if p else np.zeros(0)
         rg = lp.G @ v_o + s_o - lp.h
         obj = float(lp.c @ v_o)
@@ -280,7 +322,14 @@ def solve_lp(
             "eq": float(np.abs(rp).max(initial=0.0)),
         }
 
-    res = original_residuals()
+    def converged(res):
+        return (
+            res["ineq"] <= tol * h_scale
+            and res["eq"] <= tol * f_scale
+            and res["dual"] <= tol * c_scale
+            and res["gap"] <= tol * (1.0 + abs(res["objective"]))
+        )
+
     best_err = np.inf
     stall = 0
     for it in range(1, max_iter + 1):
@@ -289,12 +338,7 @@ def solve_lp(
         mu_history.append(mu)
 
         res = original_residuals()
-        if (
-            res["ineq"] <= tol * h_scale
-            and res["eq"] <= tol * f_scale
-            and res["dual"] <= tol * c_scale
-            and res["gap"] <= tol * (1.0 + abs(res["objective"]))
-        ):
+        if converged(res):
             status = "optimal"
             break
         err = max(res["ineq"] / h_scale, res["eq"] / f_scale,
@@ -311,7 +355,7 @@ def solve_lp(
         obj_ray = float(hs @ z + (fs @ y if p else 0.0))
         znorm = max(np.abs(z).max(), np.abs(y).max(initial=0.0))
         if obj_ray < -CERT_TOL * znorm:
-            cert = np.abs(Gs.T @ z + (Es.T @ y if p else 0.0)).max()
+            cert = np.abs(GsT @ z + (EsT @ y if p else 0.0)).max()
             if cert <= CERT_TOL * max(1.0, znorm) and znorm > 1e2:
                 status = "infeasible"
                 break
@@ -332,21 +376,19 @@ def solve_lp(
             break
 
         W = np.clip(z / s, 1e-16, 1e16)
-        np.multiply(Gs.data, np.repeat(W, row_counts), out=Gw.data)
-        Hw = (GsT @ Gw).tocsr()
         try:
-            lu = factory.factor(Hw)
-        except RuntimeError:
+            newton.factor(W)
+        except (RuntimeError, np.linalg.LinAlgError):  # singular step matrix
             status = "max_iter"
             break
 
-        rd = cs + Gs.T @ z + (Es.T @ y if p else 0.0)
+        rd = cs + GsT @ z + (EsT @ y if p else 0.0)
         rp = (Es @ v - fs) if p else np.zeros(0)
         rg = Gs @ v + s - hs
 
         # predictor (affine scaling) step
-        rhs1 = -rd - Gs.T @ (W * rg - z)
-        dv, dy = _kkt_solve(lu, Hw, Es, rhs1, -rp)
+        rhs1 = -rd - GsT @ (W * rg - z)
+        dv, dy = _refined_solve(newton, Gs, GsT, Es, EsT, W, rhs1, -rp)
         ds = -rg - Gs @ dv
         dz = -z - W * ds
         ap = min(1.0, _max_step(s, ds))
@@ -356,8 +398,8 @@ def solve_lp(
 
         # corrector step reusing the factorization
         t = sigma * mu - ds * dz
-        rhs1 = -rd - Gs.T @ (t / s - z + W * rg)
-        dv, dy = _kkt_solve(lu, Hw, Es, rhs1, -rp)
+        rhs1 = -rd - GsT @ (t / s - z + W * rg)
+        dv, dy = _refined_solve(newton, Gs, GsT, Es, EsT, W, rhs1, -rp)
         ds = -rg - Gs @ dv
         dz = t / s - z - W * ds
 
@@ -382,12 +424,7 @@ def solve_lp(
         z = z + ad * dz
 
     res = original_residuals()
-    if status == "max_iter" and (
-        res["ineq"] <= tol * h_scale
-        and res["eq"] <= tol * f_scale
-        and res["dual"] <= tol * c_scale
-        and res["gap"] <= tol * (1.0 + abs(res["objective"]))
-    ):
+    if status == "max_iter" and converged(res):
         status = "optimal"
     return LpSolution(
         v=v / dc,

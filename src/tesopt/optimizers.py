@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .lp import LinearProgram, make_program, solve_lp
+from .lp import REGULARIZATION, LinearProgram, make_program, solve_lp
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
@@ -259,18 +260,96 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     return make_program(c, G, h, E, np.zeros(1))
 
 
+class L1L1Newton:
+    """Electrode-space Newton steps for the LP of ``build_l1l1_lp``.
+
+    A drop-in for the sparse KKT solver of ``solve_lp``, built from the
+    same equilibration scalings; the blocks themselves come from ``p``,
+    so Gs and Es are not read.  It works in the original scale, where
+    the weights are W' = W/dr_g^2.  Rows come in blocks A, B, C of sizes
+    (3, M, L) plus the dose row.  The t1 and t2 blocks of G'W'G are
+    diagonal, and the t3 block is diagonal plus the rank-one dose row,
+    so all three are eliminated (t3 by Sherman-Morrison).  That leaves
+    the L x L matrix
+
+        S = L1' D1 L1 + L2' D2 L2 + diag(D3) + rho q q'
+
+    with D = (4ab + (a+b)c)/(a+b+c) for the block weights a, b, c (free
+    of cancellation), and q, rho the t3 coupling and the dose weight
+    after Sherman-Morrison.  S is factored by Cholesky, and the balance
+    row is then one scalar Schur complement, 1'S^-1 1.  S gets the same
+    relative diagonal shift as the sparse path; ``solve_lp``'s
+    refinement removes it.  References: Mehrotra, SIAM J. Optim. 2 (1992); Wright,
+    Primal-Dual Interior-Point Methods (SIAM 1997), ch. 11.
+    """
+
+    def __init__(self, p: StimulusProblem, Gs, Es, dr_g, dr_e, dc):
+        L, M = p.n_electrodes, p.n_nuisance
+        self.L1, self.L2 = p.L1, p.L2
+        self.dr_g2, self.dr_e, self.dc = dr_g**2, dr_e, dc
+        self.k = 3 + M + L                      # rows per block A, B, C
+        self.fit = slice(0, 3)
+        self.nuis = slice(3, 3 + M)
+        self.pen = slice(3 + M, 3 + M + L)
+        self.ones = np.ones(L)
+
+    def factor(self, W: np.ndarray) -> None:
+        k = self.k
+        w = W / self.dr_g2
+        a, b, c = w[:k], w[k:2 * k], w[2 * k:3 * k]
+        self.s = a + b + c
+        d = (4.0 * a * b + (a + b) * c) / self.s
+        # the (t, y) block of G'W'G is diag(e) [L1; L2; I]
+        self.e = b - a
+        self.e[self.pen] *= -1.0
+        s3 = self.s[self.pen]
+        self.rho = w[3 * k] / (1.0 + w[3 * k] * np.sum(1.0 / s3))
+        q = self.e[self.pen] / s3
+        S = self.L1.T @ (d[self.fit, None] * self.L1) \
+            + self.L2.T @ (d[self.nuis, None] * self.L2) \
+            + self.rho * np.outer(q, q)
+        S[np.diag_indices_from(S)] += d[self.pen]
+        S[np.diag_indices_from(S)] += REGULARIZATION * max(1.0, S.diagonal().max())
+        self.chol = sla.cho_factor(S)
+        self.u = sla.cho_solve(self.chol, self.ones)
+
+    def _t3_inverse(self, v: np.ndarray) -> np.ndarray:
+        """The t3 block's inverse (diag(s3) + w_dose 1 1')^-1 applied to v."""
+        vs = v / self.s[self.pen]
+        return vs - (self.rho * vs.sum()) / self.s[self.pen]
+
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
+        L = self.ones.size
+        g = self.dc * r1
+        gy, gt = g[:L], g[L:]
+        h = self.e * gt / self.s
+        h[self.pen] = self.e[self.pen] * self._t3_inverse(gt[self.pen])
+        rhs = gy - self.L1.T @ h[self.fit] - self.L2.T @ h[self.nuis] - h[self.pen]
+        w = sla.cho_solve(self.chol, rhs)
+        lam = (w.sum() - self.dr_e[0] * r2[0]) / self.u.sum()
+        x = w - lam * self.u
+        coupled = np.concatenate([self.L1 @ x, self.L2 @ x, x])
+        t = (gt - self.e * coupled) / self.s
+        t[self.pen] = self._t3_inverse(gt[self.pen] - self.e[self.pen] * x)
+        return self.dc * np.concatenate([x, t]), self.dr_e * lam
+
+
 def solve_l1l1_linear(
     p: StimulusProblem, alpha: float, eps: float,
     tol: float = 1e-10, max_iter: int = 200,
 ) -> CurrentPattern:
-    # zeta is the induced 1-norm of the lead field, so for alpha >= 1 the
-    # pattern penalty outweighs any attainable fit gain and y = 0 is an
-    # exact optimum; skip the LP for those cells
-    if alpha >= 1.0:
-        return _finalize(p, np.zeros(p.n_electrodes), "optimal",
-                         l1l1_objective(p, np.zeros(p.n_electrodes), alpha, eps))
+    # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
+    # with g = L1' sign(x1): -g is a subgradient of the fit at 0, the
+    # nuisance term has 0 in its subdifferential there, the dose rows are
+    # slack and nu is the balance multiplier.  The test is exact when
+    # eps*nu > 0 and no x1_i is 0.  |g_i| <= zeta, so every alpha >= 1
+    # passes.
+    g = p.L1.T @ np.sign(p.x1)
+    if 0.5 * (g.max() - g.min()) <= alpha * p.zeta:
+        zero = np.zeros(p.n_electrodes)
+        return _finalize(p, zero, "optimal", l1l1_objective(p, zero, alpha, eps))
     lp = build_l1l1_lp(p, alpha, eps)
-    sol = solve_lp(lp, tol=tol, max_iter=max_iter)
+    sol = solve_lp(lp, tol=tol, max_iter=max_iter, kkt=partial(L1L1Newton, p))
     y = sol.v[: p.n_electrodes]
     raw = l1l1_objective(p, y, alpha, eps)
     return _finalize(p, y, sol.status, raw)

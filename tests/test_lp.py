@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from conftest import random_problem
 from oracles import lp_vertex_minimum, random_bounded_lp
-from tesopt.lp import make_program, solve_lp
+from tesopt.lp import _ruiz_equilibration, make_program, solve_lp
+from tesopt.optimizers import build_l1l1_lp
 
 
 def test_lower_bound_vertex():
@@ -93,3 +96,51 @@ def test_deterministic_resolve():
     b = solve_lp(lp)
     assert np.array_equal(a.v, b.v)
     assert a.mu_history == b.mu_history
+
+
+def ruiz_by_diagonal_products(G, E, iters=10):
+    """Reference equilibration: row and column maxima of the scaled copies,
+    scaling by products with sparse diagonal matrices."""
+    m, n = G.shape
+    p = E.shape[0]
+    dr_g, dr_e, dc = np.ones(m), np.ones(p), np.ones(n)
+    Gs, Es = G.copy(), E.copy()
+
+    def factors(mx):
+        return np.where(mx > 0, np.sqrt(np.where(mx > 0, mx, 1.0)), 1.0)
+
+    for _ in range(iters):
+        rg = factors(abs(Gs).max(axis=1).toarray().ravel())
+        re = factors(abs(Es).max(axis=1).toarray().ravel()) if p else np.ones(0)
+        Gs = sp.diags(1.0 / rg) @ Gs
+        Es = sp.diags(1.0 / re) @ Es if p else Es
+        col = abs(Gs).max(axis=0).toarray().ravel()
+        if p:
+            col = np.maximum(col, abs(Es).max(axis=0).toarray().ravel())
+        cc = factors(col)
+        Gs = Gs @ sp.diags(1.0 / cc)
+        Es = Es @ sp.diags(1.0 / cc) if p else Es
+        dr_g, dr_e, dc = dr_g * rg, dr_e * re, dc * cc
+    return Gs.tocsr(), Es.tocsr(), dr_g, dr_e, dc
+
+
+def test_ruiz_equilibration_bitwise(rng):
+    lps = [make_program(*random_bounded_lp(rng)) for _ in range(20)]
+    G = sp.random(40, 15, density=0.3, random_state=7).toarray()
+    G[G != 0] = np.exp(rng.uniform(-12, 12, np.count_nonzero(G)))  # ~10 decades
+    G[5], G[:, 3] = 0.0, 0.0                        # an empty row and column
+    lps.append(make_program(np.ones(15), G, np.ones(40)))
+    lps.append(build_l1l1_lp(random_problem(rng, n_electrodes=8, n_nuisance=30),
+                             1e-3, 1e-2))
+    for lp in lps:
+        got = _ruiz_equilibration(lp.G, lp.E)
+        ref = ruiz_by_diagonal_products(lp.G, lp.E)
+        for a, b in zip(got[:2], ref[:2]):
+            a, b = a.copy(), b.copy()
+            a.sort_indices()
+            b.sort_indices()
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+        for a, b in zip(got[2:], ref[2:]):
+            assert np.array_equal(a, b)

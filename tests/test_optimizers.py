@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import random_problem
 from oracles import balanced_grid_minimum
-from tesopt.lp import solve_lp
+from tesopt.lp import _KktFactory, _refined_solve, _ruiz_equilibration, solve_lp
 from tesopt.optimizers import (
+    L1L1Newton,
     MethodParams,
     OptimizerError,
     StimulusProblem,
     build_l1l1_lp,
     equalize_dose,
+    l1l1_objective,
     project_feasible,
     solve_l1l1,
     solve_l1l1_linear,
@@ -57,16 +61,85 @@ def test_l1l1_zero_target_degenerate(rng):
     assert not pat.y.any()
 
 
+def zero_alpha(p):
+    """alpha* = (max g - min g) / (2 zeta), g = L1' sign(x1): y = 0 is an
+    exact L1L1 optimum for every alpha >= alpha*."""
+    g = p.L1.T @ np.sign(p.x1)
+    return 0.5 * (g.max() - g.min()) / p.zeta
+
+
 def test_l1l1_matches_grid_oracle(rng):
     for _ in range(4):
         p = random_problem(rng)
         alpha = 10 ** rng.uniform(-4, -1)
         eps = 10 ** rng.uniform(-3, -0.5)
         pat = solve_l1l1_linear(p, alpha, eps)
-        assert pat.status == "optimal"
+        assert pat.status == ("degenerate" if alpha >= zero_alpha(p) else "optimal")
         ref = balanced_grid_minimum(p, "l1", alpha, eps)
         assert abs(pat.raw_objective - ref) <= 1e-3 * abs(ref)
         pat.validate(p.mu, p.gamma)
+
+
+def test_l1l1_zero_certificate_sound(rng):
+    # above alpha* the generic LP never beats y = 0 beyond its tolerance
+    for k in range(12):
+        p = random_problem(rng, n_electrodes=3 + 5 * (k % 3), n_nuisance=8)
+        alpha = zero_alpha(p) * 10 ** rng.uniform(0.0, 1.0)
+        eps = 10 ** rng.uniform(-3, -0.5)
+        lp = build_l1l1_lp(p, alpha, eps)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        at_zero = l1l1_objective(p, np.zeros(p.n_electrodes), alpha, eps)
+        assert lp.c @ sol.v >= at_zero - 1e-10 * (1 + at_zero)
+        pat = solve_l1l1_linear(p, alpha, eps)
+        assert pat.status == "degenerate"
+        assert pat.raw_objective == at_zero
+
+
+def test_l1l1_newton_solvers_agree(rng):
+    # structured electrode-space steps against the sparse KKT oracle, both
+    # refined, for uniform weights and for the weights W = z/s met along
+    # the sparse solver's own iterates, whose spread exceeds 1e16
+    for n_electrodes, n_nuisance in ((3, 6), (32, 300)):
+        p = random_problem(rng, n_electrodes=n_electrodes, n_nuisance=n_nuisance)
+        lp = build_l1l1_lp(p, 0.3 * zero_alpha(p), 1e-2)
+        met = []
+
+        class Recording(_KktFactory):
+            def factor(self, W):
+                met.append(W.copy())
+                super().factor(W)
+
+        assert solve_lp(lp, kkt=Recording).status == "optimal"
+        Gs, Es, dr_g, dr_e, dc = _ruiz_equilibration(lp.G, lp.E)
+        GsT, EsT = Gs.T.tocsr(), Es.T.tocsr()
+        uniform = [np.full(Gs.shape[0], 10 ** u) for u in rng.uniform(-8, 8, 8)]
+        assert max(W.max() / W.min() for W in met) > 1e16
+        for W in uniform + met:
+            r1 = rng.normal(size=Gs.shape[1])
+            r2 = rng.normal(size=1)
+            steps = []
+            for kkt in (_KktFactory(Gs, Es), L1L1Newton(p, Gs, Es, dr_g, dr_e, dc)):
+                kkt.factor(W)
+                dv, dy = _refined_solve(kkt, Gs, GsT, Es, EsT, W, r1, r2)
+                steps.append(np.concatenate([dv, dy]))
+            ref, got = steps
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_l1l1_paths_agree_below_threshold(rng):
+    for k in range(10):
+        p = random_problem(rng, n_electrodes=(3, 12, 32)[k % 3],
+                           n_nuisance=(6, 40, 300)[k % 3])
+        alpha = zero_alpha(p) * (1.0 - 10 ** rng.uniform(-3, -0.05))
+        eps = 10 ** rng.uniform(-3, -0.5)
+        lp = build_l1l1_lp(p, alpha, eps)
+        sparse = solve_lp(lp)
+        structured = solve_lp(lp, kkt=partial(L1L1Newton, p))
+        assert sparse.status == structured.status == "optimal"
+        a, b = lp.c @ sparse.v, lp.c @ structured.v
+        assert abs(a - b) <= 1e-9 * abs(a)
+        assert solve_l1l1_linear(p, alpha, eps).status == "optimal"
 
 
 def test_l1l2_matches_grid_oracle(rng):
