@@ -95,6 +95,13 @@ class LeadField:
         p = self.n_points
         return np.array([self.target_point, p + self.target_point, 2 * p + self.target_point])
 
+    def split_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target rows L1 and nuisance rows L2, each in matrix order."""
+        rows = self.target_rows()
+        mask = np.ones(self.matrix.shape[0], dtype=bool)
+        mask[rows] = False
+        return self.matrix[rows], self.matrix[mask]
+
 
 def _tet_gradients(mesh: HeadMesh, tet_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the four barycentric basis functions, per tet.
@@ -269,23 +276,10 @@ def lead_field(
     )
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-6, max_iter: int = 10000) -> float:
-    """Largest singular value via power iteration on the Gram matrix."""
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, exactly: the root of the Gram matrix's top eigenvalue."""
     gram = mat.T @ mat
-    v = np.ones(gram.shape[0]) / np.sqrt(gram.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ gram @ v)
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(lam))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def split_problem(lf: LeadField, target: TargetSpec, mu: float):
@@ -295,19 +289,7 @@ def split_problem(lf: LeadField, target: TargetSpec, mu: float):
     if target.point_index >= lf.n_points:
         raise FemError("target point is not part of the lead field")
     lf.target_point = target.point_index
-    rows = lf.target_rows()
-    mask = np.ones(lf.matrix.shape[0], dtype=bool)
-    mask[rows] = False
-    L1 = lf.matrix[rows]
-    L2 = lf.matrix[mask]
-    x1 = target.d_target * target.orientation
-    return StimulusProblem(
-        L1=L1,
-        L2=L2,
-        x1=x1,
-        mu=float(mu),
-        zeta=float(np.abs(lf.matrix).sum(axis=0).max()),
-        nu=float(np.abs(x1).max()),
-        sigma_scale=spectral_norm(lf.matrix),
-        electrode_ids=lf.electrode_ids,
+    L1, L2 = lf.split_rows()
+    return StimulusProblem.from_parts(
+        L1, L2, target.d_target * target.orientation, mu, electrode_ids=lf.electrode_ids
     )

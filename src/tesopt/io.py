@@ -148,7 +148,7 @@ def load_target(path: str | Path) -> TargetSpec:
 
 def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path,
                      target: TargetSpec | None = None) -> None:
-    """Binary matrix plus a JSON sidecar with geometry and scale factors."""
+    """Binary matrix plus a JSON sidecar with geometry, ``x1`` and ``mu``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     mat = np.ascontiguousarray(lf.matrix, dtype="<f8")
@@ -164,9 +164,6 @@ def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path,
         "target_point": lf.target_point,
         "target_rows": lf.target_rows().tolist() if lf.target_point is not None else None,
         "electrode_ids": list(lf.electrode_ids),
-        "zeta": problem.zeta,
-        "nu": problem.nu,
-        "sigma_scale": problem.sigma_scale,
         "mu": problem.mu,
         "x1": problem.x1.tolist(),
     }
@@ -177,6 +174,7 @@ def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path,
 
 
 def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
+    """Matrix and problem; scale factors are derived, never read."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -186,8 +184,7 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         mat = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
     with open(path.with_suffix(".json")) as fh:
         sidecar = json.load(fh)
-    for fld in ("rows", "cols", "points", "electrode_ids", "zeta", "nu",
-                "sigma_scale", "mu", "x1", "target_point"):
+    for fld in ("rows", "cols", "points", "electrode_ids", "mu", "x1", "target_point"):
         if fld not in sidecar:
             raise IoError(f"lead-field sidecar missing field '{fld}'")
     if (sidecar["rows"], sidecar["cols"]) != (rows, cols):
@@ -200,18 +197,9 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         electrode_ids=tuple(int(i) for i in sidecar["electrode_ids"]),
         target_point=sidecar["target_point"],
     )
-    target_rows = lf.target_rows()
-    mask = np.ones(rows, dtype=bool)
-    mask[target_rows] = False
-    problem = StimulusProblem(
-        L1=lf.matrix[target_rows],
-        L2=lf.matrix[mask],
-        x1=np.asarray(sidecar["x1"], dtype=float),
-        mu=float(sidecar["mu"]),
-        zeta=float(sidecar["zeta"]),
-        nu=float(sidecar["nu"]),
-        sigma_scale=float(sidecar["sigma_scale"]),
-        electrode_ids=lf.electrode_ids,
+    L1, L2 = lf.split_rows()
+    problem = StimulusProblem.from_parts(
+        L1, L2, sidecar["x1"], sidecar["mu"], electrode_ids=lf.electrode_ids
     )
     return lf, problem
 

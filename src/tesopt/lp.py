@@ -130,84 +130,31 @@ def _ruiz_equilibration(G, E, iters: int = 10):
 
 
 class _KktFactory:
-    """Sparse LU of [[Gs'WGs + dI, Es'], [Es, -dI]] for a fixed pattern.
+    """Sparse LU of [[Gs'WGs + dI, Es'], [Es, -dI]].
 
     The generic Newton-system solver of ``solve_lp`` and the reference
     for structured ones.  ``factor(W)`` forms Gs'WGs and factors the
     regularized KKT matrix; ``solve(r1, r2)`` returns (dv, dy) for it.
-    The CSC structure of the KKT matrix is built once; later
-    factorizations only gather fresh Gs'WGs values through an index
-    map, skipping the per-iteration block assembly and format
-    conversions.  The primal regularization d is scaled to stay visible
-    next to the largest diagonal entry when active-set weights blow up;
-    the equality block is O(1) after equilibration and keeps the
-    absolute value.  The equilibration scalings are not needed.
+    The primal regularization d is scaled to stay visible next to the
+    largest diagonal entry when active-set weights blow up; the
+    equality block is O(1) after equilibration and keeps the absolute
+    value.  The equilibration scalings are not needed.
     """
 
     def __init__(self, Gs: sp.csr_matrix, Es: sp.csr_matrix, *scalings):
         self.Gs = Gs
-        self.GsT = Gs.T.tocsc()
-        self.Gw = Gs.copy()              # row-scaled workspace, pattern fixed
-        self.row_counts = np.diff(Gs.indptr)
         self.E = Es
         self.n = Gs.shape[1]
         self.p = Es.shape[0]
-        self._pattern = None
         self._lu = None
 
-    def _build(self, Hw: sp.csr_matrix):
-        n = Hw.shape[0]
-        nnz_h = Hw.nnz
-        hw_idx = sp.csr_matrix(
-            (np.arange(1, nnz_h + 1, dtype=float), Hw.indices, Hw.indptr),
-            shape=Hw.shape,
-        )
-        if self.p:
-            ET = self.E.T.tocsr()
-            et_idx = sp.csr_matrix(
-                (np.arange(nnz_h + 1, nnz_h + 1 + ET.nnz, dtype=float),
-                 ET.indices, ET.indptr), shape=ET.shape)
-            e_idx = sp.csr_matrix(
-                (np.arange(nnz_h + 1 + ET.nnz, nnz_h + 1 + ET.nnz + self.E.nnz,
-                           dtype=float), self.E.indices, self.E.indptr),
-                shape=self.E.shape)
-            corner_off = nnz_h + 1 + ET.nnz + self.E.nnz
-            corner = sp.diags(np.arange(corner_off, corner_off + self.p,
-                                        dtype=float))
-            K = sp.bmat([[hw_idx, et_idx], [e_idx, corner]], format="csc")
-            self._const = np.concatenate([ET.tocsr().data, self.E.data,
-                                          -REGULARIZATION * np.ones(self.p)])
-        else:
-            K = hw_idx.tocsc()
-            self._const = np.zeros(0)
-        self._src = np.rint(K.data).astype(np.int64)
-        self._indices = K.indices
-        self._indptr = K.indptr
-        self._shape = K.shape
-        self._hw_indptr = Hw.indptr.copy()
-        self._hw_indices = Hw.indices.copy()
-        diag_marks = hw_idx.diagonal()
-        if np.any(diag_marks == 0):
-            raise ValueError("KKT primal block must have a full diagonal")
-        diag_src = np.rint(diag_marks).astype(np.int64)
-        self._diag_positions = np.nonzero(np.isin(self._src, diag_src))[0]
-        self._pattern = True
-
     def factor(self, W: np.ndarray) -> None:
-        np.multiply(self.Gs.data, np.repeat(W, self.row_counts), out=self.Gw.data)
-        Hw = (self.GsT @ self.Gw).tocsr()
-        Hw.sort_indices()
-        if self._pattern is None or not (
-            np.array_equal(Hw.indptr, self._hw_indptr)
-            and np.array_equal(Hw.indices, self._hw_indices)
-        ):
-            self._build(Hw)
-        source = np.concatenate([[0.0], Hw.data, self._const])
-        data = source[self._src]
-        delta_p = REGULARIZATION * max(1.0, abs(Hw.diagonal()).max())
-        data[self._diag_positions] += delta_p
-        K = sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
-        self._lu = spla.splu(K)
+        H = self.Gs.T @ sp.diags(W) @ self.Gs
+        delta_p = REGULARIZATION * max(1.0, abs(H.diagonal()).max())
+        K = H + delta_p * sp.identity(self.n)
+        if self.p:
+            K = sp.bmat([[K, self.E.T], [self.E, -REGULARIZATION * sp.identity(self.p)]])
+        self._lu = spla.splu(K.tocsc())
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         x = self._lu.solve(np.concatenate([r1, r2]))

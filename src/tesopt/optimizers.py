@@ -69,7 +69,7 @@ class StimulusProblem:
 
     @classmethod
     def from_parts(cls, L1, L2, x1, mu, electrode_ids=()) -> "StimulusProblem":
-        """Build a problem, deriving the scale factors from the matrices."""
+        """Build a problem; the one place zeta, nu and sigma_scale are derived."""
         from .fem import spectral_norm
 
         # C-layout normalization keeps BLAS summation order (and hence
@@ -97,15 +97,6 @@ class StimulusProblem:
         return StimulusProblem.from_parts(
             self.L1[:, cols], self.L2[:, cols], self.x1, self.mu, electrode_ids=ids
         )
-
-    def scatter(self, y_sub: np.ndarray, full_ids) -> np.ndarray:
-        """Embed a restricted pattern back into the ``full_ids`` space."""
-        full_ids = tuple(full_ids)
-        out = np.zeros(len(full_ids))
-        pos = {eid: i for i, eid in enumerate(full_ids)}
-        for eid, val in zip(self.electrode_ids, y_sub):
-            out[pos[eid]] = val
-        return out
 
     def gram_target(self) -> np.ndarray:
         if "g1" not in self._cache:

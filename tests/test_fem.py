@@ -21,6 +21,7 @@ from tesopt.meshgen import (
     place_target,
     sample_field_points,
 )
+from tesopt.optimizers import StimulusProblem
 
 
 def balanced(rng, n):
@@ -261,6 +262,22 @@ def test_spectral_norm_power_iteration(rng):
     A = rng.normal(size=(40, 7))
     ref = np.linalg.svd(A, compute_uv=False)[0]
     assert abs(spectral_norm(A) - ref) <= 1e-4 * ref
+
+
+def test_spectral_norm_exact(bar_setup):
+    mesh, _, sys_, _ = bar_setup
+    pts = sample_field_points(mesh, 1, 10, seed=6)
+    balanced_rows = np.tile([1.0, -1.0], (4, 1))
+    cases = [
+        np.array([[3.0, -3.0], [1.0, 1.0]]),      # start vector 1/sqrt(L) misses sqrt(18)
+        balanced_rows,                             # start vector in the kernel
+        lead_field(sys_, mesh, pts).matrix,
+    ]
+    for mat in cases:
+        ref = np.linalg.norm(mat, 2)
+        assert abs(spectral_norm(mat) - ref) <= 1e-12 * ref
+    p = StimulusProblem.from_parts(balanced_rows[:3], balanced_rows[3:], np.ones(3), 4e-3)
+    assert p.sigma_scale > 0.0
 
 
 def test_degenerate_tet_rejected():

@@ -99,10 +99,58 @@ def test_lead_field_sidecar_dims_checked(tmp_path, rng):
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     with pytest.raises(io.IoError, match="rows"):
         io.read_lead_field(path)
-    del sidecar["zeta"]
+    del sidecar["x1"]
     path.with_suffix(".json").write_text(json.dumps(sidecar))
-    with pytest.raises(io.IoError, match="zeta"):
+    with pytest.raises(io.IoError, match="x1"):
         io.read_lead_field(path)
+
+
+def test_lead_field_sidecar_scale_keys_ignored(tmp_path, rng):
+    # sidecars written before the scale factors were derived on read still
+    # carry zeta, nu and sigma_scale; the reader ignores them
+    lf = synthetic_lead_field(rng)
+    L1, L2 = lf.split_rows()
+    problem = StimulusProblem.from_parts(L1, L2, np.array([0.2, 0.0, 0.0]), 4e-3,
+                                         electrode_ids=lf.electrode_ids)
+    path = tmp_path / "lf.bin"
+    io.write_lead_field(lf, problem, path)
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    assert not {"zeta", "nu", "sigma_scale"} & sidecar.keys()
+    sidecar.update(zeta=-1.0, nu=123.0, sigma_scale=0.0)
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    _, p2 = io.read_lead_field(path)
+    assert p2.zeta == problem.zeta
+    assert p2.nu == problem.nu
+    assert p2.sigma_scale == problem.sigma_scale
+
+
+def assert_same_problem(a, b):
+    for name in ("L1", "L2", "x1"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("mu", "zeta", "nu", "sigma_scale", "electrode_ids"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def test_lead_field_one_problem_path(tmp_path, tiny_model):
+    # split_problem, a write/read round trip and from_parts on the same rows
+    # must give bitwise the same problem
+    from tesopt import fem
+
+    mesh, layout, points, target = tiny_model
+    lf = fem.lead_field(fem.assemble(mesh, layout), mesh, points,
+                        target_point=target.point_index)
+    split = fem.split_problem(lf, target, 4e-3)
+    io.write_lead_field(lf, split, tmp_path / "lf.bin", target=target)
+    _, read = io.read_lead_field(tmp_path / "lf.bin")
+    rows = lf.target_rows()
+    mask = np.ones(lf.matrix.shape[0], dtype=bool)
+    mask[rows] = False
+    parts = StimulusProblem.from_parts(
+        lf.matrix[rows], lf.matrix[mask], target.d_target * target.orientation,
+        4e-3, electrode_ids=lf.electrode_ids)
+    assert_same_problem(split, read)
+    assert_same_problem(split, parts)
+    assert_same_problem(split.restrict(split.electrode_ids), split)
 
 
 def test_lattice_csv_headers(tmp_path, rng):

@@ -349,13 +349,15 @@ def test_method_params_validation():
         MethodParams(alpha_db=float("nan"), weight_db=0.0)
 
 
-def test_restrict_and_scatter(rng):
+def test_restrict_maps_columns(rng):
     p = random_problem(rng, n_electrodes=5, n_nuisance=8)
     sub = p.restrict((2, 4, 5))
     assert sub.electrode_ids == (2, 4, 5)
     assert sub.L1.shape == (3, 3)
     assert np.array_equal(sub.L1, p.L1[:, [1, 3, 4]])
+    # a restricted pattern acts like the full pattern that is zero elsewhere
     y_sub = np.array([1.0, -0.5, -0.5])
-    full = sub.scatter(y_sub, p.electrode_ids)
-    assert np.allclose(full, [0.0, 1.0, 0.0, -0.5, -0.5])
+    full = np.array([0.0, 1.0, 0.0, -0.5, -0.5])
+    assert np.allclose(sub.L1 @ y_sub, p.L1 @ full)
+    assert np.allclose(sub.L2 @ y_sub, p.L2 @ full)
 
