@@ -191,15 +191,23 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         raise IoError("sidecar field 'rows'/'cols' disagrees with the binary header")
     if len(sidecar["points"]) * 3 != rows:
         raise IoError("sidecar field 'points' count does not match matrix rows")
+    x1, ids = sidecar["x1"], sidecar["electrode_ids"]
+    if not isinstance(x1, list) or len(x1) != 3:
+        raise IoError("sidecar field 'x1' must hold 3 entries")
+    if not isinstance(ids, list) or len(ids) != cols:
+        raise IoError("sidecar field 'electrode_ids' count does not match matrix columns")
+    target_point = sidecar["target_point"]
+    if type(target_point) is not int or not 0 <= target_point < rows // 3:
+        raise IoError("sidecar field 'target_point' must be an int in [0, rows/3)")
     lf = LeadField(
         matrix=np.array(mat),
         points=np.asarray(sidecar["points"], dtype=float),
-        electrode_ids=tuple(int(i) for i in sidecar["electrode_ids"]),
-        target_point=sidecar["target_point"],
+        electrode_ids=tuple(int(i) for i in ids),
+        target_point=target_point,
     )
     L1, L2 = lf.split_rows()
     problem = StimulusProblem.from_parts(
-        L1, L2, sidecar["x1"], sidecar["mu"], electrode_ids=lf.electrode_ids
+        L1, L2, x1, sidecar["mu"], electrode_ids=lf.electrode_ids
     )
     return lf, problem
 

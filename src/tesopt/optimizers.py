@@ -21,6 +21,8 @@ from .lp import REGULARIZATION, LinearProgram, make_program, solve_lp
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
+NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.nuisance_factor
+
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
 
@@ -107,6 +109,20 @@ class StimulusProblem:
         if "g2" not in self._cache:
             self._cache["g2"] = self.L2.T @ self.L2
         return self._cache["g2"]
+
+    def nuisance_factor(self) -> np.ndarray:
+        """R of L2 = QR, at most L x L: ||R y|| = ||L2 y|| for every y.
+
+        Factored block by block, R <- qr([R; next rows]), so the working
+        copy holds NUISANCE_BLOCK rows rather than all of L2.
+        """
+        if "r2" not in self._cache:
+            R = self.L2[:0]
+            for start in range(0, self.n_nuisance, NUISANCE_BLOCK):
+                block = self.L2[start:start + NUISANCE_BLOCK]
+                R = np.linalg.qr(np.vstack([R, block]), mode="r")
+            self._cache["r2"] = R
+        return self._cache["r2"]
 
     def target_drive(self) -> np.ndarray:
         if "l1tx" not in self._cache:
@@ -403,19 +419,33 @@ def solve_l1l2_linear(
     restricted to the dose polytope.  Step sizes come from the norm of
     the stacked matrix (``sigma_scale``), split so primal moves are on
     the dose scale and dual moves on the unit-ball scale.
+
+    The nuisance block enters through its QR factor R (L2 = QR): the
+    nuisance dual starts at 0 and only gains multiples of L2 ybar, so it
+    stays in range(Q), and its norm, L2' q and both residual norms are
+    the same with R in place of L2.  The dead zone keeps sqrt(M).
     """
+    # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
+    # with g = L1' x1 / ||x1|| (g = 0 when x1 = 0): -g is the fit gradient
+    # at 0, the nuisance term has 0 in its subdifferential there, the dose
+    # constraint is slack and nu is the balance multiplier.  The test is
+    # exact when eps*nu > 0 and x1 != 0.
     L = p.n_electrodes
-    K = np.vstack([p.L1, p.L2])
+    x1_norm = np.linalg.norm(p.x1)
+    g = p.target_drive() / x1_norm if x1_norm > 0 else np.zeros(L)
+    if 0.5 * (g.max() - g.min()) <= alpha * p.zeta:
+        zero = np.zeros(L)
+        return _finalize(p, zero, "optimal", l1l2_objective(p, zero, alpha, eps))
+    K = np.vstack([p.L1, p.nuisance_factor()])
     op_norm = max(p.sigma_scale, 1e-300)
     tau = 0.99 * p.mu / op_norm
     sigma = 0.99 / (p.mu * op_norm)
 
     dead = eps * p.nu * np.sqrt(p.n_nuisance)
     thr = alpha * p.zeta
-    M = p.n_nuisance
     y = np.zeros(L)
     ybar = y.copy()
-    q = np.zeros(3 + M)
+    q = np.zeros(K.shape[0])
     status = "max_iter"
     p_scale = 1.0 + op_norm
     d_scale = 1.0 + op_norm * p.mu

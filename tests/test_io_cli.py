@@ -105,6 +105,32 @@ def test_lead_field_sidecar_dims_checked(tmp_path, rng):
         io.read_lead_field(path)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("x1", [0.2, 0.0], "x1"),
+    ("x1", 0.2, "x1"),
+    ("electrode_ids", [1, 2], "electrode_ids"),
+    ("target_point", None, "target_point"),
+    ("target_point", 2.0, "target_point"),
+    ("target_point", True, "target_point"),
+    ("target_point", -1, "target_point"),
+    ("target_point", 12, "target_point"),
+])
+def test_lead_field_sidecar_values_checked(tmp_path, rng, field, value, match):
+    # the synthetic lead field has 12 points and 6 electrodes
+    lf = synthetic_lead_field(rng)
+    L1, L2 = lf.split_rows()
+    problem = StimulusProblem.from_parts(L1, L2, np.array([0.2, 0.0, 0.0]), 4e-3,
+                                         electrode_ids=lf.electrode_ids)
+    path = tmp_path / "lf.bin"
+    io.write_lead_field(lf, problem, path)
+    io.read_lead_field(path)
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    sidecar[field] = value
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(io.IoError, match=match):
+        io.read_lead_field(path)
+
+
 def test_lead_field_sidecar_scale_keys_ignored(tmp_path, rng):
     # sidecars written before the scale factors were derived on read still
     # carry zeta, nu and sigma_scale; the reader ignores them

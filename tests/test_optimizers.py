@@ -13,9 +13,11 @@ from tesopt.optimizers import (
     MethodParams,
     OptimizerError,
     StimulusProblem,
+    _finalize,
     build_l1l1_lp,
     equalize_dose,
     l1l1_objective,
+    l1l2_objective,
     project_feasible,
     solve_l1l1,
     solve_l1l1_linear,
@@ -152,6 +154,93 @@ def test_l1l2_matches_grid_oracle(rng):
         ref = balanced_grid_minimum(p, "l2", alpha, eps)
         assert abs(pat.raw_objective - ref) <= 1e-3 * abs(ref)
         pat.validate(p.mu, p.gamma)
+
+
+def zero_alpha_l2(p):
+    """alpha* = (max g - min g) / (2 zeta), g = L1' x1 / ||x1||: y = 0 is an
+    exact L1L2 optimum for every alpha >= alpha* when the dead zone is > 0."""
+    g = p.L1.T @ p.x1 / np.linalg.norm(p.x1)
+    return 0.5 * (g.max() - g.min()) / p.zeta
+
+
+def test_l1l2_zero_certificate_sound(rng):
+    # above alpha* the grid oracle never beats y = 0 beyond its resolution
+    for _ in range(4):
+        p = random_problem(rng)
+        alpha = zero_alpha_l2(p) * 10 ** rng.uniform(0.0, 1.0)
+        eps = 10 ** rng.uniform(-3, -0.5)
+        at_zero = l1l2_objective(p, np.zeros(3), alpha, eps)
+        assert balanced_grid_minimum(p, "l2", alpha, eps) >= at_zero * (1 - 1e-3)
+        pat = solve_l1l2_linear(p, alpha, eps)
+        assert pat.status == "degenerate"
+        assert pat.raw_objective == at_zero
+
+
+def l1l2_full_loop(p, alpha, eps, max_iter):
+    """PDHG on the stacked [L1; L2], every iteration through all M nuisance
+    rows and without the y = 0 certificate: the reference for the loop on
+    the QR factor of L2."""
+    K = np.vstack([p.L1, p.L2])
+    tau = 0.99 * p.mu / p.sigma_scale
+    sigma = 0.99 / (p.mu * p.sigma_scale)
+    dead = eps * p.nu * np.sqrt(p.n_nuisance)
+    y = np.zeros(p.n_electrodes)
+    ybar = y.copy()
+    q = np.zeros(3 + p.n_nuisance)
+    status = "max_iter"
+    for it in range(1, max_iter + 1):
+        w = q + sigma * (K @ ybar)
+        w1 = w[:3] - sigma * p.x1
+        w2 = w[3:]
+        qn = np.empty_like(q)
+        qn[:3] = w1 / max(1.0, np.linalg.norm(w1))
+        n2 = np.linalg.norm(w2)
+        qn[3:] = w2 * (min(max(n2 - sigma * dead, 0.0), 1.0) / n2) if n2 > 0 else w2
+        y_new = project_feasible(y - tau * (K.T @ qn), p.mu, tau * alpha * p.zeta)
+        if it == 1 or it % 25 == 0:
+            dq, dy = q - qn, y - y_new
+            p_res = np.linalg.norm(dy / tau - K.T @ dq)
+            d_res = np.linalg.norm(dq / sigma - K @ dy)
+            if p_res <= 1e-6 * (1 + p.sigma_scale) \
+                    and d_res <= 1e-6 * (1 + p.sigma_scale * p.mu):
+                q, y, status = qn, y_new, "optimal"
+                break
+        ybar = 2.0 * y_new - y
+        q, y = qn, y_new
+    return _finalize(p, y, status, l1l2_objective(p, y, alpha, eps))
+
+
+def test_l1l2_compressed_matches_full(rng):
+    # M >> L and M < L; alpha up to just below alpha*, dead zones around
+    # the size of ||L2 y|| so that both the certificate and sqrt(M) matter
+    for k in range(8):
+        n_electrodes, n_nuisance = ((32, 300), (12, 6))[k % 2]
+        p = random_problem(rng, n_electrodes=n_electrodes, n_nuisance=n_nuisance)
+        alpha = zero_alpha_l2(p) * (1.0 - 10 ** rng.uniform(-1.2, -0.1))
+        eps = 10 ** rng.uniform(-4, -2)
+        ref = l1l2_full_loop(p, alpha, eps, max_iter=200)
+        got = solve_l1l2_linear(p, alpha, eps, max_iter=200)
+        assert got.status == ref.status
+        assert np.abs(got.y - ref.y).max() <= 1e-10 * p.mu
+        assert abs(got.raw_objective - ref.raw_objective) <= 1e-10 * ref.raw_objective
+
+
+def test_nuisance_factor_keeps_norms(rng):
+    # tall (three QR blocks, the last one partial), wide, and balanced
+    # rank-deficient (rank 4 < L - 1) nuisance blocks
+    balanced = rng.normal(size=(1500, 4)) @ rng.normal(size=(4, 10))
+    balanced -= balanced.mean(axis=1, keepdims=True)
+    for L2 in (rng.normal(size=(2500, 32)), rng.normal(size=(6, 12)), balanced):
+        p = StimulusProblem.from_parts(rng.normal(size=(3, L2.shape[1])), L2,
+                                       np.ones(3), 4e-3)
+        R = p.nuisance_factor()
+        assert R.shape == (min(L2.shape), L2.shape[1])
+        assert p.nuisance_factor() is R
+        for _ in range(10):
+            y = rng.normal(size=L2.shape[1])
+            y -= y.mean()
+            ref = np.linalg.norm(L2 @ y)
+            assert abs(np.linalg.norm(R @ y) - ref) <= 1e-13 * ref
 
 
 def test_l1l2_zero_target(rng):
