@@ -77,13 +77,15 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
     return EXIT_OK
 
 
-def run_search_pipeline(problem, cfg: RunConfig, threads: int | None = None):
+def run_search_pipeline(problem, cfg: RunConfig):
     """All (method, case, channels) searches with shared first runs.
 
     Returns (records, outcomes, timings); timings carries per-method
     first-run lattice times and per-combination wall times.
     """
-    threads = search.resolve_threads(cfg.threads if threads is None else threads)
+    # a pool start (~12 ms) outweighs what TLS and L1L2 lattices save; L1L1 gains
+    threads = {m: search.resolve_threads(cfg.threads) if m == "l1l1" else 1
+               for m in cfg.methods}
     spec_by_method = {
         m: search.default_lattice_spec(m, step_db=cfg.step_db) for m in cfg.methods
     }
@@ -93,7 +95,7 @@ def run_search_pipeline(problem, cfg: RunConfig, threads: int | None = None):
     for m in cfg.methods:
         t0 = time.perf_counter()
         run1_grids[m] = search.evaluate_lattice(
-            problem, m, spec_by_method[m], threads=threads, solver_opts=opts
+            problem, m, spec_by_method[m], threads=threads[m], solver_opts=opts
         )
         timings[f"lattice_{m}_s"] = time.perf_counter() - t0
 
@@ -105,7 +107,7 @@ def run_search_pipeline(problem, cfg: RunConfig, threads: int | None = None):
                 t0 = time.perf_counter()
                 outcome = search.two_run_search(
                     problem, m, case, k, spec_by_method[m],
-                    threshold=cfg.gamma_threshold, threads=threads,
+                    threshold=cfg.gamma_threshold, threads=threads[m],
                     solver_opts=opts, run1_grid=run1_grids[m],
                     run2_grid_cache=run2_cache,
                 )

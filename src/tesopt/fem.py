@@ -85,10 +85,6 @@ class LeadField:
     def n_electrodes(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def nuisance_rows(self) -> int:
-        return self.matrix.shape[0] - 3
-
     def target_rows(self) -> np.ndarray:
         if self.target_point is None:
             raise FemError("lead field has no target point attached")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem
-from tesopt import cli, io
+from tesopt import cli, io, search
 from tesopt.config import ConfigError, RunConfig
 from tesopt.fem import LeadField
 from tesopt.meshgen import generate_ball_mesh, place_electrodes, place_target, \
@@ -348,6 +348,45 @@ def test_cli_search_deterministic(tmp_path, tiny_cfg):
     cli.main(["search", "--config", str(tiny_cfg), "--out-dir", str(out)])
     assert (out / "results.json").read_bytes() == first
     assert next(out.glob("lattice_*.csv")).read_bytes() == csv_first
+
+
+def test_cli_search_pools_only_l1l1(tmp_path, tiny_cfg, monkeypatch):
+    pools, l1l1_lattices = [], []
+    evaluate_lattice = search.evaluate_lattice
+
+    class CountingPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    def counting_lattice(p, method, *args, **kwargs):
+        if method == "l1l1":
+            l1l1_lattices.append(1)
+        return evaluate_lattice(p, method, *args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(search, "evaluate_lattice", counting_lattice)
+
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg.update(methods=["l1l1", "l1l2", "tls"], cases=["A", "B"],
+               lattice_step_db=90.0)
+    out = tmp_path / "run"
+    cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    cli.main(["leadfield", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    outputs = {}
+    for threads in (1, 2):
+        cfg["threads"] = threads
+        tiny_cfg.write_text(json.dumps(cfg))
+        del pools[:], l1l1_lattices[:]
+        assert cli.main(["search", "--config", str(tiny_cfg),
+                         "--out-dir", str(out)]) in (0, 2)
+        workers = search.resolve_threads(threads)
+        assert len(pools) == (len(l1l1_lattices) if workers > 1 else 0)
+        outputs[threads] = {f.name: f.read_bytes() for f in out.glob("*")
+                            if f.name == "results.json" or f.suffix == ".csv"}
+    assert l1l1_lattices and len(outputs[1]) > 1
+    assert any(name.startswith("lattice_l1l1") for name in outputs[1])
+    assert outputs[1] == outputs[2]
 
 
 def test_cli_search_exit_code_no_candidate(tmp_path, tiny_cfg):

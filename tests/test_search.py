@@ -135,6 +135,26 @@ def test_lattice_parallel_schedule_independence(rng):
             assert c1.metrics == c2.metrics
 
 
+def test_lattice_error_cells_independent_of_threads(rng):
+    p = random_problem(rng, n_electrodes=4, n_nuisance=6)
+    spec = LatticeSpec(-60.0, -30.0, -60.0, -30.0, step_db=15.0)
+    # an unknown solver option makes every cell raise, in workers as well
+    opts = {"l1l2": {"bogus": 1}}
+    g1 = evaluate_lattice(p, "l1l2", spec, threads=1, solver_opts=opts)
+    g2 = evaluate_lattice(p, "l1l2", spec, threads=2, solver_opts=opts)
+    assert g1.dims == g2.dims == (2, 2)
+    for r1, r2 in zip(g1.cells, g2.cells):
+        for c1, c2 in zip(r1, r2):
+            assert not c1.valid
+            assert c1.pattern.status == "error"
+            assert np.array_equal(c1.pattern.y, np.zeros(4))
+            assert c1.reason.startswith("TypeError:")
+            assert (c1.params, c1.valid, c1.reason) == (c2.params, c2.valid, c2.reason)
+            assert c1.pattern.status == c2.pattern.status
+            assert np.array_equal(c1.pattern.y, c2.pattern.y)
+            assert repr(c1.metrics) == repr(c2.metrics)
+
+
 def test_two_run_search_full_montage_idempotent(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
