@@ -83,9 +83,7 @@ def run_search_pipeline(problem, cfg: RunConfig):
     Returns (records, outcomes, timings); timings carries per-method
     first-run lattice times and per-combination wall times.
     """
-    # a pool start (~12 ms) outweighs what TLS and L1L2 lattices save; L1L1 gains
-    threads = {m: search.resolve_threads(cfg.threads) if m == "l1l1" else 1
-               for m in cfg.methods}
+    threads = search.resolve_threads(cfg.threads)
     spec_by_method = {
         m: search.default_lattice_spec(m, step_db=cfg.step_db) for m in cfg.methods
     }
@@ -95,7 +93,7 @@ def run_search_pipeline(problem, cfg: RunConfig):
     for m in cfg.methods:
         t0 = time.perf_counter()
         run1_grids[m] = search.evaluate_lattice(
-            problem, m, spec_by_method[m], threads=threads[m], solver_opts=opts
+            problem, m, spec_by_method[m], threads=threads, solver_opts=opts
         )
         timings[f"lattice_{m}_s"] = time.perf_counter() - t0
 
@@ -107,7 +105,7 @@ def run_search_pipeline(problem, cfg: RunConfig):
                 t0 = time.perf_counter()
                 outcome = search.two_run_search(
                     problem, m, case, k, spec_by_method[m],
-                    threshold=cfg.gamma_threshold, threads=threads[m],
+                    threshold=cfg.gamma_threshold, threads=threads,
                     solver_opts=opts, run1_grid=run1_grids[m],
                     run2_grid_cache=run2_cache,
                 )

@@ -9,7 +9,6 @@ carrying the largest currents in the first run's selection.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -111,6 +110,9 @@ class CandidateGrid:
         return out
 
 
+_WORKER_STATE: dict = {}
+
+
 def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
                       weight_db: float, opts: dict) -> CurrentPattern:
     params = MethodParams(alpha_db=alpha_db, weight_db=weight_db)
@@ -123,12 +125,22 @@ def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
     raise SearchError(f"unknown method {method!r}")
 
 
+# Forked workers get initargs without pickling; a functools.partial over
+# _solve_cell would pickle the problem into every chunk instead.
+def _init_worker(p, method, opts):
+    _WORKER_STATE["args"] = (p, method, opts)
+
+
 def _solve_cell(p, method, opts, cell):
     alpha_db, weight_db = cell
     try:
         return solve_single_cell(p, method, alpha_db, weight_db, opts)
     except Exception as exc:  # per-cell failures never abort the sweep
         return ("error", f"{type(exc).__name__}: {exc}")
+
+
+def _worker(cell):
+    return _solve_cell(*_WORKER_STATE["args"], cell)
 
 
 def evaluate_lattice(
@@ -149,10 +161,11 @@ def evaluate_lattice(
     cells_in = [(a, w) for a in alphas for w in weights]
 
     if threads > 1 and len(cells_in) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(p, method, opts)
+        ) as pool:
             chunk = max(1, len(cells_in) // (4 * threads))
-            results = list(pool.map(functools.partial(_solve_cell, p, method, opts),
-                                    cells_in, chunksize=chunk))
+            results = list(pool.map(_worker, cells_in, chunksize=chunk))
     else:
         results = [_solve_cell(p, method, opts, cell) for cell in cells_in]
 

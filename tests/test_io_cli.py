@@ -350,18 +350,17 @@ def test_cli_search_deterministic(tmp_path, tiny_cfg):
     assert next(out.glob("lattice_*.csv")).read_bytes() == csv_first
 
 
-def test_cli_search_pools_only_l1l1(tmp_path, tiny_cfg, monkeypatch):
-    pools, l1l1_lattices = [], []
+def test_cli_search_independent_of_threads(tmp_path, tiny_cfg, monkeypatch):
+    pools, lattices = [], []
     evaluate_lattice = search.evaluate_lattice
 
     class CountingPool(search.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            pools.append(1)
+            pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
     def counting_lattice(p, method, *args, **kwargs):
-        if method == "l1l1":
-            l1l1_lattices.append(1)
+        lattices.append(method)
         return evaluate_lattice(p, method, *args, **kwargs)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
@@ -377,15 +376,15 @@ def test_cli_search_pools_only_l1l1(tmp_path, tiny_cfg, monkeypatch):
     for threads in (1, 2):
         cfg["threads"] = threads
         tiny_cfg.write_text(json.dumps(cfg))
-        del pools[:], l1l1_lattices[:]
+        del pools[:], lattices[:]
         assert cli.main(["search", "--config", str(tiny_cfg),
                          "--out-dir", str(out)]) in (0, 2)
         workers = search.resolve_threads(threads)
-        assert len(pools) == (len(l1l1_lattices) if workers > 1 else 0)
+        # every lattice of the run gets one pool of the configured size
+        assert pools == ([workers] * len(lattices) if workers > 1 else [])
         outputs[threads] = {f.name: f.read_bytes() for f in out.glob("*")
                             if f.name == "results.json" or f.suffix == ".csv"}
-    assert l1l1_lattices and len(outputs[1]) > 1
-    assert any(name.startswith("lattice_l1l1") for name in outputs[1])
+    assert set(lattices) == {"l1l1", "l1l2", "tls"} and len(outputs[1]) > 3
     assert outputs[1] == outputs[2]
 
 
