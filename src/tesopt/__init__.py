@@ -15,8 +15,9 @@ from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec, \
 from .metrics import MetricSet, angle_difference, current_ratio, deviation_estimate, \
     focused_density
 from .optimizers import CurrentPattern, MethodParams, StimulusProblem, \
-    build_l1l1_lp, equalize_dose, solve_l1l1, solve_l1l2, solve_tls, tls_diagnostics
-from .search import CandidateGrid, LatticeSpec, SearchOutcome, db_to_linear, \
+    build_l1l1_lp, db_to_linear, equalize_dose, solve_l1l1, solve_l1l2, solve_tls, \
+    tls_diagnostics
+from .search import CandidateGrid, LatticeSpec, SearchOutcome, \
     evaluate_lattice, restrict_montage, select_case_a, select_case_b, two_run_search
 
 __version__ = "0.1.0"

@@ -31,6 +31,11 @@ class OptimizerError(RuntimeError):
     pass
 
 
+def db_to_linear(d: float) -> float:
+    """Amplitude decibel convention: 20 dB per decade."""
+    return float(10.0 ** (d / 20.0))
+
+
 @dataclass
 class StimulusProblem:
     """Split lead field plus dose limits and scale factors.
@@ -363,8 +368,6 @@ def solve_l1l1_linear(
 
 
 def solve_l1l1(p: StimulusProblem, params: MethodParams, **kwargs) -> CurrentPattern:
-    from .search import db_to_linear
-
     return solve_l1l1_linear(
         p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db), **kwargs
     )
@@ -476,41 +479,34 @@ def solve_l1l2_linear(
 
 
 def solve_l1l2(p: StimulusProblem, params: MethodParams, **kwargs) -> CurrentPattern:
-    from .search import db_to_linear
-
     return solve_l1l2_linear(
         p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db), **kwargs
     )
 
 
 def tls_raw_solution(p: StimulusProblem, alpha: float, delta: float) -> np.ndarray:
-    """Solve the ridge normal equations for the weighted least squares fit.
+    """Minimize ||L1 y - x1||^2 + (delta*alpha)^2 ||L2 y||^2 + (alpha*sigma)^2 ||y||^2.
 
-    Dense Cholesky on the normal equations; when the regularization is
-    too small for the Gram matrix to stay positive definite in doubles,
-    falls back to a QR least-squares solve of the stacked system.
+    One least-squares solve of the stack K = [L1; delta*alpha*R; alpha*sigma*I],
+    with R the nuisance factor (||R y|| = ||L2 y||), so K has at most 3 + 2L
+    rows and its condition number is not squared as on the normal equations
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996, 2.2).
+    The result must still solve the normal equations K'K y = L1' x1 to
+    1e-10 relative, with ||K'K||_2 the square of K's largest singular value.
     """
     if alpha <= 0.0:
         raise OptimizerError("alpha must be positive for the least-squares path")
-    A = (
-        p.gram_target()
-        + (delta * alpha) ** 2 * p.gram_nuisance()
-        + (alpha * p.sigma_scale) ** 2 * np.eye(p.n_electrodes)
-    )
+    K = np.vstack([
+        p.L1,
+        (delta * alpha) * p.nuisance_factor(),
+        (alpha * p.sigma_scale) * np.eye(p.n_electrodes),
+    ])
+    rhs = np.concatenate([p.x1, np.zeros(K.shape[0] - 3)])
+    y, _, _, sv = np.linalg.lstsq(K, rhs, rcond=None)
     b = p.target_drive()
-    try:
-        y = sla.cho_solve(sla.cho_factor(A), b)
-    except np.linalg.LinAlgError:
-        stacked = np.vstack([
-            p.L1,
-            (delta * alpha) * p.L2,
-            (alpha * p.sigma_scale) * np.eye(p.n_electrodes),
-        ])
-        rhs = np.concatenate([p.x1, np.zeros(stacked.shape[0] - 3)])
-        y = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-    scale = max(np.linalg.norm(b), np.linalg.norm(A, ord=2) * np.linalg.norm(y), 1e-300)
-    if np.linalg.norm(A @ y - b) > 1e-10 * scale:
-        raise OptimizerError("normal equations solve lost accuracy")
+    scale = max(np.linalg.norm(b), sv[0] ** 2 * np.linalg.norm(y), 1e-300)
+    if np.linalg.norm(K.T @ (K @ y) - b) > 1e-10 * scale:
+        raise OptimizerError("least-squares solve fails the normal equations")
     return y
 
 
@@ -518,15 +514,13 @@ def solve_tls_linear(p: StimulusProblem, alpha: float, delta: float) -> CurrentP
     y_raw = tls_raw_solution(p, alpha, delta)
     raw = float(
         np.linalg.norm(p.L1 @ y_raw - p.x1) ** 2
-        + (delta * alpha) ** 2 * np.linalg.norm(p.L2 @ y_raw) ** 2
+        + (delta * alpha) ** 2 * np.linalg.norm(p.nuisance_factor() @ y_raw) ** 2
         + (alpha * p.sigma_scale) ** 2 * np.linalg.norm(y_raw) ** 2
     )
     return _finalize(p, y_raw, "optimal", raw)
 
 
 def solve_tls(p: StimulusProblem, params: MethodParams) -> CurrentPattern:
-    from .search import db_to_linear
-
     return solve_tls_linear(
         p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db)
     )

@@ -19,6 +19,7 @@ import numpy as np
 from . import optimizers
 from .metrics import DeviationEstimate, MetricSet, compute_metrics, deviation_estimate
 from .optimizers import CurrentPattern, MethodParams, StimulusProblem
+from .optimizers import db_to_linear  # noqa: F401  (re-exported)
 
 METHODS = ("l1l1", "l1l2", "tls")
 GAMMA_THRESHOLD = 0.11  # A/m^2
@@ -35,11 +36,6 @@ FULL_STEP_DB = 5.0
 
 class SearchError(RuntimeError):
     pass
-
-
-def db_to_linear(d: float) -> float:
-    """Amplitude decibel convention: 20 dB per decade."""
-    return float(10.0 ** (d / 20.0))
 
 
 @dataclass(frozen=True)

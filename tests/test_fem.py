@@ -258,7 +258,7 @@ def test_split_problem_shapes_and_scales(bar_setup):
     assert abs(p.sigma_scale - ref) <= 1e-4 * ref
 
 
-def test_spectral_norm_power_iteration(rng):
+def test_spectral_norm_matches_svd(rng):
     A = rng.normal(size=(40, 7))
     ref = np.linalg.svd(A, compute_uv=False)[0]
     assert abs(spectral_norm(A) - ref) <= 1e-4 * ref

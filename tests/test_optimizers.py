@@ -356,6 +356,24 @@ def test_tls_normal_equation_residual(rng):
         assert np.linalg.norm(A @ y - b) <= 1e-10 * np.linalg.norm(b)
 
 
+def test_tls_matches_full_stack_least_squares(rng):
+    # oracle: lstsq on the uncompressed stack [L1; delta*alpha*L2; alpha*sigma*I]
+    for n_electrodes, n_nuisance in ((32, 300), (12, 6)):
+        for _ in range(40):
+            p = random_problem(rng, n_electrodes=n_electrodes, n_nuisance=n_nuisance)
+            alpha = 10 ** rng.uniform(-9, -1)
+            delta = 10 ** rng.uniform(-2, 1)
+            stacked = np.vstack([
+                p.L1,
+                (delta * alpha) * p.L2,
+                (alpha * p.sigma_scale) * np.eye(n_electrodes),
+            ])
+            rhs = np.concatenate([p.x1, np.zeros(stacked.shape[0] - 3)])
+            ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+            y = tls_raw_solution(p, alpha, delta)
+            assert np.linalg.norm(y - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
 def test_tls_requires_positive_alpha(rng):
     p = random_problem(rng)
     with pytest.raises(OptimizerError):
