@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import fem, io, meshgen, search
 from .config import RunConfig
+from .metrics import compute_metrics
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,8 +59,6 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
     _, problem = io.read_lead_field(out_dir / "leadfield.bin")
     opts = cfg.solver_opts()
     pattern = search.solve_single_cell(problem, method, alpha_db, weight_db, opts)
-    from .metrics import compute_metrics
-
     m = compute_metrics(problem, pattern)
     result = {
         "method": method,
@@ -147,9 +146,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None, help="JSON config path")
     sub.add_argument("--out-dir", type=Path, default=Path("out"))
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--full-lattice", action="store_true",
-                     help="use the 5 dB / 36-point lattice instead of desk scale")
-    sub.add_argument("--lattice-step-db", type=float, default=None)
 
 
 def _load_config(args) -> RunConfig:
@@ -190,6 +186,9 @@ def main(argv=None) -> int:
 
     sub = subs.add_parser("search")
     _add_common(sub)
+    sub.add_argument("--full-lattice", action="store_true",
+                     help="use the 5 dB / 36-point lattice instead of desk scale")
+    sub.add_argument("--lattice-step-db", type=float, default=None)
     sub.add_argument("--method", choices=search.METHODS, action="append")
     sub.add_argument("--case", choices=("A", "B"), action="append")
     sub.add_argument("--channels", type=int, action="append")

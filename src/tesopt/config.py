@@ -6,6 +6,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .lp import LP_MAX_ITER, LP_TOL
+from .optimizers import L1L2_MAX_ITER, L1L2_TOL
 from .search import DESK_STEP_DB, FULL_STEP_DB, GAMMA_THRESHOLD
 
 
@@ -37,10 +39,10 @@ class RunConfig:
     lattice_step_db: float = DESK_STEP_DB
     full_lattice: bool = False
     # solver tolerances
-    lp_tol: float = 1e-10
-    lp_max_iter: int = 200
-    l1l2_tol: float = 1e-6
-    l1l2_max_iter: int = 20000
+    lp_tol: float = LP_TOL
+    lp_max_iter: int = LP_MAX_ITER
+    l1l2_tol: float = L1L2_TOL
+    l1l2_max_iter: int = L1L2_MAX_ITER
     threads: int | None = None
 
     @property

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec, boundary_faces
+from .optimizers import StimulusProblem
 
 
 class FemError(RuntimeError):
@@ -272,16 +273,8 @@ def lead_field(
     )
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value, exactly: the root of the Gram matrix's top eigenvalue."""
-    gram = mat.T @ mat
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-
-
 def split_problem(lf: LeadField, target: TargetSpec, mu: float):
     """Split the lead field into target / nuisance rows and scale factors."""
-    from .optimizers import StimulusProblem  # deferred: avoids a module cycle
-
     if target.point_index >= lf.n_points:
         raise FemError("target point is not part of the lead field")
     lf.target_point = target.point_index

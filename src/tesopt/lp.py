@@ -14,8 +14,11 @@ sparsely; a caller that knows the structure of its LP can pass a solver
 that reduces the same system further.  Iterative refinement against the
 unregularized system removes the regularization error of either.  Ruiz
 row and column equilibration is applied to the constraint matrix up
-front, and all stopping tests are evaluated on the original (unscaled)
-data.
+front and the iteration works on the equilibrated data only: each
+residual is computed once per iteration, and the stopping tests rescale
+it elementwise to original units.  A solve ends as ``infeasible`` or
+``unbounded`` only on a Farkas certificate; one that neither converges
+nor certifies ends as ``max_iter``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ REFINE_PASSES = 4        # iterative-refinement corrections per Newton solve
 REFINE_TOL = 1e-14       # relative residual that ends refinement early
 FRACTION_TO_BOUNDARY = 0.99
 CERT_TOL = 1e-8          # certificate tolerance on equilibrated data
-DIVERGENCE_RATIO = 1e8   # iterate blow-up ratio for the heuristic flags
+LP_TOL = 1e-10           # default relative stopping tolerance
+LP_MAX_ITER = 200        # default iteration cap
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,6 @@ class LpSolution:
     iterations: int
     residuals: dict[str, float]       # primal, dual, gap (on original data)
     mu_history: tuple[float, ...] = ()
-    z: np.ndarray | None = None       # inequality multipliers (original scale)
-    s: np.ndarray | None = None       # slacks (original scale)
 
 
 def make_program(c, G, h, E=None, f=None) -> LinearProgram:
@@ -192,8 +194,8 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
 
 def solve_lp(
     lp: LinearProgram,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = LP_TOL,
+    max_iter: int = LP_MAX_ITER,
     kkt=_KktFactory,
 ) -> LpSolution:
     """Solve the LP; statuses other than ``optimal`` carry best iterates.
@@ -226,7 +228,6 @@ def solve_lp(
     # positive shift (Mehrotra-style) on the slacks and multipliers
     newton = kkt(Gs, Es, dr_g, dr_e, dc)
     GsT, EsT = Gs.T.tocsr(), Es.T.tocsr()
-    GT, ET = lp.G.T.tocsr(), lp.E.T.tocsr()
     W = np.ones(m)
     newton.factor(W)
     v, _ = _refined_solve(newton, Gs, GsT, Es, EsT, W, GsT @ hs, fs)
@@ -241,32 +242,26 @@ def solve_lp(
     z = z if shift < 0 else z + (1.0 + shift)
     z = np.maximum(z, 1e-8)
 
-    z0_norm = max(np.abs(z).max(), np.abs(y).max(initial=0.0), 1.0)
-    v0_norm = max(np.abs(v).max(), 1.0)
     mu_history: list[float] = []
     status = "max_iter"
     iters = 0
 
-    def original_residuals():
-        v_o = v / dc
-        z_o = z / dr_g
-        y_o = y / dr_e if p else y
-        s_o = s * dr_g
-        rd = lp.c + GT @ z_o + (ET @ y_o if p else 0.0)
-        rp = (lp.E @ v_o - lp.f) if p else np.zeros(0)
-        rg = lp.G @ v_o + s_o - lp.h
-        obj = float(lp.c @ v_o)
-        dual_obj = float(-(lp.h @ z_o) - (lp.f @ y_o if p else 0.0))
+    def residuals():
+        """Equilibrated residuals, and their measures in original units:
+        the original residuals are dc*rd, dr_e*rp and dr_g*rg."""
+        rd = cs + GsT @ z + (EsT @ y if p else 0.0)
+        rp = (Es @ v - fs) if p else np.zeros(0)
+        rg = Gs @ v + s - hs
+        obj = float(cs @ v)
+        dual_obj = float(-(hs @ z) - (fs @ y if p else 0.0))
         # primal-dual objective gap: the complementarity sum s'z floors at
         # roughly m*eps*scale in doubles and cannot certify tight tolerances
-        gap = abs(obj - dual_obj)
-        return {
-            "primal": float(max(np.abs(rg).max(), np.abs(rp).max(initial=0.0))),
-            "dual": float(np.abs(rd).max()),
-            "gap": gap,
+        return rd, rp, rg, {
+            "ineq": float(np.abs(dr_g * rg).max()),
+            "eq": float(np.abs(dr_e * rp).max(initial=0.0)),
+            "dual": float(np.abs(dc * rd).max()),
+            "gap": abs(obj - dual_obj),
             "objective": obj,
-            "ineq": float(np.abs(rg).max()),
-            "eq": float(np.abs(rp).max(initial=0.0)),
         }
 
     def converged(res):
@@ -284,7 +279,7 @@ def solve_lp(
         mu = float(s @ z) / m
         mu_history.append(mu)
 
-        res = original_residuals()
+        rd, rp, rg, res = residuals()
         if converged(res):
             status = "optimal"
             break
@@ -298,40 +293,28 @@ def solve_lp(
             if stall >= 15:  # no measurable progress: numerical floor reached
                 break
 
-        # Farkas-type certificates on the equilibrated data
+        # Farkas-type certificates on the equilibrated data, with
+        # Gs'z + Es'y = rd - cs, Gs v = rg - s + hs and Es v = rp + fs
         obj_ray = float(hs @ z + (fs @ y if p else 0.0))
         znorm = max(np.abs(z).max(), np.abs(y).max(initial=0.0))
         if obj_ray < -CERT_TOL * znorm:
-            cert = np.abs(GsT @ z + (EsT @ y if p else 0.0)).max()
+            cert = np.abs(rd - cs).max()
             if cert <= CERT_TOL * max(1.0, znorm) and znorm > 1e2:
                 status = "infeasible"
                 break
         vnorm = np.abs(v).max()
-        cv = float(cs @ v)
-        if vnorm > 1e2 and cv < -CERT_TOL * vnorm:
-            ray_ineq = np.maximum(Gs @ v, 0.0).max()
-            ray_eq = np.abs(Es @ v).max() if p else 0.0
+        if vnorm > 1e2 and res["objective"] < -CERT_TOL * vnorm:
+            ray_ineq = np.maximum(rg - s + hs, 0.0).max()
+            ray_eq = np.abs(rp + fs).max() if p else 0.0
             if max(ray_ineq, ray_eq) <= CERT_TOL * vnorm:
                 status = "unbounded"
                 break
-        # divergence heuristic: residual ratios blowing up while the gap stalls
-        if znorm > DIVERGENCE_RATIO * z0_norm:
-            status = "infeasible"
-            break
-        if vnorm > DIVERGENCE_RATIO * v0_norm:
-            status = "unbounded"
-            break
 
         W = np.clip(z / s, 1e-16, 1e16)
         try:
             newton.factor(W)
         except (RuntimeError, np.linalg.LinAlgError):  # singular step matrix
-            status = "max_iter"
             break
-
-        rd = cs + GsT @ z + (EsT @ y if p else 0.0)
-        rp = (Es @ v - fs) if p else np.zeros(0)
-        rg = Gs @ v + s - hs
 
         # predictor (affine scaling) step
         rhs1 = -rd - GsT @ (W * rg - z)
@@ -369,16 +352,20 @@ def solve_lp(
         s = s + ap * ds
         y = y + ad * dy
         z = z + ad * dz
+    else:
+        # the loop ran out after a step: test the final iterate once
+        _, _, _, res = residuals()
+        if converged(res):
+            status = "optimal"
 
-    res = original_residuals()
-    if status == "max_iter" and converged(res):
-        status = "optimal"
     return LpSolution(
         v=v / dc,
         status=status,
         iterations=iters,
-        residuals={k: res[k] for k in ("primal", "dual", "gap")},
+        residuals={
+            "primal": max(res["ineq"], res["eq"]),
+            "dual": res["dual"],
+            "gap": res["gap"],
+        },
         mu_history=tuple(mu_history),
-        z=z / dr_g,
-        s=s * dr_g,
     )

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .lp import REGULARIZATION, LinearProgram, make_program, solve_lp
+from .lp import LP_MAX_ITER, LP_TOL, REGULARIZATION, LinearProgram, make_program, solve_lp
+from .metrics import focused_density
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
@@ -29,6 +30,12 @@ L1L2_MAX_ITER = 20000
 
 class OptimizerError(RuntimeError):
     pass
+
+
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, exactly: the root of the Gram matrix's top eigenvalue."""
+    gram = mat.T @ mat
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def db_to_linear(d: float) -> float:
@@ -77,8 +84,6 @@ class StimulusProblem:
     @classmethod
     def from_parts(cls, L1, L2, x1, mu, electrode_ids=()) -> "StimulusProblem":
         """Build a problem; the one place zeta, nu and sigma_scale are derived."""
-        from .fem import spectral_norm
-
         # C-layout normalization keeps BLAS summation order (and hence
         # results) bitwise identical for column-subset copies
         L1 = np.ascontiguousarray(L1, dtype=float)
@@ -348,7 +353,7 @@ class L1L1Newton:
 
 def solve_l1l1_linear(
     p: StimulusProblem, alpha: float, eps: float,
-    tol: float = 1e-10, max_iter: int = 200,
+    tol: float = LP_TOL, max_iter: int = LP_MAX_ITER,
 ) -> CurrentPattern:
     # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
     # with g = L1' sign(x1): -g is a subgradient of the fit at 0, the
@@ -552,8 +557,6 @@ def tls_diagnostics(p: StimulusProblem, alpha: float) -> TlsDiagnostics:
     not viable for small ridge levels; the eigen path is stable for any
     positive alpha.
     """
-    from .metrics import focused_density
-
     if alpha <= 0.0:
         raise OptimizerError("alpha must be positive")
     lam, Q = np.linalg.eigh(p.gram_target())

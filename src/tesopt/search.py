@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizers
-from .metrics import DeviationEstimate, MetricSet, compute_metrics, deviation_estimate
+from .metrics import DeviationEstimate, MetricError, MetricSet, compute_metrics, \
+    deviation_estimate
 from .optimizers import CurrentPattern, MethodParams, StimulusProblem
 from .optimizers import db_to_linear  # noqa: F401  (re-exported)
 
@@ -268,7 +269,12 @@ def _window_deviations(grid: CandidateGrid, cell: tuple[int, int],
         arr = grid.metric_array(name)
         if ni >= 3 and nj >= 3:
             window = arr[i - 1 : i + 2, j - 1 : j + 2]
-            out[name] = deviation_estimate(window, step_db, clamped=clamped)
+            try:
+                out[name] = deviation_estimate(window, step_db, clamped=clamped)
+            except MetricError:
+                # too few finite samples to fit: the deviation is unknown
+                out[name] = DeviationEstimate(math.nan, (math.nan,) * 6,
+                                              imputed=True, clamped=clamped)
         else:
             # grid too small for a quadratic window: flat surface, no spread
             out[name] = DeviationEstimate(0.0, (float(arr[cell]), 0, 0, 0, 0, 0),

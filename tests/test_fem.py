@@ -9,7 +9,6 @@ from tesopt.fem import (
     resistivity_matrix,
     schur_complement,
     solve_forward,
-    spectral_norm,
     split_problem,
 )
 from tesopt.meshgen import (
@@ -21,7 +20,7 @@ from tesopt.meshgen import (
     place_target,
     sample_field_points,
 )
-from tesopt.optimizers import StimulusProblem
+from tesopt.optimizers import StimulusProblem, spectral_norm
 
 
 def balanced(rng, n):

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tesopt.search import (
     CandidateGrid,
     LatticeSpec,
     SearchError,
+    _window_deviations,
     db_to_linear,
     default_lattice_spec,
     evaluate_lattice,
@@ -251,3 +253,19 @@ def test_deviation_window_clamped_at_boundary(rng):
     assert set(out.deviations) == {"gamma", "theta", "ad_deg", "max_current"}
     for est in out.deviations.values():
         assert est.deviation >= 0.0
+
+
+def test_window_deviation_nan_when_too_few_samples():
+    # a corner selection whose clamped window holds four cells without an
+    # angle difference (degenerate cells): that metric's deviation is
+    # unknown, and the search still reports the others
+    grid = _grid_from_metrics([[0.1 * (i + j + 1) for j in range(4)] for i in range(4)],
+                              [[1.0 + i * j for j in range(4)] for i in range(4)])
+    for i, j in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        c = grid.cells[i][j]
+        grid.cells[i][j] = replace(c, metrics=replace(c.metrics, ad_deg=math.nan))
+    dev = _window_deviations(grid, (0, 0), 5.0)
+    assert math.isnan(dev["ad_deg"].deviation)
+    assert dev["ad_deg"].clamped
+    for name in ("gamma", "theta", "max_current"):
+        assert math.isfinite(dev[name].deviation)
