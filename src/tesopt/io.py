@@ -31,11 +31,15 @@ class IoError(RuntimeError):
     pass
 
 
-def _dump_json(data, path: Path) -> None:
+def _dump_json(data, path: Path, indent: int | None = 1) -> None:
+    """Sorted-key JSON and a newline.
+
+    Files only programs read (geometry, the lead-field sidecar) pass
+    ``indent=None``: one line, written by the C encoder.  An indent, kept
+    for the files people read, runs the pure-Python encoder.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(data, indent=indent, sort_keys=True) + "\n")
 
 
 def save_mesh(mesh: HeadMesh, path: str | Path) -> None:
@@ -47,6 +51,7 @@ def save_mesh(mesh: HeadMesh, path: str | Path) -> None:
             "conductivities": {str(k): v for k, v in mesh.conductivities.items()},
         },
         Path(path),
+        indent=None,
     )
 
 
@@ -76,6 +81,7 @@ def save_layout(layout: ElectrodeLayout, path: str | Path) -> None:
             ]
         },
         Path(path),
+        indent=None,
     )
 
 
@@ -103,6 +109,7 @@ def save_field_points(points: FieldPointSet, path: str | Path) -> None:
             "compartment": points.compartment,
         },
         Path(path),
+        indent=None,
     )
 
 
@@ -129,6 +136,7 @@ def save_target(target: TargetSpec, path: str | Path) -> None:
             "point_index": target.point_index,
         },
         Path(path),
+        indent=None,
     )
 
 
@@ -170,7 +178,7 @@ def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path,
     if target is not None:
         sidecar["orientation"] = target.orientation.tolist()
         sidecar["d_target"] = target.d_target
-    _dump_json(sidecar, path.with_suffix(".json"))
+    _dump_json(sidecar, path.with_suffix(".json"), indent=None)
 
 
 def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:

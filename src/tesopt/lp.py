@@ -23,7 +23,7 @@ nor certifies ends as ``max_iter``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,11 +40,20 @@ LP_MAX_ITER = 200        # default iteration cap
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """min c'v subject to G v <= h, E v = f.
+
+    ``_cache`` holds what ``solve_lp`` derives from G and E alone, so
+    copies made by ``dataclasses.replace`` with a new c, h or f share
+    it; an entry is used only while G and E are the objects it was
+    derived from.
+    """
+
     c: np.ndarray        # (n,)
     G: sp.csr_matrix     # (m, n)
     h: np.ndarray        # (m,)
     E: sp.csr_matrix     # (p, n), possibly p = 0
     f: np.ndarray        # (p,)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def validate(self) -> None:
         n = self.c.shape[0]
@@ -185,6 +194,16 @@ def _refined_solve(kkt, Gs, GsT, Es, EsT, W, r1, r2):
     return dv, dy
 
 
+def _equilibrated(lp: LinearProgram):
+    """(Gs, Es, dr_g, dr_e, dc, Gs', Es') of ``lp``, built once per G and E."""
+    entry = lp._cache.get("ruiz")
+    if entry is None or entry[0] is not lp.G or entry[1] is not lp.E:
+        Gs, Es, dr_g, dr_e, dc = _ruiz_equilibration(lp.G, lp.E)
+        entry = (lp.G, lp.E, Gs, Es, dr_g, dr_e, dc, Gs.T.tocsr(), Es.T.tocsr())
+        lp._cache["ruiz"] = entry
+    return entry[2:]
+
+
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     neg = dx < 0
     if not np.any(neg):
@@ -213,7 +232,7 @@ def solve_lp(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    Gs, Es, dr_g, dr_e, dc = _ruiz_equilibration(lp.G, lp.E)
+    Gs, Es, dr_g, dr_e, dc, GsT, EsT = _equilibrated(lp)
     cs = lp.c / dc
     hs = lp.h / dr_g
     fs = lp.f / dr_e if lp.f.size else lp.f
@@ -227,7 +246,6 @@ def solve_lp(
     # starting point: primal/dual least-squares with unit weights, then a
     # positive shift (Mehrotra-style) on the slacks and multipliers
     newton = kkt(Gs, Es, dr_g, dr_e, dc)
-    GsT, EsT = Gs.T.tocsr(), Es.T.tocsr()
     W = np.ones(m)
     newton.factor(W)
     v, _ = _refined_solve(newton, Gs, GsT, Es, EsT, W, GsT @ hs, fs)

@@ -8,7 +8,8 @@ plus an explicit RNG seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,6 +147,35 @@ def _unit_cube_tets() -> np.ndarray:
 
 _UNIT_TETS = _unit_cube_tets()
 
+_KEY_LIMIT = 2**63  # products of column spans below this fit in int64
+
+
+def _unique_rows(rows: np.ndarray, return_inverse: bool = False,
+                 return_counts: bool = False):
+    """What ``np.unique(rows, axis=0, ...)`` returns, for integer rows.
+
+    Each row becomes one int64 key: the column minimum is subtracted and
+    the columns are combined in mixed radix by their spans, so key order
+    is lexicographic row order and a 1-D sort replaces the row-wise one.
+    With no rows, or spans whose product does not fit in int64, it is
+    ``np.unique(axis=0)`` itself.
+    """
+    fits = False
+    if rows.shape[0]:
+        lo = rows.min(axis=0)
+        spans = [int(b) - int(a) + 1 for a, b in zip(lo, rows.max(axis=0))]
+        fits = math.prod(spans) < _KEY_LIMIT
+    if not fits:
+        return np.unique(rows, axis=0, return_inverse=return_inverse,
+                         return_counts=return_counts)
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    for col, span in zip((rows - lo).T, spans):
+        key *= span
+        key += col
+    _, first, *rest = np.unique(key, return_index=True, return_inverse=return_inverse,
+                                return_counts=return_counts)
+    return (rows[first], *rest) if rest else rows[first]
+
 
 def _mesh_from_cubes(origins: np.ndarray, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
     """Split each cube (given by integer lattice origin) into 6 tets.
@@ -157,7 +187,7 @@ def _mesh_from_cubes(origins: np.ndarray, cell_size: float) -> tuple[np.ndarray,
     # (C, 6, 4, 3) integer corner coordinates
     corners = origins[:, None, None, :] + corner_offsets[None, :, :, :]
     flat = corners.reshape(-1, 3)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(flat, return_inverse=True)
     nodes = uniq.astype(float) * cell_size
     tets = inverse.reshape(-1, 4)
     return nodes, tets
@@ -255,13 +285,13 @@ def boundary_faces(mesh: HeadMesh) -> np.ndarray:
     """
     faces = mesh.tets[:, _FACE_LOCAL].reshape(-1, 3)
     faces = np.sort(faces, axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    uniq, counts = _unique_rows(faces, return_counts=True)
     return uniq[counts == 1]
 
 
 def _check_closed_boundary(faces: np.ndarray) -> None:
     edges = faces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
+    _, counts = _unique_rows(edges, return_counts=True)
     if faces.size and np.any(counts != 2):
         raise MeshError("boundary surface is not closed")
 

@@ -10,7 +10,7 @@ any balanced vector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -228,34 +228,14 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     Variables are (y, t1, t2, t3); t1/t2 bound the absolute fit and
     nuisance residuals, t3 bounds |y| and carries the dose cap and the
     weighted pattern penalty.  The per-channel cap mu/2 follows from
-    balance and the dose cap, so it has no rows of its own.
+    balance and the dose cap, so it has no rows of its own.  Only c and
+    h depend on alpha and eps: G and E are built once per problem, and
+    every program of ``p`` shares them and their ``solve_lp`` cache.
     """
     if alpha < 0.0 or eps < 0.0:
         raise OptimizerError("alpha and eps must be non-negative")
     L = p.n_electrodes
     M = p.n_nuisance
-    L1 = sp.csr_matrix(p.L1)
-    L2 = sp.csr_matrix(p.L2)
-    I3 = sp.identity(3, format="csr")
-    IM = sp.identity(M, format="csr")
-    IL = sp.identity(L, format="csr")
-    ones_row = sp.csr_matrix(np.ones((1, L)))
-
-    G = sp.bmat(
-        [
-            [L1, -I3, None, None],
-            [L2, None, -IM, None],
-            [-IL, None, None, -IL],
-            [-L1, -I3, None, None],
-            [-L2, None, -IM, None],
-            [IL, None, None, -IL],
-            [None, -I3, None, None],
-            [None, None, -IM, None],
-            [None, None, None, -IL],
-            [None, None, None, ones_row],
-        ],
-        format="csr",
-    )
     h = np.concatenate([
         p.x1,
         np.zeros(M),
@@ -271,10 +251,33 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     c = np.concatenate([
         np.zeros(L), np.ones(3), np.ones(M), alpha * p.zeta * np.ones(L)
     ])
-    E = sp.csr_matrix(
-        np.concatenate([np.ones(L), np.zeros(3 + M + L)])[None, :]
-    )
-    return make_program(c, G, h, E, np.zeros(1))
+    if "l1l1_lp" not in p._cache:
+        L1 = sp.csr_matrix(p.L1)
+        L2 = sp.csr_matrix(p.L2)
+        I3 = sp.identity(3, format="csr")
+        IM = sp.identity(M, format="csr")
+        IL = sp.identity(L, format="csr")
+        ones_row = sp.csr_matrix(np.ones((1, L)))
+        G = sp.bmat(
+            [
+                [L1, -I3, None, None],
+                [L2, None, -IM, None],
+                [-IL, None, None, -IL],
+                [-L1, -I3, None, None],
+                [-L2, None, -IM, None],
+                [IL, None, None, -IL],
+                [None, -I3, None, None],
+                [None, None, -IM, None],
+                [None, None, None, -IL],
+                [None, None, None, ones_row],
+            ],
+            format="csr",
+        )
+        E = sp.csr_matrix(
+            np.concatenate([np.ones(L), np.zeros(3 + M + L)])[None, :]
+        )
+        p._cache["l1l1_lp"] = make_program(c, G, h, E, np.zeros(1))
+    return replace(p._cache["l1l1_lp"], c=c, h=h)
 
 
 class L1L1Newton:

@@ -106,3 +106,24 @@ def tet_stiffness_fd(verts, sigma=1.0):
     centroid = verts.mean(axis=0)
     grads = np.array([hat_gradient_fd(verts, i, centroid) for i in range(4)])
     return sigma * vol * grads @ grads.T
+
+
+def mesh_from_cubes_reference(origins, cell_size):
+    """Kuhn-split cubes with corners deduplicated by ``np.unique(axis=0)``.
+
+    Returns (nodes, tets) in lexicographic node order, the canonical
+    numbering the mesh generator promises.
+    """
+    from tesopt.meshgen import _UNIT_TETS
+
+    corners = origins[:, None, None, :] + np.rint(_UNIT_TETS).astype(np.int64)
+    uniq, inverse = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)
+    return uniq.astype(float) * cell_size, inverse.reshape(-1, 4)
+
+
+def boundary_faces_reference(mesh):
+    """Faces of exactly one tet, sorted rows found by ``np.unique(axis=0)``."""
+    local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    faces = np.sort(mesh.tets[:, local].reshape(-1, 3), axis=1)
+    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    return uniq[counts == 1]

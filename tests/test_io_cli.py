@@ -429,3 +429,44 @@ def test_leadfield_header_layout(tmp_path, rng):
     r, c = struct.unpack("<II", blob[8:16])
     assert (r, c) == lf.matrix.shape
     assert len(blob) == 16 + r * c * 8
+
+
+def test_json_layouts(tmp_path, tiny_cfg):
+    # files people read keep indent=1; files only programs read are one
+    # line, and both read back to the arrays that were written
+    out = tmp_path / "run"
+    for cmd in ("mesh", "leadfield", "search"):
+        assert cli.main([cmd, "--config", str(tiny_cfg), "--out-dir", str(out)]) == 0
+    for name in ("results.json", "timings.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+    rec = io.ResultRecord(method="tls", case="B", channels=4, status="ok",
+                          max_current_ma=1.5, gamma=0.1 + 0.2, ad_deg=float("nan"),
+                          theta=1 / 3, deviations={"max_current_ma": 0.1, "gamma": 1e-300,
+                                                   "ad_deg": 0.5, "theta": 0.2},
+                          alpha_db=-90.0, weight_db=-40.0, montage=(1, 2))
+    io.write_results([rec], tmp_path / "results.json")
+    obj = {"schema_version": 1, "records": [rec.to_json_dict()]}
+    assert (tmp_path / "results.json").read_text() == \
+        json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+    for name in ("mesh.json", "electrodes.json", "fieldpoints.json", "target.json",
+                 "leadfield.json"):
+        text = (out / name).read_text()
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
+    mesh, layout, points, target = cli.build_model(RunConfig.load(tiny_cfg))
+    back = io.load_mesh(out / "mesh.json")
+    for name in ("nodes", "tets", "labels"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+    assert back.conductivities == mesh.conductivities
+    layout2 = io.load_layout(out / "electrodes.json")
+    assert layout2.face_ids == layout.face_ids
+    assert np.array_equal(layout2.areas, layout.areas)
+    assert np.array_equal(io.load_field_points(out / "fieldpoints.json").points,
+                          points.points)
+    target2 = io.load_target(out / "target.json")
+    assert np.array_equal(target2.position, target.position)
+    assert np.array_equal(target2.orientation, target.orientation)
+    lf, _ = io.read_lead_field(out / "leadfield.bin")
+    assert np.array_equal(lf.points, points.points)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import chisquare
 
+from oracles import boundary_faces_reference, mesh_from_cubes_reference
+from tesopt import meshgen
 from tesopt.meshgen import (
     MeshError,
+    _unique_rows,
     boundary_faces,
     electrodes_from_face_sets,
     fibonacci_directions,
@@ -168,3 +174,60 @@ def test_box_mesh_and_explicit_electrodes():
     layout = electrodes_from_face_sets(mesh, [left, right], 500.0)
     assert layout.n_electrodes == 2
     assert np.allclose(layout.areas, 0.01 * 0.01)
+
+
+def assert_unique_rows_like_numpy(rows):
+    for flags in ({}, {"return_inverse": True}, {"return_counts": True},
+                  {"return_inverse": True, "return_counts": True}):
+        ref = np.unique(rows, axis=0, **flags)
+        got = _unique_rows(rows, **flags)
+        ref, got = (ref, got) if flags else ((ref,), (got,))
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unique_rows_matches_numpy(data):
+    # bounds of 2**20 and up make some products of spans overflow int64
+    cols = data.draw(st.integers(1, 4))
+    bound = data.draw(st.sampled_from([1, 40, 2**20, 2**62]))
+    n = data.draw(st.integers(0, 12))
+    rows = data.draw(hnp.arrays(np.int64, (n, cols),
+                                elements=st.integers(-bound, bound)))
+    repeats = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6 if n else 0))
+    assert_unique_rows_like_numpy(np.concatenate([rows, rows[repeats]]))
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((0, 3), dtype=np.int64),                       # no rows
+    np.array([[-5, 7, 0]]),                                 # one row
+    np.array([[0], [2**63 - 2], [5], [0]]),                 # largest key that fits
+    np.array([[0, 0], [0, 2**63 - 1]]),                     # one past it: fallback
+    np.array([[-2**62, 1], [2**62, 0], [-2**62, 1]]),       # overflow: fallback
+    np.array([[2**62, -2**62, 3], [0, 0, 0], [2**62, -2**62, 3]]),
+])
+def test_unique_rows_edge_cases(rows):
+    assert_unique_rows_like_numpy(rows)
+
+
+@pytest.mark.parametrize("build, electrodes", [
+    (lambda: generate_ball_mesh([0.09, 0.08, 0.07], [0.33, 0.0042, 0.33], 0.01), 32),
+    # every face of the box lies in one octant, so no cap layout fits it
+    (lambda: generate_box_mesh((0.04, 0.01, 0.01), (16, 4, 4), 1.0), None),
+], ids=["small_ball", "box"])
+def test_canonical_mesh_numbering(build, electrodes, monkeypatch):
+    mesh = build()
+    faces = boundary_faces(mesh)
+    layout = place_electrodes(mesh, electrodes, 1000.0) if electrodes else None
+    monkeypatch.setattr(meshgen, "_mesh_from_cubes", mesh_from_cubes_reference)
+    ref = build()
+    assert np.array_equal(mesh.nodes, ref.nodes)
+    assert mesh.tets.dtype == ref.tets.dtype and np.array_equal(mesh.tets, ref.tets)
+    assert np.array_equal(mesh.labels, ref.labels)
+    assert np.array_equal(faces, boundary_faces_reference(ref))
+    if layout is not None:
+        monkeypatch.setattr(meshgen, "boundary_faces", boundary_faces_reference)
+        assert place_electrodes(ref, electrodes, 1000.0).face_ids == layout.face_ids

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
+from tesopt import lp as lp_module
+from tesopt import optimizers
 from oracles import balanced_grid_minimum
 from tesopt.lp import _KktFactory, _refined_solve, _ruiz_equilibration, solve_lp
 from tesopt.optimizers import (
@@ -27,6 +29,7 @@ from tesopt.optimizers import (
     tls_diagnostics,
     tls_raw_solution,
 )
+from tesopt.search import LatticeSpec, evaluate_lattice
 
 
 def test_lp_block_counts(rng):
@@ -127,6 +130,34 @@ def test_l1l1_newton_solvers_agree(rng):
                 steps.append(np.concatenate([dv, dy]))
             ref, got = steps
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
+    # a serial lattice builds G and E and equilibrates them once per
+    # problem; every cell's pattern is bitwise the one a fresh problem gives
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    ruiz, lps = [], []
+
+    def counting_ruiz(*args, **kwargs):
+        ruiz.append(1)
+        return _ruiz_equilibration(*args, **kwargs)
+
+    def counting_solve(lp, **kwargs):
+        lps.append(lp)
+        return solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_ruiz_equilibration", counting_ruiz)
+    monkeypatch.setattr(optimizers, "solve_lp", counting_solve)
+    grid = evaluate_lattice(p, "l1l1", LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0))
+    assert len(lps) > 4 and len(ruiz) == 1
+    assert all(lp.G is lps[0].G and lp._cache is lps[0]._cache for lp in lps)
+    monkeypatch.undo()
+    for row in grid.cells:
+        for cell in row:
+            fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
+            ref = solve_l1l1(fresh, cell.params)
+            assert np.array_equal(cell.pattern.y, ref.y)
+            assert cell.pattern.status == ref.status
 
 
 def test_l1l1_paths_agree_below_threshold(rng):
