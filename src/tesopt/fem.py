@@ -10,6 +10,11 @@ block system
 is symmetric positive semidefinite with the constant vector in its
 kernel.  The gauge is fixed by requiring the electrode voltages ``w`` to
 sum to zero.
+
+Both sparse LU factorizations run in a nested-dissection order of the
+mesh nodes (George 1973; Lipton, Rose & Tarjan 1979), computed once by
+``assemble``: it keeps the direct solve exact and cuts the fill of the
+factors against SuperLU's default column ordering.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ class FemError(RuntimeError):
     """Raised on assembly or solver failures."""
 
 
+# parts of at most this many nodes are not bisected further
+_DISSECTION_LEAF = 32
+
+
 @dataclass
 class CemSystem:
     """Assembled FEM blocks of the electrode-driven conduction problem."""
@@ -37,8 +46,10 @@ class CemSystem:
     c_diag: np.ndarray          # (L,) entries 1/Z_l
     n_nodes: int
     n_electrodes: int
+    order: np.ndarray           # (N,) fill-reducing node order of A
     _block_lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
     _stiff_lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
+    _stiff_solve: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def block_matrix(self) -> sp.csr_matrix:
         C = sp.diags(self.c_diag)
@@ -103,18 +114,65 @@ class LeadField:
 def _tet_gradients(mesh: HeadMesh, tet_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the four barycentric basis functions, per tet.
 
+    The gradient of lambda_k (k = 1..3) is the cross product of the two
+    other edge vectors from vertex 0 over their triple product.
     Returns (grads, volumes) with grads of shape (T, 4, 3).
     """
     p = mesh.nodes[mesh.tets[tet_ids]]
-    e = p[:, 1:] - p[:, :1]                       # (T, 3, 3) edge matrix
-    vol = np.linalg.det(e) / 6.0
+    e1, e2, e3 = (p[:, k] - p[:, 0] for k in (1, 2, 3))
+    g = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
+    det = np.einsum("ti,ti->t", e1, g[:, 0])
+    vol = det / 6.0
     if np.any(vol <= 0.0):
         bad = int(tet_ids[np.argmin(vol)])
         raise FemError(f"degenerate tet {bad}")
-    inv = np.linalg.inv(e)                        # rows of inv are grad(lambda_1..3)
-    g = inv.transpose(0, 2, 1)
+    g /= det[:, None, None]
     g0 = -g.sum(axis=1, keepdims=True)
     return np.concatenate([g0, g], axis=1), vol
+
+
+def _nested_dissection(nodes: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
+    """Fill-reducing elimination order of the graph of ``A``.
+
+    Each part of more than ``_DISSECTION_LEAF`` nodes is cut at the median
+    coordinate of its longest axis; the lower-side nodes with a neighbour
+    on the upper side form the separator.  A part is emitted as its lower
+    side, its upper side, then its separator, each side ordered the same
+    way recursively.
+    """
+    n = A.shape[0]
+    graph = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=(n, n))
+    upper_mark = np.zeros(n)
+    out: list[np.ndarray] = []
+
+    def dissect(part: np.ndarray) -> None:
+        x = nodes[part]
+        extent = np.ptp(x, axis=0)
+        if part.size <= _DISSECTION_LEAF or not extent.any():
+            out.append(part)
+            return
+        c = x[:, np.argmax(extent)]
+        med = np.median(c)
+        lower = c <= med
+        if lower.all():
+            lower = c < med
+        lo, up = part[lower], part[~lower]
+        upper_mark[up] = 1.0
+        sep = graph[lo] @ upper_mark > 0.0
+        upper_mark[up] = 0.0
+        dissect(lo[~sep])
+        dissect(up)
+        out.append(lo[sep])
+
+    dissect(np.arange(n))
+    return np.concatenate(out)
+
+
+def _solve_permuted(lu: spla.SuperLU, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs given ``lu`` factoring M[perm][:, perm]."""
+    x = np.empty_like(rhs)
+    x[perm] = lu.solve(rhs[perm])
+    return x
 
 
 def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:
@@ -168,10 +226,22 @@ def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:
     c_diag = 1.0 / layout.impedances
     A = A.tocsr()
     A = (A + A.T) * 0.5  # exact symmetrization against summation-order roundoff
-    return CemSystem(A=A, B=B.tocsr(), c_diag=c_diag, n_nodes=n, n_electrodes=L)
+    return CemSystem(A=A, B=B.tocsr(), c_diag=c_diag, n_nodes=n, n_electrodes=L,
+                     order=_nested_dissection(mesh.nodes, A))
+
+
+def _block_perm(sys: CemSystem) -> np.ndarray:
+    """Node order of A, then the electrode rows, then the gauge row."""
+    n, L = sys.n_nodes, sys.n_electrodes
+    return np.concatenate([sys.order, np.arange(n, n + L + 1)])
 
 
 def _block_factorization(sys: CemSystem) -> spla.SuperLU:
+    """LU of the gauge-augmented block matrix in ``_block_perm`` order.
+
+    The trailing [[S, 1], [1^T, 0]] block is a saddle point with S
+    singular, so SuperLU keeps its partial pivoting here.
+    """
     if sys._block_lu is None:
         n, L = sys.n_nodes, sys.n_electrodes
         # augment with the gauge row/column: sum of electrode voltages = 0
@@ -179,10 +249,9 @@ def _block_factorization(sys: CemSystem) -> spla.SuperLU:
             (np.ones(L), (np.arange(n, n + L), np.zeros(L, dtype=int))),
             shape=(n + L, 1),
         )
-        aug = sp.bmat(
-            [[sys.block_matrix(), k], [k.T, None]], format="csc"
-        )
-        sys._block_lu = spla.splu(aug)
+        aug = sp.bmat([[sys.block_matrix(), k], [k.T, None]], format="csr")
+        p = _block_perm(sys)
+        sys._block_lu = spla.splu(aug[p][:, p].tocsc(), permc_spec="NATURAL")
     return sys._block_lu
 
 
@@ -198,15 +267,16 @@ def solve_forward(sys: CemSystem, y: np.ndarray, tol: float = 1e-10) -> ForwardS
         return ForwardSolution(z=np.zeros(sys.n_nodes), w=np.zeros(sys.n_electrodes))
 
     lu = _block_factorization(sys)
+    perm = _block_perm(sys)
     rhs = np.concatenate([np.zeros(sys.n_nodes), y, [0.0]])
-    x = lu.solve(rhs)
+    x = _solve_permuted(lu, perm, rhs)
     M = sys.block_matrix()
     zw = x[:-1]
     resid = M @ zw - rhs[:-1]
     rel = np.linalg.norm(resid) / np.linalg.norm(rhs[:-1])
     if rel > tol:
         # one step of iterative refinement through the augmented system
-        corr = lu.solve(np.concatenate([-resid, [0.0]]))
+        corr = _solve_permuted(lu, perm, np.concatenate([-resid, [0.0]]))
         zw = zw + corr[:-1]
         rel = np.linalg.norm(M @ zw - rhs[:-1]) / np.linalg.norm(rhs[:-1])
         if rel > tol:
@@ -215,12 +285,27 @@ def solve_forward(sys: CemSystem, y: np.ndarray, tol: float = 1e-10) -> ForwardS
 
 
 def _stiffness_factorization(sys: CemSystem) -> spla.SuperLU:
+    """LU of A[order][:, order], factored in that order."""
     if sys._stiff_lu is None:
+        o = sys.order
         try:
-            sys._stiff_lu = spla.splu(sys.A.tocsc())
+            sys._stiff_lu = spla.splu(sys.A[o][:, o].tocsc(), permc_spec="NATURAL")
         except RuntimeError as exc:  # singular factor
             raise FemError(f"stiffness factorization failed: {exc}") from exc
     return sys._stiff_lu
+
+
+def _stiffness_solve(sys: CemSystem) -> np.ndarray:
+    """A^{-1} B as a dense (N, L) array, solved once per system."""
+    if sys._stiff_solve is None:
+        lu = _stiffness_factorization(sys)
+        sys._stiff_solve = _solve_permuted(lu, sys.order, sys.B.toarray())
+    return sys._stiff_solve
+
+
+def schur_complement(sys: CemSystem) -> np.ndarray:
+    """Electrode-space Schur complement C - B^T A^{-1} B (not deflated)."""
+    return np.diag(sys.c_diag) - sys.B.T @ _stiffness_solve(sys)
 
 
 def resistivity_matrix(sys: CemSystem) -> np.ndarray:
@@ -230,22 +315,12 @@ def resistivity_matrix(sys: CemSystem) -> np.ndarray:
     S = C - B^T A^{-1} B; the constant null vector of S is deflated so the
     result matches the mean-zero electrode-voltage gauge.
     """
-    lu = _stiffness_factorization(sys)
-    Bd = np.asarray(sys.B.todense())
-    X = lu.solve(Bd)                                  # A^{-1} B, (N, L)
-    S = np.diag(sys.c_diag) - sys.B.T @ X
+    S = schur_complement(sys)
     S = 0.5 * (S + S.T)
     L = sys.n_electrodes
     shift = (np.trace(S) / L) * np.ones((L, L)) / L
     Sinv = np.linalg.solve(S + shift, np.eye(L))
-    return X @ Sinv
-
-
-def schur_complement(sys: CemSystem) -> np.ndarray:
-    """Electrode-space Schur complement C - B^T A^{-1} B (not deflated)."""
-    lu = _stiffness_factorization(sys)
-    Bd = np.asarray(sys.B.todense())
-    return np.diag(sys.c_diag) - sys.B.T @ lu.solve(Bd)
+    return _stiffness_solve(sys) @ Sinv
 
 
 def lead_field(

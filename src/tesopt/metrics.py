@@ -53,15 +53,16 @@ def current_ratio(p, y) -> float:
 
 
 def angle_difference(j1, j2) -> float:
-    """Angle between two field vectors in degrees, arccos clamped."""
+    """Angle between two 3-D field vectors in degrees.
+
+    atan2(|j1 x j2|, j1 . j2) resolves small angles to full relative
+    precision, where the arccos of a cosine bottoms out near 8.5e-7 deg.
+    """
     j1 = np.asarray(j1, dtype=float)
     j2 = np.asarray(j2, dtype=float)
-    n1 = np.linalg.norm(j1)
-    n2 = np.linalg.norm(j2)
-    if n1 == 0.0 or n2 == 0.0:
+    if not j1.any() or not j2.any():
         raise MetricError("angle undefined for zero vectors")
-    cosang = np.clip(j1 @ j2 / (n1 * n2), -1.0, 1.0)
-    return float(np.degrees(np.arccos(cosang)))
+    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(j1, j2)), j1 @ j2)))
 
 
 def compute_metrics(p, pattern) -> MetricSet:

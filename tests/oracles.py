@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's own code paths: vertex
 enumeration for LPs, dense grid search on the balanced-current subspace
-for the convex solvers, and finite differences for element matrices.
+for the convex solvers, finite differences for element matrices, and
+scipy's default-ordered ``splu`` for the CEM solves.
 """
 
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 
 def lp_vertex_minimum(c, G, h, E=None, f=None, feas_tol=1e-9):
@@ -127,3 +129,22 @@ def boundary_faces_reference(mesh):
     faces = np.sort(mesh.tets[:, local].reshape(-1, 3), axis=1)
     uniq, counts = np.unique(faces, axis=0, return_counts=True)
     return uniq[counts == 1]
+
+
+def tet_gradients_inverse(mesh):
+    """Basis-function gradients and volumes per tet from the inverse edge matrix."""
+    p = mesh.nodes[mesh.tets]
+    e = p[:, 1:] - p[:, :1]
+    g = np.linalg.inv(e).transpose(0, 2, 1)
+    return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1), np.linalg.det(e) / 6.0
+
+
+def cem_reference(system):
+    """Schur complement and resistivity matrix from ``splu`` of A in its
+    default column ordering, with the gauge deflation of ``fem``."""
+    X = spla.splu(system.A.tocsc()).solve(system.B.toarray())
+    S = np.diag(system.c_diag) - system.B.T @ X
+    Ss = 0.5 * (S + S.T)
+    L = S.shape[0]
+    shift = (np.trace(Ss) / L) * np.ones((L, L)) / L
+    return S, X @ np.linalg.inv(Ss + shift)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from oracles import tet_stiffness_fd
+from oracles import cem_reference, tet_gradients_inverse, tet_stiffness_fd
 from tesopt.fem import (
     FemError,
+    _stiffness_factorization,
+    _tet_gradients,
     assemble,
     lead_field,
     resistivity_matrix,
@@ -137,6 +140,37 @@ def test_schur_symmetry_and_psd(ball_system):
     P = np.eye(L) - np.ones((L, L)) / L
     eig = np.linalg.eigvalsh(P @ (S + S.T) / 2 @ P)
     assert eig.min() >= -1e-10 * scale
+
+
+def test_ordered_solves_match_default_splu(ball_system, bar_setup):
+    for system in (ball_system, bar_setup[2]):
+        assert np.array_equal(np.sort(system.order), np.arange(system.n_nodes))
+        S_ref, R_ref = cem_reference(system)
+        S = schur_complement(system)
+        R = resistivity_matrix(system)
+        assert np.abs(S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
+        assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+
+
+@pytest.mark.parametrize("cells", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (16, 4, 4)])
+def test_node_order_is_permutation(cells):
+    mesh = generate_box_mesh(tuple(0.0025 * c for c in cells), cells, 1.0)
+    layout = electrodes_from_face_sets(mesh, [np.array([0]), np.array([1])], 100.0)
+    order = assemble(mesh, layout).order
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
+
+
+def test_ordered_stiffness_factor_fill(ball_system):
+    lu = _stiffness_factorization(ball_system)
+    default = spla.splu(ball_system.A.tocsc())
+    assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
+
+
+def test_tet_gradients_match_inverse_oracle(small_ball_mesh):
+    grads, vols = _tet_gradients(small_ball_mesh, np.arange(small_ball_mesh.n_tets))
+    g_ref, v_ref = tet_gradients_inverse(small_ball_mesh)
+    assert np.abs(grads - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+    assert np.abs(vols - v_ref).max() <= 1e-13 * np.abs(v_ref).max()
 
 
 def test_resistivity_matches_forward(ball_system, rng):

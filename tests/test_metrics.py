@@ -76,6 +76,12 @@ def test_angle_difference_examples():
         angle_difference([0, 0, 0], [1, 0, 0])
 
 
+def test_angle_difference_resolves_small_angles():
+    t = 1e-9
+    ad = angle_difference([1.0, 0.0, 0.0], [math.cos(t), math.sin(t), 0.0])
+    assert abs(ad - 5.729577951308232e-08) <= 1e-9 * 5.729577951308232e-08
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3),
