@@ -11,10 +11,12 @@ is symmetric positive semidefinite with the constant vector in its
 kernel.  The gauge is fixed by requiring the electrode voltages ``w`` to
 sum to zero.
 
-Both sparse LU factorizations run in a nested-dissection order of the
-mesh nodes (George 1973; Lipton, Rose & Tarjan 1979), computed once by
-``assemble``: it keeps the direct solve exact and cuts the fill of the
-factors against SuperLU's default column ordering.
+Both direct solves run in a nested-dissection order of the mesh nodes
+(George 1973; Lipton, Rose & Tarjan 1979), computed once by ``assemble``.
+The stiffness matrix A, symmetric positive definite, is factored by a
+multifrontal Cholesky (Duff & Reid 1983; Liu 1992) whose dense fronts are
+the leaves and separators of the dissection; the block system of
+``solve_forward`` keeps a sparse LU in the same node order.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec, boundary_faces
 from .optimizers import StimulusProblem
@@ -47,8 +50,8 @@ class CemSystem:
     n_nodes: int
     n_electrodes: int
     order: np.ndarray           # (N,) fill-reducing node order of A
+    front_bounds: np.ndarray    # (F+1,) Cholesky fronts, contiguous in ``order``
     _block_lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
-    _stiff_lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
     _stiff_solve: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def block_matrix(self) -> sp.csr_matrix:
@@ -131,14 +134,15 @@ def _tet_gradients(mesh: HeadMesh, tet_ids: np.ndarray) -> tuple[np.ndarray, np.
     return np.concatenate([g0, g], axis=1), vol
 
 
-def _nested_dissection(nodes: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
-    """Fill-reducing elimination order of the graph of ``A``.
+def _nested_dissection(nodes: np.ndarray, A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Fill-reducing elimination order of the graph of ``A``, and its fronts.
 
     Each part of more than ``_DISSECTION_LEAF`` nodes is cut at the median
     coordinate of its longest axis; the lower-side nodes with a neighbour
     on the upper side form the separator.  A part is emitted as its lower
     side, its upper side, then its separator, each side ordered the same
-    way recursively.
+    way recursively.  Returns the order and the bounds of the non-empty
+    leaves and separators, which are contiguous in it.
     """
     n = A.shape[0]
     graph = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=(n, n))
@@ -165,7 +169,9 @@ def _nested_dissection(nodes: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
         out.append(lo[sep])
 
     dissect(np.arange(n))
-    return np.concatenate(out)
+    sizes = np.array([part.size for part in out])
+    bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+    return np.concatenate(out), bounds
 
 
 def _solve_permuted(lu: spla.SuperLU, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -226,8 +232,9 @@ def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:
     c_diag = 1.0 / layout.impedances
     A = A.tocsr()
     A = (A + A.T) * 0.5  # exact symmetrization against summation-order roundoff
+    order, bounds = _nested_dissection(mesh.nodes, A)
     return CemSystem(A=A, B=B.tocsr(), c_diag=c_diag, n_nodes=n, n_electrodes=L,
-                     order=_nested_dissection(mesh.nodes, A))
+                     order=order, front_bounds=bounds)
 
 
 def _block_perm(sys: CemSystem) -> np.ndarray:
@@ -284,22 +291,104 @@ def solve_forward(sys: CemSystem, y: np.ndarray, tol: float = 1e-10) -> ForwardS
     return ForwardSolution(z=zw[: sys.n_nodes], w=zw[sys.n_nodes :])
 
 
-def _stiffness_factorization(sys: CemSystem) -> spla.SuperLU:
-    """LU of A[order][:, order], factored in that order."""
-    if sys._stiff_lu is None:
-        o = sys.order
-        try:
-            sys._stiff_lu = spla.splu(sys.A[o][:, o].tocsc(), permc_spec="NATURAL")
-        except RuntimeError as exc:  # singular factor
-            raise FemError(f"stiffness factorization failed: {exc}") from exc
-    return sys._stiff_lu
+# (start, stop, rows, L11, L21): the factor columns start:stop of the
+# ordered A, with ``rows`` the global indices of the rows of L21
+_Front = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cholesky_fronts(sys: CemSystem) -> list[_Front]:
+    """Multifrontal Cholesky of A[order][:, order] on ``sys.front_bounds``.
+
+    Front ``start:stop`` gathers its lower-triangle columns of the ordered
+    A plus its children's update matrices (extend-add), factors its pivot
+    block, and sends the Schur update on its off-diagonal rows to the front
+    that owns the smallest of those rows.  Only lower triangles are
+    computed and nothing is symmetrized.  A symbolic pass finds every
+    front's rows first, so that all of L lives in one buffer and LAPACK
+    works on it in place: factor blocks allocated one by one, between the
+    short-lived update matrices, raised the peak resident size of a
+    process that builds many lead fields.
+    """
+    o, bounds = sys.order, sys.front_bounds
+    low = sp.tril(sys.A[o][:, o], format="csc")
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    owner = np.repeat(np.arange(len(spans)), np.diff(bounds))
+    rows_of: list[np.ndarray] = []
+    children: list[list[int]] = [[] for _ in spans]
+    for f, (start, stop) in enumerate(spans):
+        a_rows = low.indices[low.indptr[start]:low.indptr[stop]]
+        rows = np.unique(np.concatenate([a_rows] + [rows_of[c] for c in children[f]]))
+        rows = rows[np.searchsorted(rows, stop):]
+        if rows.size:
+            children[owner[rows[0]]].append(f)
+        rows_of.append(rows)
+
+    store = np.zeros(sum((stop - start) * (stop - start + rows.size)
+                         for (start, stop), rows in zip(spans, rows_of)))
+    local = np.empty(sys.n_nodes, dtype=np.intp)   # place in L11, or in L21 and U
+    updates: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spans)
+    fronts = []
+    off = 0
+    for f, ((start, stop), rows) in enumerate(zip(spans, rows_of)):
+        k, m = stop - start, rows.size
+        l11 = store[off:off + k * k]
+        l21 = store[off + k * k:off + k * (k + m)]
+        off += k * (k + m)
+        u = np.zeros(m * m)
+        local[start:stop] = np.arange(k)
+        local[rows] = np.arange(m)
+        lo, hi = low.indptr[start], low.indptr[stop]
+        a_rows = low.indices[lo:hi]
+        col = np.repeat(np.arange(k), np.diff(low.indptr[start:stop + 1]))
+        piv = a_rows < stop
+        l11[local[a_rows[piv]] + k * col[piv]] = low.data[lo:hi][piv]
+        l21[local[a_rows[~piv]] + m * col[~piv]] = low.data[lo:hi][~piv]
+        for c in children[f]:
+            g, U = updates[c]
+            updates[c] = None
+            split = np.searchsorted(g, stop)
+            p, q = local[g[:split]], local[g[split:]]
+            l11[p + k * p[:, None]] += U[:split, :split].T
+            l21[q + m * p[:, None]] += U[split:, :split].T
+            u[q + m * q[:, None]] += U[split:, split:].T
+        L11, info = lapack.dpotrf(l11.reshape(k, k, order="F"), lower=1, clean=0,
+                                  overwrite_a=1)
+        if info != 0:
+            raise FemError("stiffness factorization failed: "
+                           f"non-positive pivot at node {o[start + info - 1]}")
+        L21 = l21.reshape(m, k, order="F")
+        if m:
+            L21 = blas.dtrsm(1.0, L11, L21, side=1, lower=1, trans_a=1, overwrite_b=1)
+            updates[f] = (rows, blas.dsyrk(-1.0, L21, beta=1.0, c=u.reshape(m, m, order="F"),
+                                           lower=1, overwrite_c=1))
+        fronts.append((start, stop, rows, L11, L21))
+    return fronts
 
 
 def _stiffness_solve(sys: CemSystem) -> np.ndarray:
-    """A^{-1} B as a dense (N, L) array, solved once per system."""
+    """A^{-1} B as a dense (N, L) array, solved once per system.
+
+    A forward and a back pass over the fronts, which are dropped once the
+    solve is cached.  Every dense product goes through scipy's BLAS, as in
+    the factor: numpy bundles its own BLAS, and alternating calls between
+    the two libraries' thread pools made this solve 7x slower at 2 BLAS
+    threads on a 2-core machine.
+    """
     if sys._stiff_solve is None:
-        lu = _stiffness_factorization(sys)
-        sys._stiff_solve = _solve_permuted(lu, sys.order, sys.B.toarray())
+        fronts = _cholesky_fronts(sys)
+        X = sys.B.toarray()[sys.order]
+        for start, stop, rows, L11, L21 in fronts:
+            xs = blas.dtrsm(1.0, L11, X[start:stop], lower=1)
+            X[start:stop] = xs
+            if rows.size:
+                X[rows] = blas.dgemm(-1.0, L21, xs, beta=1.0, c=X[rows])
+        for start, stop, rows, L11, L21 in reversed(fronts):
+            xs = X[start:stop]
+            if rows.size:
+                xs = blas.dgemm(-1.0, L21, X[rows], beta=1.0, c=xs, trans_a=1)
+            X[start:stop] = blas.dtrsm(1.0, L11, xs, lower=1, trans_a=1)
+        sys._stiff_solve = np.empty_like(X)
+        sys._stiff_solve[sys.order] = X
     return sys._stiff_solve
 
 

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from oracles import cem_reference, tet_gradients_inverse, tet_stiffness_fd
 from tesopt.fem import (
     FemError,
-    _stiffness_factorization,
+    _cholesky_fronts,
     _tet_gradients,
     assemble,
     lead_field,
@@ -152,18 +152,55 @@ def test_ordered_solves_match_default_splu(ball_system, bar_setup):
         assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
 
 
-@pytest.mark.parametrize("cells", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (16, 4, 4)])
-def test_node_order_is_permutation(cells):
+BOX_CELLS = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (16, 4, 4)]
+
+
+def box_system(cells):
     mesh = generate_box_mesh(tuple(0.0025 * c for c in cells), cells, 1.0)
     layout = electrodes_from_face_sets(mesh, [np.array([0]), np.array([1])], 100.0)
-    order = assemble(mesh, layout).order
-    assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
+    return mesh, assemble(mesh, layout)
+
+
+@pytest.mark.parametrize("cells", BOX_CELLS)
+def test_node_order_is_permutation(cells):
+    mesh, system = box_system(cells)
+    assert np.array_equal(np.sort(system.order), np.arange(mesh.n_nodes))
+
+
+@pytest.mark.parametrize("cells", BOX_CELLS)
+def test_cholesky_on_degenerate_front_trees(cells):
+    # a single leaf, empty separators and long thin parts
+    _, system = box_system(cells)
+    bounds = system.front_bounds
+    assert bounds[0] == 0 and bounds[-1] == system.n_nodes and np.all(np.diff(bounds) > 0)
+    S_ref, R_ref = cem_reference(system)
+    S = schur_complement(system)
+    R = resistivity_matrix(system)
+    assert np.abs(S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
+    assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
 
 
 def test_ordered_stiffness_factor_fill(ball_system):
-    lu = _stiffness_factorization(ball_system)
+    # stored front values, diagonal blocks as full squares, against the
+    # L+U of SuperLU in its default column ordering
+    stored = sum(L11.size + L21.size for *_, L11, L21 in _cholesky_fronts(ball_system))
     default = spla.splu(ball_system.A.tocsc())
-    assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
+    assert stored <= 0.5 * (default.L.nnz + default.U.nnz)
+
+
+def test_singular_stiffness_factor_rejected():
+    # an insulating core that no electrode touches leaves its interior
+    # nodes without a single stiffness entry: a zero pivot
+    mesh = generate_box_mesh((0.01, 0.01, 0.01), (4, 4, 4), 1.0)
+    core = np.all(np.abs(mesh.tet_centroids() - 0.005) < 0.0025, axis=1)
+    mesh = HeadMesh(nodes=mesh.nodes, tets=mesh.tets, labels=np.where(core, 2, 1),
+                    conductivities={1: 1.0, 2: 0.0})
+    layout = electrodes_from_face_sets(mesh, [np.array([0]), np.array([1])], 100.0)
+    system = assemble(mesh, layout)
+    with pytest.raises(FemError, match="stiffness factorization failed"):
+        schur_complement(system)
+    with pytest.raises(FemError, match="stiffness factorization failed"):
+        resistivity_matrix(system)
 
 
 def test_tet_gradients_match_inverse_oracle(small_ball_mesh):
