@@ -9,21 +9,40 @@ a quasi-definite KKT system
     ( G' W G + d I    E' ) (dv)
     ( E              -d I ) (dy)
 
-with W = z/s and a static regularization d.  By default it is factored
-sparsely; a caller that knows the structure of its LP can pass a solver
-that reduces the same system further.  Iterative refinement against the
-unregularized system removes the regularization error of either.  Ruiz
-row and column equilibration is applied to the constraint matrix up
+with W = z/s and a static regularization d.  Iterative refinement
+against the unregularized system removes the regularization error.
+Ruiz row and column equilibration is applied to the constraints up
 front and the iteration works on the equilibrated data only: each
 residual is computed once per iteration, and the stopping tests rescale
 it elementwise to original units.  A solve ends as ``infeasible`` or
 ``unbounded`` only on a Farkas certificate; one that neither converges
 nor certifies ends as ``max_iter``.
+
+The solver reaches G and E only through a constraint operator, the
+``ops`` of a ``LinearProgram``.  An operator has the sizes ``m``, ``n``
+and ``p`` and supplies
+
+- for ``ruiz_scalings``, which runs on a working copy of the data that
+  it scales in place: ``row_maxima()``, the absolute row maxima of G
+  and of E, ``scale_rows(rg, re)``, ``col_maxima()`` and
+  ``scale_cols(cc)``, which multiply rows or columns by the given
+  reciprocal factors;
+- the scalings ``dr_g``, ``dr_e`` and ``dc`` that this produced, with
+  Gs = diag(1/dr_g) G diag(1/dc) and Es = diag(1/dr_e) E diag(1/dc);
+- products with Gs, Gs', Es and Es': ``G(v)``, ``GT(z)``, ``E(v)`` and
+  ``ET(y)``;
+- the Newton step: ``factor(W)`` prepares it for the weights W = z/s,
+  and ``solve(r1, r2)`` returns (dv, dy) with Gs'WGs dv + Es'dy = r1
+  and Es dv = r2, up to the error iterative refinement removes.
+
+``SparseConstraints`` is the generic operator over CSR matrices, which
+``make_program`` builds; a caller that knows the structure of its LP
+may supply a faster one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,36 +55,28 @@ FRACTION_TO_BOUNDARY = 0.99
 CERT_TOL = 1e-8          # certificate tolerance on equilibrated data
 LP_TOL = 1e-10           # default relative stopping tolerance
 LP_MAX_ITER = 200        # default iteration cap
+RUIZ_ITERS = 10          # Ruiz equilibration sweeps
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c'v subject to G v <= h, E v = f.
+    """min c'v subject to G v <= h, E v = f, with G and E behind ``ops``.
 
-    ``_cache`` holds what ``solve_lp`` derives from G and E alone, so
-    copies made by ``dataclasses.replace`` with a new c, h or f share
-    it; an entry is used only while G and E are the objects it was
-    derived from.
+    The operator is equilibrated when it is built, so copies made by
+    ``dataclasses.replace`` with a new c, h or f share its scalings.
     """
 
     c: np.ndarray        # (n,)
-    G: sp.csr_matrix     # (m, n)
     h: np.ndarray        # (m,)
-    E: sp.csr_matrix     # (p, n), possibly p = 0
-    f: np.ndarray        # (p,)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    f: np.ndarray        # (p,), possibly p = 0
+    ops: object          # constraint operator, see the module docstring
 
     def validate(self) -> None:
-        n = self.c.shape[0]
-        m, ng = self.G.shape
-        if m < 1:
+        if self.ops.m < 1:
             raise ValueError("need at least one inequality row")
-        if ng != n or self.h.shape != (m,):
+        if self.c.shape != (self.ops.n,) or self.h.shape != (self.ops.m,):
             raise ValueError("inconsistent inequality dimensions")
-        p, ne = self.E.shape
-        if p and ne != n:
-            raise ValueError("inconsistent equality dimensions")
-        if self.f.shape != (p,):
+        if self.f.shape != (self.ops.p,):
             raise ValueError("inconsistent equality rhs")
 
 
@@ -89,7 +100,9 @@ def make_program(c, G, h, E=None, f=None) -> LinearProgram:
     else:
         E = sp.csr_matrix(E, dtype=float)
         f = np.asarray(f, dtype=float).ravel()
-    lp = LinearProgram(c=c, G=G, h=h, E=E, f=f)
+    if E.shape[0] and E.shape[1] != G.shape[1]:
+        raise ValueError("inconsistent equality dimensions")
+    lp = LinearProgram(c=c, h=h, f=f, ops=SparseConstraints(G, E))
     lp.validate()
     return lp
 
@@ -97,6 +110,25 @@ def make_program(c, G, h, E=None, f=None) -> LinearProgram:
 def _scale_factors(maxima: np.ndarray) -> np.ndarray:
     """Square roots of positive maxima; empty rows or columns keep 1."""
     return np.where(maxima > 0, np.sqrt(np.where(maxima > 0, maxima, 1.0)), 1.0)
+
+
+def ruiz_scalings(work):
+    """Ruiz row/column scalings (dr_g, dr_e, dc) making [G; E] entries O(1).
+
+    ``work`` holds a copy of the data and scales it in place, so each
+    entry is multiplied by the reciprocal of each factor in turn, exactly
+    as a product with a diagonal matrix would do it.
+    """
+    dr_g, dr_e, dc = np.ones(work.m), np.ones(work.p), np.ones(work.n)
+    for _ in range(RUIZ_ITERS):
+        rg, re = (_scale_factors(mx) for mx in work.row_maxima())
+        work.scale_rows(1.0 / rg, 1.0 / re)
+        cc = _scale_factors(work.col_maxima())
+        work.scale_cols(1.0 / cc)
+        dr_g *= rg
+        dr_e *= re
+        dc *= cc
+    return dr_g, dr_e, dc
 
 
 def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
@@ -107,64 +139,62 @@ def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-def _ruiz_equilibration(G, E, iters: int = 10):
-    """Row/column scalings making [G; E] entries O(1).
+class SparseConstraints:
+    """The generic constraint operator: CSR G and E, and a sparse KKT LU.
 
-    Scales copies of the CSR ``data`` arrays in place: row maxima come
+    Equilibrates copies Gs, Es of G and E when built: row maxima come
     from segment reductions over ``indptr``, column maxima from a
-    scatter-max over ``indices``.  Each entry is multiplied by the
-    reciprocal of its factor, exactly as a product with a diagonal
-    matrix would do it.
-    """
-    m, n = G.shape
-    p = E.shape[0]
-    Gs, Es = G.tocsr(copy=True), E.tocsr(copy=True)
-    g_rows, e_rows = np.diff(Gs.indptr), np.diff(Es.indptr)
-    dr_g = np.ones(m)
-    dr_e = np.ones(p)
-    dc = np.ones(n)
-    for _ in range(iters):
-        rg = _scale_factors(_row_maxima(Gs))
-        re = _scale_factors(_row_maxima(Es))
-        Gs.data *= np.repeat(1.0 / rg, g_rows)
-        Es.data *= np.repeat(1.0 / re, e_rows)
-        col = np.zeros(n)
-        np.maximum.at(col, Gs.indices, np.abs(Gs.data))
-        np.maximum.at(col, Es.indices, np.abs(Es.data))
-        cc = _scale_factors(col)
-        Gs.data *= (1.0 / cc)[Gs.indices]
-        Es.data *= (1.0 / cc)[Es.indices]
-        dr_g *= rg
-        dr_e *= re
-        dc *= cc
-    return Gs, Es, dr_g, dr_e, dc
-
-
-class _KktFactory:
-    """Sparse LU of [[Gs'WGs + dI, Es'], [Es, -dI]].
-
-    The generic Newton-system solver of ``solve_lp`` and the reference
-    for structured ones.  ``factor(W)`` forms Gs'WGs and factors the
-    regularized KKT matrix; ``solve(r1, r2)`` returns (dv, dy) for it.
-    The primal regularization d is scaled to stay visible next to the
-    largest diagonal entry when active-set weights blow up; the
-    equality block is O(1) after equilibration and keeps the absolute
-    value.  The equilibration scalings are not needed.
+    scatter-max over ``indices``.  ``factor(W)`` forms Gs'WGs and factors
+    [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU; ``solve(r1, r2)``
+    returns (dv, dy) for it.  The primal regularization d is scaled to
+    stay visible next to the largest diagonal entry when active-set
+    weights blow up; the equality block is O(1) after equilibration and
+    keeps the absolute value.  This is the reference for structured
+    operators.
     """
 
-    def __init__(self, Gs: sp.csr_matrix, Es: sp.csr_matrix, *scalings):
-        self.Gs = Gs
-        self.E = Es
-        self.n = Gs.shape[1]
-        self.p = Es.shape[0]
+    def __init__(self, G: sp.csr_matrix, E: sp.csr_matrix):
+        (self.m, self.n), self.p = G.shape, E.shape[0]
+        self.Gs, self.Es = G.tocsr(copy=True), E.tocsr(copy=True)
+        self.dr_g, self.dr_e, self.dc = ruiz_scalings(self)
+        self.GsT, self.EsT = self.Gs.T.tocsr(), self.Es.T.tocsr()
         self._lu = None
+
+    def row_maxima(self):
+        return _row_maxima(self.Gs), _row_maxima(self.Es)
+
+    def scale_rows(self, rg, re):
+        self.Gs.data *= np.repeat(rg, np.diff(self.Gs.indptr))
+        self.Es.data *= np.repeat(re, np.diff(self.Es.indptr))
+
+    def col_maxima(self):
+        col = np.zeros(self.n)
+        np.maximum.at(col, self.Gs.indices, np.abs(self.Gs.data))
+        np.maximum.at(col, self.Es.indices, np.abs(self.Es.data))
+        return col
+
+    def scale_cols(self, cc):
+        self.Gs.data *= cc[self.Gs.indices]
+        self.Es.data *= cc[self.Es.indices]
+
+    def G(self, v):
+        return self.Gs @ v
+
+    def GT(self, z):
+        return self.GsT @ z
+
+    def E(self, v):
+        return self.Es @ v
+
+    def ET(self, y):
+        return self.EsT @ y
 
     def factor(self, W: np.ndarray) -> None:
         H = self.Gs.T @ sp.diags(W) @ self.Gs
         delta_p = REGULARIZATION * max(1.0, abs(H.diagonal()).max())
         K = H + delta_p * sp.identity(self.n)
         if self.p:
-            K = sp.bmat([[K, self.E.T], [self.E, -REGULARIZATION * sp.identity(self.p)]])
+            K = sp.bmat([[K, self.EsT], [self.Es, -REGULARIZATION * sp.identity(self.p)]])
         self._lu = spla.splu(K.tocsc())
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
@@ -172,36 +202,26 @@ class _KktFactory:
         return x[: self.n], x[self.n :]
 
 
-def _refined_solve(kkt, Gs, GsT, Es, EsT, W, r1, r2):
+def _refined_solve(ops, W, r1, r2):
     """Solve the unregularized Newton system by iterative refinement.
 
-    The system is Gs'WGs dv + Es'dy = r1, Es dv = r2, with ``GsT`` and
-    ``EsT`` the transposes of Gs and Es; ``kkt`` holds a factorization
-    of a regularized or reduced form of it.  Refinement stops after
-    REFINE_PASSES corrections or once the residual falls below
+    The system is Gs'WGs dv + Es'dy = r1, Es dv = r2; ``ops.solve``
+    applies a factorization of a regularized or reduced form of it, and
+    the residuals come from the operator's products.  Refinement stops
+    after REFINE_PASSES corrections or once the residual falls below
     REFINE_TOL relative to the right-hand side.
     """
-    dv, dy = kkt.solve(r1, r2)
+    dv, dy = ops.solve(r1, r2)
     rhs_norm = np.linalg.norm(np.concatenate([r1, r2]))
     for _ in range(REFINE_PASSES):
-        e1 = r1 - (GsT @ (W * (Gs @ dv)) + EsT @ dy)
-        e2 = r2 - Es @ dv
+        e1 = r1 - (ops.GT(W * ops.G(dv)) + ops.ET(dy))
+        e2 = r2 - ops.E(dv)
         if np.linalg.norm(np.concatenate([e1, e2])) <= REFINE_TOL * (1.0 + rhs_norm):
             break
-        c1, c2 = kkt.solve(e1, e2)
+        c1, c2 = ops.solve(e1, e2)
         dv = dv + c1
         dy = dy + c2
     return dv, dy
-
-
-def _equilibrated(lp: LinearProgram):
-    """(Gs, Es, dr_g, dr_e, dc, Gs', Es') of ``lp``, built once per G and E."""
-    entry = lp._cache.get("ruiz")
-    if entry is None or entry[0] is not lp.G or entry[1] is not lp.E:
-        Gs, Es, dr_g, dr_e, dc = _ruiz_equilibration(lp.G, lp.E)
-        entry = (lp.G, lp.E, Gs, Es, dr_g, dr_e, dc, Gs.T.tocsr(), Es.T.tocsr())
-        lp._cache["ruiz"] = entry
-    return entry[2:]
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -215,29 +235,25 @@ def solve_lp(
     lp: LinearProgram,
     tol: float = LP_TOL,
     max_iter: int = LP_MAX_ITER,
-    kkt=_KktFactory,
 ) -> LpSolution:
     """Solve the LP; statuses other than ``optimal`` carry best iterates.
 
-    ``kkt(Gs, Es, dr_g, dr_e, dc)`` builds the Newton-system solver from
-    the equilibrated data Gs = diag(1/dr_g) G diag(1/dc) and
-    Es = diag(1/dr_e) E diag(1/dc).  The solver's ``factor(W)`` prepares
-    a step for the weights W = z/s, and ``solve(r1, r2)`` returns
-    (dv, dy) with Gs'WGs dv + Es'dy = r1 and Es dv = r2, up to the error
-    iterative refinement removes.  The default is the generic sparse
-    solver; a caller that knows the structure of its LP may pass a
-    faster one.
+    The loop, its starting point and its refined Newton steps reach the
+    constraints only through ``lp.ops``: products with the equilibrated
+    Gs, Gs', Es and Es', the scalings dr_g, dr_e and dc, and the
+    operator's ``factor(W)``/``solve(r1, r2)`` for the Newton system
+    Gs'WGs dv + Es'dy = r1, Es dv = r2 (see the module docstring).
     """
     lp.validate()
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    Gs, Es, dr_g, dr_e, dc, GsT, EsT = _equilibrated(lp)
+    ops = lp.ops
+    dr_g, dr_e, dc = ops.dr_g, ops.dr_e, ops.dc
     cs = lp.c / dc
     hs = lp.h / dr_g
     fs = lp.f / dr_e if lp.f.size else lp.f
-    m, n = Gs.shape
-    p = Es.shape[0]
+    m, p = ops.m, ops.p
 
     h_scale = 1.0 + np.abs(lp.h).max(initial=0.0)
     f_scale = 1.0 + np.abs(lp.f).max(initial=0.0)
@@ -245,16 +261,15 @@ def solve_lp(
 
     # starting point: primal/dual least-squares with unit weights, then a
     # positive shift (Mehrotra-style) on the slacks and multipliers
-    newton = kkt(Gs, Es, dr_g, dr_e, dc)
     W = np.ones(m)
-    newton.factor(W)
-    v, _ = _refined_solve(newton, Gs, GsT, Es, EsT, W, GsT @ hs, fs)
-    r = hs - Gs @ v
+    ops.factor(W)
+    v, _ = _refined_solve(ops, W, ops.GT(hs), fs)
+    r = hs - ops.G(v)
     shift = -r.min()
     s = r if shift < 0 else r + (1.0 + shift)
     s = np.maximum(s, 1e-8)
-    u, yw = _refined_solve(newton, Gs, GsT, Es, EsT, W, cs, np.zeros(p))
-    z = -(Gs @ u)
+    u, yw = _refined_solve(ops, W, cs, np.zeros(p))
+    z = -ops.G(u)
     y = -yw
     shift = -z.min()
     z = z if shift < 0 else z + (1.0 + shift)
@@ -267,9 +282,9 @@ def solve_lp(
     def residuals():
         """Equilibrated residuals, and their measures in original units:
         the original residuals are dc*rd, dr_e*rp and dr_g*rg."""
-        rd = cs + GsT @ z + (EsT @ y if p else 0.0)
-        rp = (Es @ v - fs) if p else np.zeros(0)
-        rg = Gs @ v + s - hs
+        rd = cs + ops.GT(z) + (ops.ET(y) if p else 0.0)
+        rp = (ops.E(v) - fs) if p else np.zeros(0)
+        rg = ops.G(v) + s - hs
         obj = float(cs @ v)
         dual_obj = float(-(hs @ z) - (fs @ y if p else 0.0))
         # primal-dual objective gap: the complementarity sum s'z floors at
@@ -330,14 +345,14 @@ def solve_lp(
 
         W = np.clip(z / s, 1e-16, 1e16)
         try:
-            newton.factor(W)
+            ops.factor(W)
         except (RuntimeError, np.linalg.LinAlgError):  # singular step matrix
             break
 
         # predictor (affine scaling) step
-        rhs1 = -rd - GsT @ (W * rg - z)
-        dv, dy = _refined_solve(newton, Gs, GsT, Es, EsT, W, rhs1, -rp)
-        ds = -rg - Gs @ dv
+        rhs1 = -rd - ops.GT(W * rg - z)
+        dv, dy = _refined_solve(ops, W, rhs1, -rp)
+        ds = -rg - ops.G(dv)
         dz = -z - W * ds
         ap = min(1.0, _max_step(s, ds))
         ad = min(1.0, _max_step(z, dz))
@@ -346,9 +361,9 @@ def solve_lp(
 
         # corrector step reusing the factorization
         t = sigma * mu - ds * dz
-        rhs1 = -rd - GsT @ (t / s - z + W * rg)
-        dv, dy = _refined_solve(newton, Gs, GsT, Es, EsT, W, rhs1, -rp)
-        ds = -rg - Gs @ dv
+        rhs1 = -rd - ops.GT(t / s - z + W * rg)
+        dv, dy = _refined_solve(ops, W, rhs1, -rp)
+        ds = -rg - ops.G(dv)
         dz = t / s - z - W * ds
 
         ap_full = min(1.0, FRACTION_TO_BOUNDARY * _max_step(s, ds))

@@ -10,14 +10,12 @@ any balanced vector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
-from .lp import LP_MAX_ITER, LP_TOL, REGULARIZATION, LinearProgram, make_program, solve_lp
+from .lp import LP_MAX_ITER, LP_TOL, REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp
 from .metrics import focused_density
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
@@ -26,6 +24,8 @@ NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.nuisance_fac
 
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
+
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class OptimizerError(RuntimeError):
@@ -229,8 +229,9 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     nuisance residuals, t3 bounds |y| and carries the dose cap and the
     weighted pattern penalty.  The per-channel cap mu/2 follows from
     balance and the dose cap, so it has no rows of its own.  Only c and
-    h depend on alpha and eps: G and E are built once per problem, and
-    every program of ``p`` shares them and their ``solve_lp`` cache.
+    h depend on alpha and eps: the constraints are the operator
+    ``L1L1Constraints``, built and equilibrated once per problem, and
+    every program of ``p`` shares it.
     """
     if alpha < 0.0 or eps < 0.0:
         raise OptimizerError("alpha and eps must be non-negative")
@@ -251,67 +252,136 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     c = np.concatenate([
         np.zeros(L), np.ones(3), np.ones(M), alpha * p.zeta * np.ones(L)
     ])
-    if "l1l1_lp" not in p._cache:
-        L1 = sp.csr_matrix(p.L1)
-        L2 = sp.csr_matrix(p.L2)
-        I3 = sp.identity(3, format="csr")
-        IM = sp.identity(M, format="csr")
-        IL = sp.identity(L, format="csr")
-        ones_row = sp.csr_matrix(np.ones((1, L)))
-        G = sp.bmat(
-            [
-                [L1, -I3, None, None],
-                [L2, None, -IM, None],
-                [-IL, None, None, -IL],
-                [-L1, -I3, None, None],
-                [-L2, None, -IM, None],
-                [IL, None, None, -IL],
-                [None, -I3, None, None],
-                [None, None, -IM, None],
-                [None, None, None, -IL],
-                [None, None, None, ones_row],
-            ],
-            format="csr",
-        )
-        E = sp.csr_matrix(
-            np.concatenate([np.ones(L), np.zeros(3 + M + L)])[None, :]
-        )
-        p._cache["l1l1_lp"] = make_program(c, G, h, E, np.zeros(1))
-    return replace(p._cache["l1l1_lp"], c=c, h=h)
+    if "l1l1_ops" not in p._cache:
+        p._cache["l1l1_ops"] = L1L1Constraints(p)
+    return LinearProgram(c=c, h=h, f=np.zeros(1), ops=p._cache["l1l1_ops"])
 
 
-class L1L1Newton:
-    """Electrode-space Newton steps for the LP of ``build_l1l1_lp``.
+class _L1L1Blocks:
+    """Working copy of the L1L1 constraint blocks for ``ruiz_scalings``.
 
-    A drop-in for the sparse KKT solver of ``solve_lp``, built from the
-    same equilibration scalings; the blocks themselves come from ``p``,
-    so Gs and Es are not read.  It works in the original scale, where
-    the weights are W' = W/dr_g^2.  Rows come in blocks A, B, C of sizes
-    (3, M, L) plus the dose row.  The t1 and t2 blocks of G'W'G are
-    diagonal, and the t3 block is diagonal plus the rank-one dose row,
-    so all three are eliminated (t3 by Sherman-Morrison).  That leaves
-    the L x L matrix
+    Holds the signed entries of [G; E] as dense blocks: ``Ka`` and
+    ``ya`` are the y entries of the rows of block A (K and -I), ``ta``
+    their t entries (-I), ``tc`` the C rows (-I), ``d`` the dose row and
+    ``e`` the balance row.  Block B's entries are those of A with y
+    negated, so its row maxima, and hence its scalings, equal A's; it is
+    not stored.  The scalings equal those of the assembled sparse [G; E]
+    bit for bit, since every entry meets the same products.
+    """
 
-        S = L1' D1 L1 + L2' D2 L2 + diag(D3) + rho q q'
+    def __init__(self, K: np.ndarray):
+        nk, L = K.shape
+        self.k = nk + L
+        self.m, self.n, self.p = 3 * self.k + 1, L + self.k, 1
+        self.Ka = K.copy()
+        self.ya = -np.ones(L)
+        self.ta = -np.ones(self.k)
+        self.tc = -np.ones(self.k)
+        self.d = np.ones(L)
+        self.e = np.ones(L)
+
+    def row_maxima(self):
+        nk = self.Ka.shape[0]
+        ra = np.abs(self.ta)
+        ra[:nk] = np.maximum(np.abs(self.Ka).max(axis=1), ra[:nk])
+        ra[nk:] = np.maximum(np.abs(self.ya), ra[nk:])
+        g = np.concatenate([ra, ra, np.abs(self.tc), [np.abs(self.d).max()]])
+        return g, np.array([np.abs(self.e).max()])
+
+    def scale_rows(self, rg, re):
+        nk, k = self.Ka.shape[0], self.k
+        self.Ka *= rg[:nk, None]
+        self.ya *= rg[nk:k]
+        self.ta *= rg[:k]
+        self.tc *= rg[2 * k:3 * k]
+        self.d *= rg[3 * k]
+        self.e *= re[0]
+
+    def col_maxima(self):
+        L = self.ya.size
+        cy = np.maximum(np.maximum(np.abs(self.Ka).max(axis=0), np.abs(self.ya)),
+                        np.abs(self.e))
+        ct = np.maximum(np.abs(self.ta), np.abs(self.tc))
+        ct[self.k - L:] = np.maximum(ct[self.k - L:], np.abs(self.d))
+        return np.concatenate([cy, ct])
+
+    def scale_cols(self, cc):
+        L = self.ya.size
+        cy, ct = cc[:L], cc[L:]
+        self.Ka *= cy[None, :]
+        self.ya *= cy
+        self.e *= cy
+        self.ta *= ct
+        self.tc *= ct
+        self.d *= ct[self.k - L:]
+
+
+class L1L1Constraints:
+    """The constraints of ``build_l1l1_lp`` as an operator for ``solve_lp``.
+
+    With K = [L1; L2] and k = 3 + M + L rows per block, the constraints
+    on v = (y, t), t = (t1, t2, t3), are
+
+        G v = [Ky - t; -Ky - t; -t; 1't3],  Ky = [K y; -y],
+        E v = 1'y,
+
+    in blocks A, B, C plus the dose row.  Products apply these blocks
+    to the equilibrated data, Gs v = G (v/dc) / dr_g and so on, with the
+    Ruiz scalings computed from the blocks once, when the operator is
+    built; no sparse matrix is formed.
+
+    Newton steps are taken in electrode space, in the original scale,
+    where the weights are W' = W/dr_g^2.  The t1 and t2 blocks of G'W'G
+    are diagonal, and the t3 block is diagonal plus the rank-one dose
+    row, so all three are eliminated (t3 by Sherman-Morrison).  That
+    leaves the L x L matrix
+
+        S = K' diag(D1, D2) K + diag(D3) + rho q q'
 
     with D = (4ab + (a+b)c)/(a+b+c) for the block weights a, b, c (free
     of cancellation), and q, rho the t3 coupling and the dose weight
-    after Sherman-Morrison.  S is factored by Cholesky, and the balance
-    row is then one scalar Schur complement, 1'S^-1 1.  S gets the same
-    relative diagonal shift as the sparse path; ``solve_lp``'s
-    refinement removes it.  References: Mehrotra, SIAM J. Optim. 2 (1992); Wright,
-    Primal-Dual Interior-Point Methods (SIAM 1997), ch. 11.
+    after Sherman-Morrison.  S is factored by LAPACK ``potrf``, and the
+    balance row is then one scalar Schur complement, 1'S^-1 1.  S gets
+    the same relative diagonal shift as ``SparseConstraints``;
+    ``solve_lp``'s refinement removes it.  References: Mehrotra, SIAM J.
+    Optim. 2 (1992); Wright, Primal-Dual Interior-Point Methods (SIAM
+    1997), ch. 11.
     """
 
-    def __init__(self, p: StimulusProblem, Gs, Es, dr_g, dr_e, dc):
-        L, M = p.n_electrodes, p.n_nuisance
-        self.L1, self.L2 = p.L1, p.L2
-        self.dr_g2, self.dr_e, self.dc = dr_g**2, dr_e, dc
-        self.k = 3 + M + L                      # rows per block A, B, C
-        self.fit = slice(0, 3)
-        self.nuis = slice(3, 3 + M)
-        self.pen = slice(3 + M, 3 + M + L)
-        self.ones = np.ones(L)
+    def __init__(self, p: StimulusProblem):
+        self.L, M = p.n_electrodes, p.n_nuisance
+        self.K = np.vstack([p.L1, p.L2])
+        self.nk = 3 + M                         # rows of K
+        self.k = self.nk + self.L               # rows per block A, B, C
+        self.m, self.n, self.p = 3 * self.k + 1, self.L + self.k, 1
+        self.pen = slice(self.nk, self.k)
+        self.ones = np.ones(self.L)
+        self.dr_g, self.dr_e, self.dc = ruiz_scalings(_L1L1Blocks(self.K))
+        self.dr_g2 = self.dr_g**2
+
+    def G(self, v: np.ndarray) -> np.ndarray:
+        u = v / self.dc
+        y, t = u[:self.L], u[self.L:]
+        ky = np.concatenate([self.K @ y, -y])
+        return np.concatenate([ky - t, -(ky + t), -t, [t[self.pen].sum()]]) / self.dr_g
+
+    def GT(self, z: np.ndarray) -> np.ndarray:
+        k = self.k
+        w = z / self.dr_g
+        a, b, c = w[:k], w[k:2 * k], w[2 * k:3 * k]
+        ab = a - b
+        gt = -(a + b + c)
+        gt[self.pen] += w[3 * k]
+        return np.concatenate([self.K.T @ ab[:self.nk] - ab[self.nk:], gt]) / self.dc
+
+    def E(self, v: np.ndarray) -> np.ndarray:
+        L = self.L
+        return np.array([(v[:L] / self.dc[:L]).sum()]) / self.dr_e
+
+    def ET(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n)
+        out[:self.L] = y[0] / self.dr_e[0]
+        return out / self.dc
 
     def factor(self, W: np.ndarray) -> None:
         k = self.k
@@ -319,38 +389,43 @@ class L1L1Newton:
         a, b, c = w[:k], w[k:2 * k], w[2 * k:3 * k]
         self.s = a + b + c
         d = (4.0 * a * b + (a + b) * c) / self.s
-        # the (t, y) block of G'W'G is diag(e) [L1; L2; I]
+        # the (t, y) block of G'W'G is diag(e) [K; I]
         self.e = b - a
         self.e[self.pen] *= -1.0
-        s3 = self.s[self.pen]
-        self.rho = w[3 * k] / (1.0 + w[3 * k] * np.sum(1.0 / s3))
-        q = self.e[self.pen] / s3
-        S = self.L1.T @ (d[self.fit, None] * self.L1) \
-            + self.L2.T @ (d[self.nuis, None] * self.L2) \
-            + self.rho * np.outer(q, q)
+        self.es = self.e / self.s
+        self.inv_s3 = 1.0 / self.s[self.pen]
+        self.rho = w[3 * k] / (1.0 + w[3 * k] * self.inv_s3.sum())
+        q = self.es[self.pen]
+        S = self.K.T @ (d[:self.nk, None] * self.K) + self.rho * np.outer(q, q)
         S[np.diag_indices_from(S)] += d[self.pen]
         S[np.diag_indices_from(S)] += REGULARIZATION * max(1.0, S.diagonal().max())
-        self.chol = sla.cho_factor(S)
-        self.u = sla.cho_solve(self.chol, self.ones)
+        # S is symmetric, so its transpose is the Fortran-ordered S that
+        # potrf factors in place
+        self.chol, info = _POTRF(S.T, overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("electrode-space Newton matrix is not positive definite")
+        self.u = self._chol_solve(self.ones)
+        self.u_sum = self.u.sum()
 
-    def _t3_inverse(self, v: np.ndarray) -> np.ndarray:
-        """The t3 block's inverse (diag(s3) + w_dose 1 1')^-1 applied to v."""
-        vs = v / self.s[self.pen]
-        return vs - (self.rho * vs.sum()) / self.s[self.pen]
+    def _chol_solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = _POTRS(self.chol, rhs)
+        if info != 0:
+            raise ValueError(f"potrs argument {-info} is invalid")
+        return x
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        L = self.ones.size
+        # the t block is diagonal on t1 and t2; on t3 its inverse is
+        # (diag(s3) + w_dose 1 1')^-1 = diag(1/s3) - rho (1/s3)(1/s3)'
+        L, pen = self.L, self.pen
         g = self.dc * r1
         gy, gt = g[:L], g[L:]
-        h = self.e * gt / self.s
-        h[self.pen] = self.e[self.pen] * self._t3_inverse(gt[self.pen])
-        rhs = gy - self.L1.T @ h[self.fit] - self.L2.T @ h[self.nuis] - h[self.pen]
-        w = sla.cho_solve(self.chol, rhs)
-        lam = (w.sum() - self.dr_e[0] * r2[0]) / self.u.sum()
+        h = self.es * gt
+        h[pen] -= (self.rho * (gt[pen] @ self.inv_s3)) * self.es[pen]
+        w = self._chol_solve(gy - self.K.T @ h[:self.nk] - h[pen])
+        lam = (w.sum() - self.dr_e[0] * r2[0]) / self.u_sum
         x = w - lam * self.u
-        coupled = np.concatenate([self.L1 @ x, self.L2 @ x, x])
-        t = (gt - self.e * coupled) / self.s
-        t[self.pen] = self._t3_inverse(gt[self.pen] - self.e[self.pen] * x)
+        t = (gt - self.e * np.concatenate([self.K @ x, x])) / self.s
+        t[pen] -= (self.rho * t[pen].sum()) * self.inv_s3
         return self.dc * np.concatenate([x, t]), self.dr_e * lam
 
 
@@ -369,7 +444,7 @@ def solve_l1l1_linear(
         zero = np.zeros(p.n_electrodes)
         return _finalize(p, zero, "optimal", l1l1_objective(p, zero, alpha, eps))
     lp = build_l1l1_lp(p, alpha, eps)
-    sol = solve_lp(lp, tol=tol, max_iter=max_iter, kkt=partial(L1L1Newton, p))
+    sol = solve_lp(lp, tol=tol, max_iter=max_iter)
     y = sol.v[: p.n_electrodes]
     raw = l1l1_objective(p, y, alpha, eps)
     return _finalize(p, y, sol.status, raw)

@@ -9,6 +9,8 @@ carrying the largest currents in the first run's selection.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +35,11 @@ DEFAULT_RANGES = {
 }
 DESK_STEP_DB = 15.0
 FULL_STEP_DB = 5.0
+
+# thread-count setters of the OpenBLAS builds in the numpy and scipy
+# wheels (64-bit and 32-bit integer interfaces)
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads")
 
 
 class SearchError(RuntimeError):
@@ -122,9 +129,47 @@ def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
     raise SearchError(f"unknown method {method!r}")
 
 
+@functools.cache
+def _openblas_paths() -> tuple[str, ...]:
+    """Paths of the OpenBLAS libraries mapped into this process.
+
+    Read once from /proc/self/maps (about 1 ms); numpy and scipy each
+    bundle their own copy, and both are loaded by this module's imports.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:  # no procfs: nothing to pin
+        return ()
+    return tuple(sorted({f[5].strip() for f in fields
+                         if len(f) == 6 and "openblas" in f[5].lower()}))
+
+
+def _pin_blas(paths) -> None:
+    """Run each listed OpenBLAS library on one thread.
+
+    Pool workers would otherwise each start the default number of BLAS
+    threads and oversubscribe the cores.  A library that cannot be
+    opened or has no known setter is left alone.
+    """
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 # Forked workers get initargs without pickling; a functools.partial over
 # _solve_cell would pickle the problem into every chunk instead.
-def _init_worker(p, method, opts):
+def _init_worker(p, method, opts, blas_paths):
+    _pin_blas(blas_paths)
     _WORKER_STATE["args"] = (p, method, opts)
 
 
@@ -159,7 +204,8 @@ def evaluate_lattice(
 
     if threads > 1 and len(cells_in) > 1:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(p, method, opts)
+            max_workers=threads, initializer=_init_worker,
+            initargs=(p, method, opts, _openblas_paths()),
         ) as pool:
             chunk = max(1, len(cells_in) // (4 * threads))
             results = list(pool.map(_worker, cells_in, chunksize=chunk))

@@ -1,15 +1,20 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately avoid the library's own code paths: vertex
-enumeration for LPs, dense grid search on the balanced-current subspace
-for the convex solvers, finite differences for element matrices, and
-scipy's default-ordered ``splu`` for the CEM solves.
+enumeration for LPs, the assembled sparse constraint matrix of the
+L1L1 LP, dense grid search on the balanced-current subspace for the
+convex solvers, finite differences for element matrices, and scipy's
+default-ordered ``splu`` for the CEM solves.
 """
 
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from tesopt.lp import make_program
+from tesopt.optimizers import build_l1l1_lp
 
 
 def lp_vertex_minimum(c, G, h, E=None, f=None, feas_tol=1e-9):
@@ -50,6 +55,35 @@ def random_bounded_lp(rng):
     else:
         E, f = None, None
     return c, G, h, E, f
+
+
+def assembled_l1l1_lp(p, alpha, eps):
+    """The LP of ``build_l1l1_lp`` with G and E assembled as CSR matrices,
+    for the generic sparse path of ``solve_lp``."""
+    L, M = p.n_electrodes, p.n_nuisance
+    L1, L2 = sp.csr_matrix(p.L1), sp.csr_matrix(p.L2)
+    I3 = sp.identity(3, format="csr")
+    IM = sp.identity(M, format="csr")
+    IL = sp.identity(L, format="csr")
+    ones_row = sp.csr_matrix(np.ones((1, L)))
+    G = sp.bmat(
+        [
+            [L1, -I3, None, None],
+            [L2, None, -IM, None],
+            [-IL, None, None, -IL],
+            [-L1, -I3, None, None],
+            [-L2, None, -IM, None],
+            [IL, None, None, -IL],
+            [None, -I3, None, None],
+            [None, None, -IM, None],
+            [None, None, None, -IL],
+            [None, None, None, ones_row],
+        ],
+        format="csr",
+    )
+    E = sp.csr_matrix(np.concatenate([np.ones(L), np.zeros(3 + M + L)])[None, :])
+    lp = build_l1l1_lp(p, alpha, eps)
+    return make_program(lp.c, G, lp.h, E, lp.f), G, E
 
 
 def balanced_grid_minimum(p, objective, alpha, eps, step_frac=1e-3):

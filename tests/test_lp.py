@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_problem
-from oracles import lp_vertex_minimum, random_bounded_lp
-from tesopt.lp import _ruiz_equilibration, make_program, solve_lp
-from tesopt.optimizers import build_l1l1_lp
+from oracles import assembled_l1l1_lp, lp_vertex_minimum, random_bounded_lp
+from tesopt.lp import SparseConstraints, make_program, solve_lp
 
 
 def test_lower_bound_vertex():
@@ -49,9 +48,9 @@ def test_solution_invariants_on_random_instances(rng):
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         tol = 1e-10
-        assert np.all(lp.G @ sol.v <= lp.h + tol * (1 + np.abs(lp.h).max()))
-        if lp.E.shape[0]:
-            assert np.abs(lp.E @ sol.v - lp.f).max() <= tol * (1 + np.abs(lp.f).max())
+        assert np.all(G @ sol.v <= lp.h + tol * (1 + np.abs(lp.h).max()))
+        if E is not None:
+            assert np.abs(E @ sol.v - lp.f).max() <= tol * (1 + np.abs(lp.f).max())
         assert sol.residuals["gap"] <= tol * (1 + abs(c @ sol.v))
 
 
@@ -125,16 +124,22 @@ def ruiz_by_diagonal_products(G, E, iters=10):
 
 
 def test_ruiz_equilibration_bitwise(rng):
-    lps = [make_program(*random_bounded_lp(rng)) for _ in range(20)]
+    pairs = []
+    for _ in range(20):
+        c, G, h, E, f = random_bounded_lp(rng)
+        E = sp.csr_matrix((0, c.size)) if E is None else E
+        pairs.append((sp.csr_matrix(G), sp.csr_matrix(E)))
     G = sp.random(40, 15, density=0.3, random_state=7).toarray()
     G[G != 0] = np.exp(rng.uniform(-12, 12, np.count_nonzero(G)))  # ~10 decades
     G[5], G[:, 3] = 0.0, 0.0                        # an empty row and column
-    lps.append(make_program(np.ones(15), G, np.ones(40)))
-    lps.append(build_l1l1_lp(random_problem(rng, n_electrodes=8, n_nuisance=30),
-                             1e-3, 1e-2))
-    for lp in lps:
-        got = _ruiz_equilibration(lp.G, lp.E)
-        ref = ruiz_by_diagonal_products(lp.G, lp.E)
+    pairs.append((sp.csr_matrix(G), sp.csr_matrix((0, 15))))
+    _, G, E = assembled_l1l1_lp(random_problem(rng, n_electrodes=8, n_nuisance=30),
+                                1e-3, 1e-2)
+    pairs.append((G, E))
+    for G, E in pairs:
+        ops = SparseConstraints(G, E)
+        got = (ops.Gs, ops.Es, ops.dr_g, ops.dr_e, ops.dc)
+        ref = ruiz_by_diagonal_products(G, E)
         for a, b in zip(got[:2], ref[:2]):
             a, b = a.copy(), b.copy()
             a.sort_indices()

@@ -1,17 +1,18 @@
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
-from tesopt import lp as lp_module
 from tesopt import optimizers
-from oracles import balanced_grid_minimum
-from tesopt.lp import _KktFactory, _refined_solve, _ruiz_equilibration, solve_lp
+from oracles import assembled_l1l1_lp, balanced_grid_minimum
+from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp
 from tesopt.optimizers import (
-    L1L1Newton,
+    L1L1Constraints,
     MethodParams,
     OptimizerError,
     StimulusProblem,
@@ -36,8 +37,8 @@ def test_lp_block_counts(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=9)
     lp = build_l1l1_lp(p, 0.1, 0.01)
     assert lp.c.size == 4 + 3 + 9 + 4
-    assert lp.G.shape == (3 * 3 + 3 * 9 + 3 * 4 + 1, 20)
-    assert lp.E.shape == (1, 20)
+    assert (lp.ops.m, lp.ops.n, lp.ops.p) == (3 * 3 + 3 * 9 + 3 * 4 + 1, 20, 1)
+    assert lp.h.shape == (lp.ops.m,) and lp.f.shape == (1,)
     # objective carries the weighted pattern penalty on the last block
     assert np.allclose(lp.c, np.concatenate(
         [np.zeros(4), np.ones(12), 0.1 * p.zeta * np.ones(4)]))
@@ -91,7 +92,7 @@ def test_l1l1_zero_certificate_sound(rng):
         p = random_problem(rng, n_electrodes=3 + 5 * (k % 3), n_nuisance=8)
         alpha = zero_alpha(p) * 10 ** rng.uniform(0.0, 1.0)
         eps = 10 ** rng.uniform(-3, -0.5)
-        lp = build_l1l1_lp(p, alpha, eps)
+        lp, _, _ = assembled_l1l1_lp(p, alpha, eps)
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         at_zero = l1l1_objective(p, np.zeros(p.n_electrodes), alpha, eps)
@@ -101,56 +102,79 @@ def test_l1l1_zero_certificate_sound(rng):
         assert pat.raw_objective == at_zero
 
 
+def test_l1l1_operator_matches_assembled(rng):
+    # the blockwise products and Ruiz scalings against the assembled G and E,
+    # also with rows and columns spread over decades so that every block's
+    # scalings move away from 1
+    problems = [random_problem(rng, n_electrodes=n, n_nuisance=m)
+                for n, m in ((3, 6), (8, 40), (32, 300))]
+    q = problems[1]
+    spread = np.exp(rng.uniform(-8, 8, (q.n_nuisance + 3, 1))) \
+        * np.exp(rng.uniform(-8, 8, q.n_electrodes))
+    problems.append(StimulusProblem.from_parts(q.L1 * spread[:3], q.L2 * spread[3:],
+                                               q.x1, q.mu))
+    for p in problems:
+        _, G, E = assembled_l1l1_lp(p, 1e-3, 1e-2)
+        ref, ops = SparseConstraints(G, E), L1L1Constraints(p)
+        for got, want in zip((ops.dr_g, ops.dr_e, ops.dc), (ref.dr_g, ref.dr_e, ref.dc)):
+            assert np.array_equal(got, want)
+        for _ in range(3):
+            v, z, y = rng.normal(size=ops.n), rng.normal(size=ops.m), rng.normal(size=1)
+            for got, want in ((ops.G(v), ref.G(v)), (ops.GT(z), ref.GT(z)),
+                              (ops.E(v), ref.E(v)), (ops.ET(y), ref.ET(y))):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_l1l1_newton_solvers_agree(rng):
-    # structured electrode-space steps against the sparse KKT oracle, both
-    # refined, for uniform weights and for the weights W = z/s met along
-    # the sparse solver's own iterates, whose spread exceeds 1e16
+    # structured electrode-space steps and residuals against the sparse KKT
+    # oracle, both refined, for uniform weights and for the weights W = z/s
+    # met along the sparse solver's own iterates, whose spread exceeds 1e16
     for n_electrodes, n_nuisance in ((3, 6), (32, 300)):
         p = random_problem(rng, n_electrodes=n_electrodes, n_nuisance=n_nuisance)
-        lp = build_l1l1_lp(p, 0.3 * zero_alpha(p), 1e-2)
+        lp, G, E = assembled_l1l1_lp(p, 0.3 * zero_alpha(p), 1e-2)
         met = []
 
-        class Recording(_KktFactory):
+        class Recording(SparseConstraints):
             def factor(self, W):
                 met.append(W.copy())
                 super().factor(W)
 
-        assert solve_lp(lp, kkt=Recording).status == "optimal"
-        Gs, Es, dr_g, dr_e, dc = _ruiz_equilibration(lp.G, lp.E)
-        GsT, EsT = Gs.T.tocsr(), Es.T.tocsr()
-        uniform = [np.full(Gs.shape[0], 10 ** u) for u in rng.uniform(-8, 8, 8)]
+        assert solve_lp(replace(lp, ops=Recording(G, E))).status == "optimal"
+        uniform = [np.full(lp.ops.m, 10 ** u) for u in rng.uniform(-8, 8, 8)]
         assert max(W.max() / W.min() for W in met) > 1e16
         for W in uniform + met:
-            r1 = rng.normal(size=Gs.shape[1])
+            r1 = rng.normal(size=lp.ops.n)
             r2 = rng.normal(size=1)
             steps = []
-            for kkt in (_KktFactory(Gs, Es), L1L1Newton(p, Gs, Es, dr_g, dr_e, dc)):
-                kkt.factor(W)
-                dv, dy = _refined_solve(kkt, Gs, GsT, Es, EsT, W, r1, r2)
+            for ops in (SparseConstraints(G, E), L1L1Constraints(p)):
+                ops.factor(W)
+                dv, dy = _refined_solve(ops, W, r1, r2)
                 steps.append(np.concatenate([dv, dy]))
             ref, got = steps
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
-    # a serial lattice builds G and E and equilibrates them once per
-    # problem; every cell's pattern is bitwise the one a fresh problem gives
+    # a serial lattice builds its constraint operator and equilibrates it
+    # once per problem; every cell's pattern is bitwise the one a fresh
+    # problem gives
     p = random_problem(rng, n_electrodes=8, n_nuisance=40)
     ruiz, lps = [], []
 
     def counting_ruiz(*args, **kwargs):
         ruiz.append(1)
-        return _ruiz_equilibration(*args, **kwargs)
+        return ruiz_scalings(*args, **kwargs)
 
     def counting_solve(lp, **kwargs):
         lps.append(lp)
         return solve_lp(lp, **kwargs)
 
-    monkeypatch.setattr(lp_module, "_ruiz_equilibration", counting_ruiz)
+    monkeypatch.setattr(optimizers, "ruiz_scalings", counting_ruiz)
     monkeypatch.setattr(optimizers, "solve_lp", counting_solve)
     grid = evaluate_lattice(p, "l1l1", LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0))
     assert len(lps) > 4 and len(ruiz) == 1
-    assert all(lp.G is lps[0].G and lp._cache is lps[0]._cache for lp in lps)
+    assert all(lp.ops is lps[0].ops for lp in lps)
     monkeypatch.undo()
     for row in grid.cells:
         for cell in row:
@@ -160,15 +184,30 @@ def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
             assert cell.pattern.status == ref.status
 
 
+def test_l1l1_lattice_builds_no_sparse_matrix(rng, monkeypatch):
+    # the production L1L1 path applies its constraints as dense blocks
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.sparse object built on the L1L1 path")
+
+    for name in ("csr_matrix", "csc_matrix", "coo_matrix", "csr_array", "csc_array",
+                 "coo_array", "bmat", "identity", "eye", "diags"):
+        monkeypatch.setattr(sp, name, forbidden)
+    monkeypatch.setattr(spla, "splu", forbidden)
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    grid = evaluate_lattice(p, "l1l1", LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0))
+    statuses = [c.pattern.status for row in grid.cells for c in row]
+    assert "optimal" in statuses and "error" not in statuses, statuses
+
+
 def test_l1l1_paths_agree_below_threshold(rng):
     for k in range(10):
         p = random_problem(rng, n_electrodes=(3, 12, 32)[k % 3],
                            n_nuisance=(6, 40, 300)[k % 3])
         alpha = zero_alpha(p) * (1.0 - 10 ** rng.uniform(-3, -0.05))
         eps = 10 ** rng.uniform(-3, -0.5)
-        lp = build_l1l1_lp(p, alpha, eps)
+        lp, _, _ = assembled_l1l1_lp(p, alpha, eps)
         sparse = solve_lp(lp)
-        structured = solve_lp(lp, kkt=partial(L1L1Newton, p))
+        structured = solve_lp(build_l1l1_lp(p, alpha, eps))
         assert sparse.status == structured.status == "optimal"
         a, b = lp.c @ sparse.v, lp.c @ structured.v
         assert abs(a - b) <= 1e-9 * abs(a)

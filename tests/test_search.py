@@ -1,11 +1,14 @@
+import ctypes
 import math
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_problem
+from tesopt import search
 from tesopt.metrics import MetricSet
 from tesopt.optimizers import CurrentPattern, MethodParams, StimulusProblem
 from tesopt.search import (
@@ -135,6 +138,52 @@ def test_lattice_parallel_schedule_independence(rng):
         for c1, c2 in zip(r1, r2):
             assert np.array_equal(c1.pattern.y, c2.pattern.y)
             assert c1.metrics == c2.metrics
+
+
+def _blas_calls(paths, kind, *args):
+    """Call each library's known get or set thread-count symbol."""
+    out = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in search.BLAS_THREAD_SETTERS:
+            fn = getattr(lib, name.replace("_set_", f"_{kind}_"), None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int] * len(args)
+                fn.restype = ctypes.c_int if kind == "get" else None
+                out.append(fn(*args))
+                break
+    return out
+
+
+def test_lattice_workers_pin_blas(rng):
+    # workers run every bundled OpenBLAS on one thread, the parent keeps
+    # its own count, and an L1L1 lattice is byte-identical either way
+    paths = search._openblas_paths()
+    saved = {path: _blas_calls([path], "get") for path in paths}
+    known = sum(len(counts) for counts in saved.values())
+    assert known, "no OpenBLAS with a known thread-count symbol is loaded"
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    try:
+        _blas_calls(paths, "set", 2)
+        parent = _blas_calls(paths, "get")
+        with ProcessPoolExecutor(max_workers=1, initializer=search._init_worker,
+                                 initargs=(p, "l1l1", {}, paths)) as pool:
+            worker = pool.submit(_blas_calls, paths, "get").result(timeout=60)
+        assert worker == [1] * known
+        assert _blas_calls(paths, "get") == parent
+        spec = LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0)
+        g1 = evaluate_lattice(p, "l1l1", spec, threads=1)
+        g2 = evaluate_lattice(p, "l1l1", spec, threads=2)
+    finally:
+        for path, counts in saved.items():
+            for count in counts:  # none for a library without a known symbol
+                _blas_calls([path], "set", count)
+    for r1, r2 in zip(g1.cells, g2.cells):
+        for c1, c2 in zip(r1, r2):
+            assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
+            assert (c1.pattern.status, c1.valid, c1.reason) == \
+                (c2.pattern.status, c2.valid, c2.reason)
+            assert repr(c1.metrics) == repr(c2.metrics)
 
 
 def test_lattice_error_cells_independent_of_threads(rng):
