@@ -152,8 +152,6 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "full_lattice", False):
-        cfg.full_lattice = True
     if getattr(args, "lattice_step_db", None) is not None:
         cfg.lattice_step_db = args.lattice_step_db
     if getattr(args, "method", None):
@@ -186,8 +184,6 @@ def main(argv=None) -> int:
 
     sub = subs.add_parser("search")
     _add_common(sub)
-    sub.add_argument("--full-lattice", action="store_true",
-                     help="use the 5 dB / 36-point lattice instead of desk scale")
     sub.add_argument("--lattice-step-db", type=float, default=None)
     sub.add_argument("--method", choices=search.METHODS, action="append")
     sub.add_argument("--case", choices=("A", "B"), action="append")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .lp import LP_MAX_ITER, LP_TOL
 from .optimizers import L1L2_MAX_ITER, L1L2_TOL
-from .search import DESK_STEP_DB, FULL_STEP_DB, GAMMA_THRESHOLD
+from .search import DESK_STEP_DB, GAMMA_THRESHOLD
 
 
 class ConfigError(ValueError):
@@ -37,7 +37,6 @@ class RunConfig:
     channels: tuple[int, ...] = (8, 20)
     gamma_threshold: float = GAMMA_THRESHOLD
     lattice_step_db: float = DESK_STEP_DB
-    full_lattice: bool = False
     # solver tolerances
     lp_tol: float = LP_TOL
     lp_max_iter: int = LP_MAX_ITER
@@ -51,7 +50,7 @@ class RunConfig:
 
     @property
     def step_db(self) -> float:
-        return FULL_STEP_DB if self.full_lattice else self.lattice_step_db
+        return self.lattice_step_db
 
     @property
     def target_compartment(self) -> int:

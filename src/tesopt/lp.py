@@ -225,10 +225,8 @@ def _refined_solve(ops, W, r1, r2):
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+    """Largest step a with x + a*dx >= 0; inf when no entry decreases."""
+    return float(np.divide(x, -dx, out=np.full_like(x, np.inf), where=dx < 0).min())
 
 
 def solve_lp(
@@ -366,21 +364,8 @@ def solve_lp(
         ds = -rg - ops.G(dv)
         dz = t / s - z - W * ds
 
-        ap_full = min(1.0, FRACTION_TO_BOUNDARY * _max_step(s, ds))
-        ad_full = min(1.0, FRACTION_TO_BOUNDARY * _max_step(z, dz))
-        # keep the complementarity measure non-increasing where possible;
-        # if damping cannot achieve that the iterates are diverging (an
-        # infeasibility signature) and the full step is taken instead
-        ap, ad = ap_full, ad_full
-        for k in range(11):
-            mu_new = float((s + ap * ds) @ (z + ad * dz)) / m
-            if mu_new <= mu * (1.0 + 1e-12):
-                break
-            if k == 10:
-                ap, ad = ap_full, ad_full
-                break
-            ap *= 0.5
-            ad *= 0.5
+        ap = min(1.0, FRACTION_TO_BOUNDARY * _max_step(s, ds))
+        ad = min(1.0, FRACTION_TO_BOUNDARY * _max_step(z, dz))
         v = v + ap * dv
         s = s + ap * ds
         y = y + ad * dy

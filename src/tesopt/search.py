@@ -173,12 +173,22 @@ def _init_worker(p, method, opts, blas_paths):
     _WORKER_STATE["args"] = (p, method, opts)
 
 
-def _solve_cell(p, method, opts, cell):
-    alpha_db, weight_db = cell
+def _solve_cell(p, method, opts, cell) -> CandidateCell:
+    """Solve and measure one lattice cell; a solver failure becomes an
+    ``error`` cell with a zero pattern instead of aborting the sweep."""
+    params = MethodParams(alpha_db=float(cell[0]), weight_db=float(cell[1]))
     try:
-        return solve_single_cell(p, method, alpha_db, weight_db, opts)
-    except Exception as exc:  # per-cell failures never abort the sweep
-        return ("error", f"{type(exc).__name__}: {exc}")
+        pattern = solve_single_cell(p, method, params.alpha_db, params.weight_db, opts)
+    except Exception as exc:
+        pattern = CurrentPattern(
+            y=np.zeros(p.n_electrodes), electrode_ids=p.electrode_ids,
+            active_ids=(), status="error", raw_objective=math.nan,
+        )
+        reason = f"{type(exc).__name__}: {exc}"
+    else:
+        reason = "" if pattern.status == "optimal" else pattern.status
+    return CandidateCell(params, pattern, compute_metrics(p, pattern),
+                         valid=pattern.status == "optimal", reason=reason)
 
 
 def _worker(cell):
@@ -208,30 +218,12 @@ def evaluate_lattice(
             initargs=(p, method, opts, _openblas_paths()),
         ) as pool:
             chunk = max(1, len(cells_in) // (4 * threads))
-            results = list(pool.map(_worker, cells_in, chunksize=chunk))
+            cells = list(pool.map(_worker, cells_in, chunksize=chunk))
     else:
-        results = [_solve_cell(p, method, opts, cell) for cell in cells_in]
+        cells = [_solve_cell(p, method, opts, cell) for cell in cells_in]
 
-    rows: list[list[CandidateCell]] = []
-    it = iter(results)
-    for a in alphas:
-        row = []
-        for w in weights:
-            res = next(it)
-            params = MethodParams(alpha_db=float(a), weight_db=float(w))
-            if isinstance(res, tuple):
-                pattern = CurrentPattern(
-                    y=np.zeros(p.n_electrodes), electrode_ids=p.electrode_ids,
-                    active_ids=(), status="error", raw_objective=math.nan,
-                )
-                row.append(CandidateCell(params, pattern, compute_metrics(p, pattern),
-                                         valid=False, reason=res[1]))
-                continue
-            metrics = compute_metrics(p, res)
-            valid = res.status == "optimal"
-            reason = "" if valid else res.status
-            row.append(CandidateCell(params, res, metrics, valid=valid, reason=reason))
-        rows.append(row)
+    n = weights.size
+    rows = [cells[k:k + n] for k in range(0, len(cells), n)]
     return CandidateGrid(method=method, spec=spec, cells=rows)
 
 

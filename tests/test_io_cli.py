@@ -236,7 +236,6 @@ def test_config_defaults_and_gamma_lock(tmp_path):
 
 def test_config_lattice_step_resolution():
     assert RunConfig().step_db == 15.0
-    assert RunConfig(full_lattice=True).step_db == 5.0
     assert RunConfig(lattice_step_db=30.0).step_db == 30.0
     cfg = RunConfig()
     assert cfg.solver_opts()["l1l1"] == {"tol": 1e-10, "max_iter": 200}

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from conftest import random_problem
 from oracles import assembled_l1l1_lp, lp_vertex_minimum, random_bounded_lp
-from tesopt.lp import SparseConstraints, make_program, solve_lp
+from tesopt.lp import SparseConstraints, _max_step, make_program, solve_lp
 
 
 def test_lower_bound_vertex():
@@ -79,6 +79,19 @@ def test_mu_monotone_on_solvable_instances(rng):
         assert sol.status == "optimal"
         hist = sol.mu_history
         assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
+
+
+def test_max_step_matches_mask_form(rng):
+    # the boundary step equals the min over the decreasing entries, bitwise
+    for n in (1, 7, 997):
+        x = rng.uniform(0.0, 10.0, n) * 10.0 ** rng.integers(-12, 4, n)
+        dx = rng.normal(size=n) * 10.0 ** rng.integers(-12, 4, n)
+        dx[rng.random(n) < 0.2] = 0.0
+        neg = dx < 0
+        mask = float(np.min(-x[neg] / dx[neg])) if neg.any() else np.inf
+        assert np.float64(_max_step(x, dx)).tobytes() == np.float64(mask).tobytes()
+    assert _max_step(np.ones(5), np.abs(rng.normal(size=5))) == np.inf
+    assert _max_step(np.ones(3), np.zeros(3)) == np.inf
 
 
 def test_input_validation():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_problem
 from tesopt import search
-from tesopt.metrics import MetricSet
+from tesopt.metrics import MetricSet, compute_metrics
 from tesopt.optimizers import CurrentPattern, MethodParams, StimulusProblem
 from tesopt.search import (
     CandidateCell,
@@ -203,6 +203,30 @@ def test_lattice_error_cells_independent_of_threads(rng):
             assert (c1.params, c1.valid, c1.reason) == (c2.params, c2.valid, c2.reason)
             assert c1.pattern.status == c2.pattern.status
             assert np.array_equal(c1.pattern.y, c2.pattern.y)
+            assert repr(c1.metrics) == repr(c2.metrics)
+
+
+def test_pooled_lattice_measures_cells_in_workers(rng, monkeypatch):
+    # pool workers solve and measure each cell; the parent only collects
+    calls = []
+
+    def counting(p, pattern):
+        calls.append(pattern.status)
+        return compute_metrics(p, pattern)
+
+    monkeypatch.setattr(search, "compute_metrics", counting)
+    p = random_problem(rng, n_electrodes=4, n_nuisance=6)
+    spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
+    g2 = evaluate_lattice(p, "tls", spec, threads=2)
+    assert calls == []
+    g1 = evaluate_lattice(p, "tls", spec, threads=1)
+    assert len(calls) == 4
+    assert g1.dims == g2.dims == (2, 2)
+    for r1, r2 in zip(g1.cells, g2.cells):
+        for c1, c2 in zip(r1, r2):
+            assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
+            assert (c1.params, c1.pattern.status, c1.valid, c1.reason) == \
+                (c2.params, c2.pattern.status, c2.valid, c2.reason)
             assert repr(c1.metrics) == repr(c2.metrics)
 
 
