@@ -48,7 +48,7 @@ def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
     system = fem.assemble(mesh, layout)
     lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
     problem = fem.split_problem(lf, target, cfg.mu)
-    io.write_lead_field(lf, problem, out_dir / "leadfield.bin", target=target)
+    io.write_lead_field(lf, problem, out_dir / "leadfield.bin")
     print(f"lead field: {lf.matrix.shape[0]}x{lf.matrix.shape[1]} "
           f"-> {out_dir / 'leadfield.bin'}")
     return EXIT_OK
@@ -108,10 +108,9 @@ def run_search_pipeline(problem, cfg: RunConfig):
                     solver_opts=opts, run1_grid=run1_grids[m],
                     run2_grid_cache=run2_cache,
                 )
-                dt = time.perf_counter() - t0
-                timings[f"search_{m}_{case}_{k}_s"] = dt
+                timings[f"search_{m}_{case}_{k}_s"] = time.perf_counter() - t0
                 outcomes.append(outcome)
-                records.append(io.ResultRecord.from_outcome(outcome, wall_time_s=dt))
+                records.append(io.ResultRecord.from_outcome(outcome))
     return records, outcomes, timings
 
 

@@ -6,7 +6,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .lp import LP_MAX_ITER, LP_TOL
 from .optimizers import L1L2_MAX_ITER, L1L2_TOL
 from .search import DESK_STEP_DB, GAMMA_THRESHOLD
 
@@ -38,8 +37,6 @@ class RunConfig:
     gamma_threshold: float = GAMMA_THRESHOLD
     lattice_step_db: float = DESK_STEP_DB
     # solver tolerances
-    lp_tol: float = LP_TOL
-    lp_max_iter: int = LP_MAX_ITER
     l1l2_tol: float = L1L2_TOL
     l1l2_max_iter: int = L1L2_MAX_ITER
     threads: int | None = None
@@ -58,7 +55,6 @@ class RunConfig:
 
     def solver_opts(self) -> dict:
         return {
-            "l1l1": {"tol": self.lp_tol, "max_iter": self.lp_max_iter},
             "l1l2": {"tol": self.l1l2_tol, "max_iter": self.l1l2_max_iter},
         }
 

@@ -88,13 +88,12 @@ class LeadField:
     """
 
     matrix: np.ndarray                 # (3P, L) A/m^2 per A
-    points: np.ndarray                 # (P, 3)
     electrode_ids: tuple[int, ...]
     target_point: int | None = None
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
+        return self.matrix.shape[0] // 3
 
     @property
     def n_electrodes(self) -> int:
@@ -431,7 +430,6 @@ def lead_field(
     mat = np.concatenate(blocks, axis=0)
     return LeadField(
         matrix=mat,
-        points=points.points.copy(),
         electrode_ids=tuple(range(1, sys.n_electrodes + 1)),
         target_point=target_point,
     )

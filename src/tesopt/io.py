@@ -154,9 +154,13 @@ def load_target(path: str | Path) -> TargetSpec:
         raise IoError(f"target file missing field {exc}") from exc
 
 
-def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path,
-                     target: TargetSpec | None = None) -> None:
-    """Binary matrix plus a JSON sidecar with geometry, ``x1`` and ``mu``."""
+def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path) -> None:
+    """Binary matrix plus a JSON sidecar with the target point, ``x1`` and ``mu``.
+
+    Point coordinates stay in ``fieldpoints.json`` and the target's
+    orientation and density in ``target.json``; the sidecar holds only
+    what ``read_lead_field`` needs to rebuild the problem.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     mat = np.ascontiguousarray(lf.matrix, dtype="<f8")
@@ -164,41 +168,42 @@ def write_lead_field(lf: LeadField, problem: StimulusProblem, path: str | Path,
     with open(path, "wb") as fh:
         fh.write(LEADFIELD_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(mat.tobytes())
+        mat.tofile(fh)
     sidecar = {
         "rows": rows,
         "cols": cols,
-        "points": lf.points.tolist(),
         "target_point": lf.target_point,
-        "target_rows": lf.target_rows().tolist() if lf.target_point is not None else None,
         "electrode_ids": list(lf.electrode_ids),
         "mu": problem.mu,
         "x1": problem.x1.tolist(),
     }
-    if target is not None:
-        sidecar["orientation"] = target.orientation.tolist()
-        sidecar["d_target"] = target.d_target
     _dump_json(sidecar, path.with_suffix(".json"), indent=None)
 
 
 def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
-    """Matrix and problem; scale factors are derived, never read."""
+    """Matrix and problem; scale factors are derived, never read.
+
+    Keys of older sidecars (point coordinates, target rows, orientation,
+    target density, scale factors) are ignored.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != LEADFIELD_MAGIC:
             raise IoError("bad lead-field magic; not a TESLF file")
         rows, cols = struct.unpack("<II", fh.read(8))
-        mat = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+        mat = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    if mat.size != rows * cols:
+        raise IoError("lead-field file is shorter than its header says")
     with open(path.with_suffix(".json")) as fh:
         sidecar = json.load(fh)
-    for fld in ("rows", "cols", "points", "electrode_ids", "mu", "x1", "target_point"):
+    for fld in ("rows", "cols", "electrode_ids", "mu", "x1", "target_point"):
         if fld not in sidecar:
             raise IoError(f"lead-field sidecar missing field '{fld}'")
     if (sidecar["rows"], sidecar["cols"]) != (rows, cols):
         raise IoError("sidecar field 'rows'/'cols' disagrees with the binary header")
-    if len(sidecar["points"]) * 3 != rows:
-        raise IoError("sidecar field 'points' count does not match matrix rows")
+    if rows % 3 != 0:
+        raise IoError("lead-field rows must be a multiple of 3")
     x1, ids = sidecar["x1"], sidecar["electrode_ids"]
     if not isinstance(x1, list) or len(x1) != 3:
         raise IoError("sidecar field 'x1' must hold 3 entries")
@@ -208,8 +213,7 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
     if type(target_point) is not int or not 0 <= target_point < rows // 3:
         raise IoError("sidecar field 'target_point' must be an int in [0, rows/3)")
     lf = LeadField(
-        matrix=np.array(mat),
-        points=np.asarray(sidecar["points"], dtype=float),
+        matrix=mat.reshape(rows, cols),
         electrode_ids=tuple(int(i) for i in ids),
         target_point=target_point,
     )
@@ -263,14 +267,13 @@ class ResultRecord:
     alpha_db: float | None
     weight_db: float | None
     montage: tuple[int, ...]
-    wall_time_s: float = 0.0
 
     @classmethod
-    def from_outcome(cls, outcome: SearchOutcome, wall_time_s: float = 0.0):
+    def from_outcome(cls, outcome: SearchOutcome):
         if outcome.status != "ok":
             return cls(outcome.method, outcome.case, outcome.channels,
                        outcome.status, None, None, None, None, None, None,
-                       None, outcome.montage, wall_time_s)
+                       None, outcome.montage)
         m = outcome.run2.metrics
         dev = {name: est.deviation for name, est in outcome.deviations.items()}
         dev["max_current_ma"] = dev.pop("max_current") * 1e3
@@ -287,12 +290,11 @@ class ResultRecord:
             alpha_db=outcome.run2.params.alpha_db,
             weight_db=outcome.run2.params.weight_db,
             montage=outcome.montage,
-            wall_time_s=wall_time_s,
         )
 
     def to_json_dict(self) -> dict:
-        # wall time deliberately excluded: result files must be
-        # byte-identical across reruns (timings go to a sibling file)
+        # no wall times: result files must be byte-identical across
+        # reruns (timings go to a sibling file)
         return {
             "method": self.method,
             "case": self.case,

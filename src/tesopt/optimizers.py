@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .lp import LP_MAX_ITER, LP_TOL, REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp
+from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp
 from .metrics import focused_density
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
@@ -429,10 +429,7 @@ class L1L1Constraints:
         return self.dc * np.concatenate([x, t]), self.dr_e * lam
 
 
-def solve_l1l1_linear(
-    p: StimulusProblem, alpha: float, eps: float,
-    tol: float = LP_TOL, max_iter: int = LP_MAX_ITER,
-) -> CurrentPattern:
+def solve_l1l1_linear(p: StimulusProblem, alpha: float, eps: float) -> CurrentPattern:
     # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
     # with g = L1' sign(x1): -g is a subgradient of the fit at 0, the
     # nuisance term has 0 in its subdifferential there, the dose rows are
@@ -444,16 +441,14 @@ def solve_l1l1_linear(
         zero = np.zeros(p.n_electrodes)
         return _finalize(p, zero, "optimal", l1l1_objective(p, zero, alpha, eps))
     lp = build_l1l1_lp(p, alpha, eps)
-    sol = solve_lp(lp, tol=tol, max_iter=max_iter)
+    sol = solve_lp(lp)
     y = sol.v[: p.n_electrodes]
     raw = l1l1_objective(p, y, alpha, eps)
     return _finalize(p, y, sol.status, raw)
 
 
-def solve_l1l1(p: StimulusProblem, params: MethodParams, **kwargs) -> CurrentPattern:
-    return solve_l1l1_linear(
-        p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db), **kwargs
-    )
+def solve_l1l1(p: StimulusProblem, params: MethodParams) -> CurrentPattern:
+    return solve_l1l1_linear(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
 
 
 def _simplex_threshold(w: np.ndarray, r: float) -> float:

@@ -121,7 +121,7 @@ def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
                       weight_db: float, opts: dict) -> CurrentPattern:
     params = MethodParams(alpha_db=alpha_db, weight_db=weight_db)
     if method == "l1l1":
-        return optimizers.solve_l1l1(p, params, **opts.get("l1l1", {}))
+        return optimizers.solve_l1l1(p, params)
     if method == "l1l2":
         return optimizers.solve_l1l2(p, params, **opts.get("l1l2", {}))
     if method == "tls":

@@ -24,8 +24,7 @@ def tiny_model():
 
 def synthetic_lead_field(rng, n_points=12, n_electrodes=6):
     mat = rng.normal(size=(3 * n_points, n_electrodes)) * 5.0
-    pts = rng.normal(size=(n_points, 3)) * 0.05
-    return LeadField(matrix=mat, points=pts,
+    return LeadField(matrix=mat,
                      electrode_ids=tuple(range(1, n_electrodes + 1)),
                      target_point=2)
 
@@ -103,6 +102,24 @@ def test_lead_field_sidecar_dims_checked(tmp_path, rng):
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     with pytest.raises(io.IoError, match="x1"):
         io.read_lead_field(path)
+    # header and sidecar agree on a row count that is not 3 per point
+    odd = LeadField(matrix=lf.matrix[:-1], electrode_ids=lf.electrode_ids,
+                    target_point=2)
+    io.write_lead_field(odd, problem, path)
+    assert json.loads(path.with_suffix(".json").read_text())["rows"] == 35
+    with pytest.raises(io.IoError, match="multiple of 3"):
+        io.read_lead_field(path)
+
+
+def test_lead_field_truncated_binary_rejected(tmp_path, rng):
+    lf = synthetic_lead_field(rng)
+    L1, L2 = lf.split_rows()
+    problem = StimulusProblem.from_parts(L1, L2, np.array([0.2, 0.0, 0.0]), 4e-3)
+    path = tmp_path / "lf.bin"
+    io.write_lead_field(lf, problem, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(io.IoError, match="shorter"):
+        io.read_lead_field(path)
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -133,7 +150,8 @@ def test_lead_field_sidecar_values_checked(tmp_path, rng, field, value, match):
 
 def test_lead_field_sidecar_scale_keys_ignored(tmp_path, rng):
     # sidecars written before the scale factors were derived on read still
-    # carry zeta, nu and sigma_scale; the reader ignores them
+    # carry zeta, nu and sigma_scale, and older ones the point coordinates,
+    # target rows, orientation and d_target; the reader ignores them
     lf = synthetic_lead_field(rng)
     L1, L2 = lf.split_rows()
     problem = StimulusProblem.from_parts(L1, L2, np.array([0.2, 0.0, 0.0]), 4e-3,
@@ -141,13 +159,19 @@ def test_lead_field_sidecar_scale_keys_ignored(tmp_path, rng):
     path = tmp_path / "lf.bin"
     io.write_lead_field(lf, problem, path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
-    assert not {"zeta", "nu", "sigma_scale"} & sidecar.keys()
+    assert sidecar.keys() == {"cols", "electrode_ids", "mu", "rows",
+                              "target_point", "x1"}
     sidecar.update(zeta=-1.0, nu=123.0, sigma_scale=0.0)
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     _, p2 = io.read_lead_field(path)
     assert p2.zeta == problem.zeta
     assert p2.nu == problem.nu
     assert p2.sigma_scale == problem.sigma_scale
+    sidecar.update(points=[[0.0, 0.0, 0.0]], target_rows=[0, 1],
+                   orientation=[0.0, 1.0, 0.0], d_target=-5.0)
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    _, p3 = io.read_lead_field(path)
+    assert_same_problem(p3, problem)
 
 
 def assert_same_problem(a, b):
@@ -166,7 +190,7 @@ def test_lead_field_one_problem_path(tmp_path, tiny_model):
     lf = fem.lead_field(fem.assemble(mesh, layout), mesh, points,
                         target_point=target.point_index)
     split = fem.split_problem(lf, target, 4e-3)
-    io.write_lead_field(lf, split, tmp_path / "lf.bin", target=target)
+    io.write_lead_field(lf, split, tmp_path / "lf.bin")
     _, read = io.read_lead_field(tmp_path / "lf.bin")
     rows = lf.target_rows()
     mask = np.ones(lf.matrix.shape[0], dtype=bool)
@@ -234,11 +258,20 @@ def test_config_defaults_and_gamma_lock(tmp_path):
         RunConfig.load(path)
 
 
+def test_config_rejects_removed_lp_keys(tmp_path):
+    # the L1L1 interior point runs at its own tolerance and iteration cap
+    path = tmp_path / "cfg.json"
+    for key, value in (("lp_tol", 1e-10), ("lp_max_iter", 200)):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(path)
+
+
 def test_config_lattice_step_resolution():
     assert RunConfig().step_db == 15.0
     assert RunConfig(lattice_step_db=30.0).step_db == 30.0
     cfg = RunConfig()
-    assert cfg.solver_opts()["l1l1"] == {"tol": 1e-10, "max_iter": 200}
+    assert set(cfg.solver_opts()) == {"l1l2"}
     assert cfg.target_compartment == 3
 
 
@@ -467,5 +500,3 @@ def test_json_layouts(tmp_path, tiny_cfg):
     target2 = io.load_target(out / "target.json")
     assert np.array_equal(target2.position, target.position)
     assert np.array_equal(target2.orientation, target.orientation)
-    lf, _ = io.read_lead_field(out / "leadfield.bin")
-    assert np.array_equal(lf.points, points.points)
