@@ -31,7 +31,7 @@ def build_model(cfg: RunConfig):
 def cmd_mesh(cfg: RunConfig, out_dir: Path) -> int:
     mesh, layout, points, target = build_model(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    io.save_mesh(mesh, out_dir / "mesh.json")
+    io.save_mesh(mesh, out_dir / "mesh.bin")
     io.save_layout(layout, out_dir / "electrodes.json")
     io.save_field_points(points, out_dir / "fieldpoints.json")
     io.save_target(target, out_dir / "target.json")
@@ -41,7 +41,7 @@ def cmd_mesh(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
-    mesh = io.load_mesh(out_dir / "mesh.json")
+    mesh = io.load_mesh(out_dir / "mesh.bin")
     layout = io.load_layout(out_dir / "electrodes.json")
     points = io.load_field_points(out_dir / "fieldpoints.json")
     target = io.load_target(out_dir / "target.json")
@@ -79,38 +79,42 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
 def run_search_pipeline(problem, cfg: RunConfig):
     """All (method, case, channels) searches with shared first runs.
 
-    Returns (records, outcomes, timings); timings carries per-method
-    first-run lattice times and per-combination wall times.
+    One lattice pool serves every lattice of the run; its workers are
+    joined before this returns.  Returns (records, outcomes, timings);
+    timings carries per-method first-run lattice times and
+    per-combination wall times.
     """
-    threads = search.resolve_threads(cfg.threads)
+    for k in cfg.channels:
+        if not 2 <= k <= problem.n_electrodes:
+            raise search.SearchError(f"channel count {k} must be between 2 "
+                                     f"and the {problem.n_electrodes} electrodes")
     spec_by_method = {
         m: search.default_lattice_spec(m, step_db=cfg.step_db) for m in cfg.methods
     }
-    opts = cfg.solver_opts()
     timings: dict[str, float] = {}
     run1_grids = {}
-    for m in cfg.methods:
-        t0 = time.perf_counter()
-        run1_grids[m] = search.evaluate_lattice(
-            problem, m, spec_by_method[m], threads=threads, solver_opts=opts
-        )
-        timings[f"lattice_{m}_s"] = time.perf_counter() - t0
-
     records, outcomes = [], []
     run2_cache: dict = {}
-    for m in cfg.methods:
-        for case in cfg.cases:
-            for k in cfg.channels:
-                t0 = time.perf_counter()
-                outcome = search.two_run_search(
-                    problem, m, case, k, spec_by_method[m],
-                    threshold=cfg.gamma_threshold, threads=threads,
-                    solver_opts=opts, run1_grid=run1_grids[m],
-                    run2_grid_cache=run2_cache,
-                )
-                timings[f"search_{m}_{case}_{k}_s"] = time.perf_counter() - t0
-                outcomes.append(outcome)
-                records.append(io.ResultRecord.from_outcome(outcome))
+    with search.LatticePool(problem, search.resolve_threads(cfg.threads),
+                            cfg.solver_opts()) as pool:
+        for m in cfg.methods:
+            t0 = time.perf_counter()
+            run1_grids[m] = search.evaluate_lattice(problem, m, spec_by_method[m],
+                                                    pool=pool)
+            timings[f"lattice_{m}_s"] = time.perf_counter() - t0
+
+        for m in cfg.methods:
+            for case in cfg.cases:
+                for k in cfg.channels:
+                    t0 = time.perf_counter()
+                    outcome = search.two_run_search(
+                        problem, m, case, k, spec_by_method[m],
+                        threshold=cfg.gamma_threshold, run1_grid=run1_grids[m],
+                        run2_grid_cache=run2_cache, pool=pool,
+                    )
+                    timings[f"search_{m}_{case}_{k}_s"] = time.perf_counter() - t0
+                    outcomes.append(outcome)
+                    records.append(io.ResultRecord.from_outcome(outcome))
     return records, outcomes, timings
 
 

@@ -1,8 +1,9 @@
-"""Persistence: mesh/layout JSON, binary lead-field files, CSV, results.
+"""Persistence: binary mesh and lead-field files, geometry JSON, CSV, results.
 
 All text artifacts are deterministic functions of their inputs (sorted
-keys, repr-precision floats); the lead field is stored as raw little-
-endian doubles behind a magic header.
+keys, repr-precision floats); the mesh and the lead field are stored as
+raw little-endian arrays behind a magic header, each with a one-line
+JSON sidecar.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .optimizers import StimulusProblem
 from .search import CandidateGrid, SearchOutcome
 
 LEADFIELD_MAGIC = b"TESLF\x00\x00\x01"
+MESH_MAGIC = b"TESMS\x00\x00\x01"
 LATTICE_HEADERS = ("alpha_db", "weight_db", "gamma", "theta", "ad_deg",
                    "max_current_ma", "status")
 
@@ -43,30 +45,63 @@ def _dump_json(data, path: Path, indent: int | None = 1) -> None:
 
 
 def save_mesh(mesh: HeadMesh, path: str | Path) -> None:
-    _dump_json(
-        {
-            "nodes": mesh.nodes.tolist(),
-            "tets": mesh.tets.tolist(),
-            "labels": mesh.labels.tolist(),
-            "conductivities": {str(k): v for k, v in mesh.conductivities.items()},
-        },
-        Path(path),
-        indent=None,
-    )
+    """Binary arrays plus a JSON sidecar with the counts and conductivities.
+
+    After the magic and the ``<u4`` node and tet counts come the nodes
+    (``<f8``), the tets and the labels (both ``<i8``); the sidecar is
+    ``path`` with a ``.json`` suffix.
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        raise IoError("the mesh binary cannot take its sidecar's .json name")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(MESH_MAGIC)
+        fh.write(struct.pack("<II", mesh.n_nodes, mesh.n_tets))
+        np.ascontiguousarray(mesh.nodes, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(mesh.tets, dtype="<i8").tofile(fh)
+        np.ascontiguousarray(mesh.labels, dtype="<i8").tofile(fh)
+    sidecar = {
+        "n_nodes": mesh.n_nodes,
+        "n_tets": mesh.n_tets,
+        "conductivities": {str(k): v for k, v in mesh.conductivities.items()},
+    }
+    _dump_json(sidecar, path.with_suffix(".json"), indent=None)
 
 
 def load_mesh(path: str | Path) -> HeadMesh:
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return HeadMesh(
-            nodes=np.asarray(data["nodes"], dtype=float),
-            tets=np.asarray(data["tets"], dtype=np.int64),
-            labels=np.asarray(data["labels"], dtype=np.int64),
-            conductivities={int(k): float(v) for k, v in data["conductivities"].items()},
-        )
-    except KeyError as exc:
-        raise IoError(f"mesh file missing field {exc}") from exc
+    """The mesh ``save_mesh`` wrote to ``path``, checked against its sidecar."""
+    path = Path(path)
+    with open(path.with_suffix(".json")) as fh:
+        sidecar = json.load(fh)
+    if "nodes" in sidecar:
+        raise IoError(f"{path.with_suffix('.json')} is an all-JSON mesh, which "
+                      "is no longer read; re-run `tesopt mesh`")
+    for fld in ("n_nodes", "n_tets", "conductivities"):
+        if fld not in sidecar:
+            raise IoError(f"mesh sidecar missing field '{fld}'")
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:8] != MESH_MAGIC:
+            raise IoError("bad mesh magic; not a TESMS file")
+        if len(header) < 16:
+            raise IoError("mesh file is shorter than its header says")
+        n_nodes, n_tets = struct.unpack("<II", header[8:])
+        if (sidecar["n_nodes"], sidecar["n_tets"]) != (n_nodes, n_tets):
+            raise IoError("sidecar field 'n_nodes'/'n_tets' disagrees with the "
+                          "binary header")
+        nodes = np.fromfile(fh, dtype="<f8", count=3 * n_nodes)
+        tets = np.fromfile(fh, dtype="<i8", count=4 * n_tets)
+        labels = np.fromfile(fh, dtype="<i8", count=n_tets)
+    if (nodes.size, tets.size, labels.size) != (3 * n_nodes, 4 * n_tets, n_tets):
+        raise IoError("mesh file is shorter than its header says")
+    return HeadMesh(
+        nodes=nodes.reshape(n_nodes, 3),
+        tets=tets.reshape(n_tets, 4),
+        labels=labels,
+        conductivities={int(k): float(v)
+                        for k, v in sidecar["conductivities"].items()},
+    )
 
 
 def save_layout(layout: ElectrodeLayout, path: str | Path) -> None:

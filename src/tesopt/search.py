@@ -9,6 +9,7 @@ carrying the largest currents in the first run's selection.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -168,9 +169,11 @@ def _pin_blas(paths) -> None:
 
 # Forked workers get initargs without pickling; a functools.partial over
 # _solve_cell would pickle the problem into every chunk instead.
-def _init_worker(p, method, opts, blas_paths):
+def _init_worker(p, opts, blas_paths):
     _pin_blas(blas_paths)
-    _WORKER_STATE["args"] = (p, method, opts)
+    # the worker's own serial view of the pool: sub-problems it restricts,
+    # with their caches, live as long as the worker
+    _WORKER_STATE["pool"] = LatticePool(p, solver_opts=opts)
 
 
 def _solve_cell(p, method, opts, cell) -> CandidateCell:
@@ -191,8 +194,68 @@ def _solve_cell(p, method, opts, cell) -> CandidateCell:
                          valid=pattern.status == "optimal", reason=reason)
 
 
-def _worker(cell):
-    return _solve_cell(*_WORKER_STATE["args"], cell)
+def _worker(task):
+    method, ids, cell = task
+    local = _WORKER_STATE["pool"]
+    return _solve_cell(local.restrict(ids), method, local.opts, cell)
+
+
+class LatticePool:
+    """Worker processes that serve every lattice of one search.
+
+    A pool is made for one problem and evaluates that problem and the
+    sub-problems its ``restrict`` made.  The workers start at the first
+    lattice that needs them (more than one worker and more than one
+    cell) and get the problem and the solver options once; a task names
+    its sub-problem by electrode ids, and each worker restricts it once.
+    Leaving the ``with`` block shuts the workers down and joins them.
+    """
+
+    def __init__(self, p: StimulusProblem, threads: int = 1,
+                 solver_opts: dict | None = None):
+        self.problem = p
+        self.threads = threads
+        self.opts = solver_opts or {}
+        self._problems = {frozenset(p.electrode_ids): p}
+        self._executor: ProcessPoolExecutor | None = None
+
+    def restrict(self, ids) -> StimulusProblem:
+        """The sub-problem over a channel subset, made once per pool."""
+        key = frozenset(ids)
+        if key not in self._problems:
+            self._problems[key] = self.problem.restrict(ids)
+        return self._problems[key]
+
+    def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
+        """One finished cell per (alpha_db, weight_db) pair, in order."""
+        if self._problems.get(frozenset(p.electrode_ids)) is not p:
+            raise SearchError("a lattice pool evaluates only its own problem "
+                              "and the sub-problems it restricted")
+        if self.threads <= 1 or len(cells) <= 1:
+            return [_solve_cell(p, method, self.opts, cell) for cell in cells]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.threads, initializer=_init_worker,
+                initargs=(self.problem, self.opts, _openblas_paths()),
+            )
+        chunk = max(1, len(cells) // (4 * self.threads))
+        tasks = [(method, p.electrode_ids, cell) for cell in cells]
+        return list(self._executor.map(_worker, tasks, chunksize=chunk))
+
+    def __enter__(self) -> "LatticePool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+
+def _pool_for(p, pool, threads, solver_opts):
+    """The caller's pool, or a temporary one over ``p`` closed on exit."""
+    if pool is None:
+        return LatticePool(p, threads, solver_opts)
+    return contextlib.nullcontext(pool)
 
 
 def evaluate_lattice(
@@ -201,27 +264,21 @@ def evaluate_lattice(
     spec: LatticeSpec,
     threads: int = 1,
     solver_opts: dict | None = None,
+    pool: LatticePool | None = None,
 ) -> CandidateGrid:
     """Solve one candidate per lattice cell; failures are recorded, not raised.
 
-    The result is independent of ``threads``: cells are pure functions of
-    (problem, method, cell parameters) and are reassembled in index order.
+    ``pool`` serves the lattice with its own workers and solver options,
+    in place of a temporary pool of ``threads`` workers over ``p``; ``p``
+    is then the pool's problem or a sub-problem it restricted.  The
+    result is independent of the worker count: cells are pure functions
+    of (problem, method, cell parameters) and are reassembled in index
+    order.
     """
-    opts = solver_opts or {}
-    alphas = spec.alpha_values
     weights = spec.weight_values
-    cells_in = [(a, w) for a in alphas for w in weights]
-
-    if threads > 1 and len(cells_in) > 1:
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker,
-            initargs=(p, method, opts, _openblas_paths()),
-        ) as pool:
-            chunk = max(1, len(cells_in) // (4 * threads))
-            cells = list(pool.map(_worker, cells_in, chunksize=chunk))
-    else:
-        cells = [_solve_cell(p, method, opts, cell) for cell in cells_in]
-
+    cells_in = [(a, w) for a in spec.alpha_values for w in weights]
+    with _pool_for(p, pool, threads, solver_opts) as pool:
+        cells = pool.map(p, method, cells_in)
     n = weights.size
     rows = [cells[k:k + n] for k in range(0, len(cells), n)]
     return CandidateGrid(method=method, spec=spec, cells=rows)
@@ -342,34 +399,37 @@ def two_run_search(
     solver_opts: dict | None = None,
     run1_grid: CandidateGrid | None = None,
     run2_grid_cache: dict | None = None,
+    pool: LatticePool | None = None,
 ) -> SearchOutcome:
     """Full-montage sweep, channel restriction, restricted re-sweep.
 
     ``run1_grid`` may be passed in when several (case, k) variants share
     the same first run; ``run2_grid_cache`` deduplicates second runs that
-    land on the same montage.  Neither affects the result.
+    land on the same montage.  Neither affects the result.  ``pool``, made
+    for ``p``, serves both lattices as in ``evaluate_lattice``.
     """
     if k > p.n_electrodes:
         raise SearchError("k exceeds the electrode count")
-    grid1 = run1_grid if run1_grid is not None else evaluate_lattice(
-        p, method, spec, threads=threads, solver_opts=solver_opts
-    )
-    sel1 = _selection(grid1, case, threshold)
-    if sel1 is None:
-        return SearchOutcome(method, case, k, "no-feasible-candidate",
-                             None, None, (), {}, run1_grid=grid1)
-    c1 = grid1.cell(*sel1)
-    montage = restrict_montage(c1.pattern.y, k, p.electrode_ids)
+    if pool is not None and pool.problem is not p:
+        raise SearchError("the lattice pool was made for another problem")
+    with _pool_for(p, pool, threads, solver_opts) as pool:
+        grid1 = run1_grid if run1_grid is not None else evaluate_lattice(
+            p, method, spec, pool=pool
+        )
+        sel1 = _selection(grid1, case, threshold)
+        if sel1 is None:
+            return SearchOutcome(method, case, k, "no-feasible-candidate",
+                                 None, None, (), {}, run1_grid=grid1)
+        c1 = grid1.cell(*sel1)
+        montage = restrict_montage(c1.pattern.y, k, p.electrode_ids)
 
-    cache_key = (method, montage)
-    if run2_grid_cache is not None and cache_key in run2_grid_cache:
-        grid2 = run2_grid_cache[cache_key]
-    else:
-        p2 = p.restrict(montage)
-        grid2 = evaluate_lattice(p2, method, spec, threads=threads,
-                                 solver_opts=solver_opts)
-        if run2_grid_cache is not None:
-            run2_grid_cache[cache_key] = grid2
+        cache_key = (method, montage)
+        if run2_grid_cache is not None and cache_key in run2_grid_cache:
+            grid2 = run2_grid_cache[cache_key]
+        else:
+            grid2 = evaluate_lattice(pool.restrict(montage), method, spec, pool=pool)
+            if run2_grid_cache is not None:
+                run2_grid_cache[cache_key] = grid2
     sel2 = _selection(grid2, case, threshold)
     if sel2 is None:
         return SearchOutcome(method, case, k, "no-feasible-candidate",

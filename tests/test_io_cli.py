@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import struct
 
 import numpy as np
@@ -31,10 +32,11 @@ def synthetic_lead_field(rng, n_points=12, n_electrodes=6):
 
 def test_mesh_roundtrip(tmp_path, tiny_model):
     mesh, layout, points, target = tiny_model
-    io.save_mesh(mesh, tmp_path / "mesh.json")
-    back = io.load_mesh(tmp_path / "mesh.json")
-    assert np.array_equal(back.nodes, mesh.nodes)
+    io.save_mesh(mesh, tmp_path / "mesh.bin")
+    back = io.load_mesh(tmp_path / "mesh.bin")
+    assert back.nodes.tobytes() == mesh.nodes.tobytes()
     assert np.array_equal(back.tets, mesh.tets)
+    assert np.array_equal(back.labels, mesh.labels)
     assert back.conductivities == mesh.conductivities
 
     io.save_layout(layout, tmp_path / "el.json")
@@ -50,6 +52,58 @@ def test_mesh_roundtrip(tmp_path, tiny_model):
     target2 = io.load_target(tmp_path / "t.json")
     assert np.array_equal(target2.orientation, target.orientation)
     assert target2.point_index == target.point_index
+
+
+def test_mesh_binary_layout(tmp_path, tiny_model):
+    mesh = tiny_model[0]
+    io.save_mesh(mesh, tmp_path / "mesh.bin")
+    blob = (tmp_path / "mesh.bin").read_bytes()
+    assert blob[:8] == b"TESMS\x00\x00\x01"
+    n, t = struct.unpack("<II", blob[8:16])
+    assert (n, t) == (mesh.n_nodes, mesh.n_tets)
+    assert len(blob) == 16 + 8 * (3 * n + 5 * t)
+    assert blob[16:16 + 24 * n] == mesh.nodes.astype("<f8").tobytes()
+    assert json.loads((tmp_path / "mesh.json").read_text()) == {
+        "n_nodes": n, "n_tets": t,
+        "conductivities": {str(k): v for k, v in mesh.conductivities.items()}}
+    with pytest.raises(io.IoError, match="sidecar"):
+        io.save_mesh(mesh, tmp_path / "mesh.json")
+
+
+def _bad_magic(bin_path, json_path):
+    bin_path.write_bytes(b"TESLF\x00\x00\x01" + bin_path.read_bytes()[8:])
+
+
+def _truncated(bin_path, json_path):
+    bin_path.write_bytes(bin_path.read_bytes()[:-8])
+
+
+def _count_mismatch(bin_path, json_path):
+    sidecar = json.loads(json_path.read_text())
+    sidecar["n_tets"] += 1
+    json_path.write_text(json.dumps(sidecar))
+
+
+def _all_json(bin_path, json_path):
+    mesh = io.load_mesh(bin_path)
+    bin_path.unlink()
+    json_path.write_text(json.dumps({
+        "nodes": mesh.nodes.tolist(), "tets": mesh.tets.tolist(),
+        "labels": mesh.labels.tolist(),
+        "conductivities": {str(k): v for k, v in mesh.conductivities.items()}}))
+
+
+@pytest.mark.parametrize("damage, match", [
+    (_bad_magic, "magic"),
+    (_truncated, "shorter"),
+    (_count_mismatch, "n_tets"),
+    (_all_json, "re-run `tesopt mesh`"),
+])
+def test_mesh_file_damage_rejected(tmp_path, tiny_model, damage, match):
+    io.save_mesh(tiny_model[0], tmp_path / "mesh.bin")
+    damage(tmp_path / "mesh.bin", tmp_path / "mesh.json")
+    with pytest.raises(io.IoError, match=match):
+        io.load_mesh(tmp_path / "mesh.bin")
 
 
 def test_lead_field_binary_roundtrip(tmp_path, rng):
@@ -366,7 +420,8 @@ def test_cli_mesh_idempotent(tmp_path, tiny_cfg):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out1)])
     cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out2)])
-    for name in ("mesh.json", "electrodes.json", "fieldpoints.json", "target.json"):
+    for name in ("mesh.bin", "mesh.json", "electrodes.json", "fieldpoints.json",
+                 "target.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -412,12 +467,56 @@ def test_cli_search_independent_of_threads(tmp_path, tiny_cfg, monkeypatch):
         assert cli.main(["search", "--config", str(tiny_cfg),
                          "--out-dir", str(out)]) in (0, 2)
         workers = search.resolve_threads(threads)
-        # every lattice of the run gets one pool of the configured size
-        assert pools == ([workers] * len(lattices) if workers > 1 else [])
+        # one pool of the configured size serves every lattice of the run
+        assert len(lattices) > 3
+        assert pools == ([workers] if workers > 1 else [])
         outputs[threads] = {f.name: f.read_bytes() for f in out.glob("*")
                             if f.name == "results.json" or f.suffix == ".csv"}
     assert set(lattices) == {"l1l1", "l1l2", "tls"} and len(outputs[1]) > 3
     assert outputs[1] == outputs[2]
+
+
+def test_cli_search_leaves_no_worker_running(tmp_path, tiny_cfg, monkeypatch):
+    pools = []
+
+    class CountingPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg.update(threads=2, cases=["A", "B"], lattice_step_db=90.0)
+    tiny_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    cli.main(["leadfield", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    assert cli.main(["search", "--config", str(tiny_cfg),
+                     "--out-dir", str(out)]) in (0, 2)
+    workers = search.resolve_threads(2)
+    assert pools == ([workers] if workers > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("channels", [[4, 9], [1, 4]])
+def test_cli_search_rejects_channel_count_first(tmp_path, tiny_cfg, monkeypatch,
+                                                capsys, channels):
+    # a channel count outside 2..L fails before any lattice is solved
+    lattices = []
+    monkeypatch.setattr(search, "evaluate_lattice",
+                        lambda *args, **kwargs: lattices.append(args))
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg.update(electrode_count=8, channels=channels, threads=2)
+    tiny_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    cli.main(["leadfield", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    capsys.readouterr()
+    assert cli.main(["search", "--config", str(tiny_cfg),
+                     "--out-dir", str(out)]) == 1
+    bad = channels[0] if channels[0] < 2 else channels[1]
+    assert f"channel count {bad} " in capsys.readouterr().err
+    assert lattices == []
 
 
 def test_cli_search_exit_code_no_candidate(tmp_path, tiny_cfg):
@@ -488,7 +587,7 @@ def test_json_layouts(tmp_path, tiny_cfg):
         assert text.count("\n") == 1 and text.endswith("\n"), name
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
     mesh, layout, points, target = cli.build_model(RunConfig.load(tiny_cfg))
-    back = io.load_mesh(out / "mesh.json")
+    back = io.load_mesh(out / "mesh.bin")
     for name in ("nodes", "tets", "labels"):
         assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
     assert back.conductivities == mesh.conductivities

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -167,7 +168,7 @@ def test_lattice_workers_pin_blas(rng):
         _blas_calls(paths, "set", 2)
         parent = _blas_calls(paths, "get")
         with ProcessPoolExecutor(max_workers=1, initializer=search._init_worker,
-                                 initargs=(p, "l1l1", {}, paths)) as pool:
+                                 initargs=(p, {}, paths)) as pool:
             worker = pool.submit(_blas_calls, paths, "get").result(timeout=60)
         assert worker == [1] * known
         assert _blas_calls(paths, "get") == parent
@@ -186,6 +187,16 @@ def test_lattice_workers_pin_blas(rng):
             assert repr(c1.metrics) == repr(c2.metrics)
 
 
+def _assert_same_cells(g1, g2):
+    assert g1.dims == g2.dims
+    for r1, r2 in zip(g1.cells, g2.cells):
+        for c1, c2 in zip(r1, r2):
+            assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
+            assert (c1.params, c1.pattern.status, c1.valid, c1.reason) == \
+                (c2.params, c2.pattern.status, c2.valid, c2.reason)
+            assert repr(c1.metrics) == repr(c2.metrics)
+
+
 def test_lattice_error_cells_independent_of_threads(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-60.0, -30.0, -60.0, -30.0, step_db=15.0)
@@ -194,16 +205,58 @@ def test_lattice_error_cells_independent_of_threads(rng):
     g1 = evaluate_lattice(p, "l1l2", spec, threads=1, solver_opts=opts)
     g2 = evaluate_lattice(p, "l1l2", spec, threads=2, solver_opts=opts)
     assert g1.dims == g2.dims == (2, 2)
-    for r1, r2 in zip(g1.cells, g2.cells):
-        for c1, c2 in zip(r1, r2):
+    for row in g1.cells:
+        for c1 in row:
             assert not c1.valid
             assert c1.pattern.status == "error"
             assert np.array_equal(c1.pattern.y, np.zeros(4))
             assert c1.reason.startswith("TypeError:")
-            assert (c1.params, c1.valid, c1.reason) == (c2.params, c2.valid, c2.reason)
-            assert c1.pattern.status == c2.pattern.status
-            assert np.array_equal(c1.pattern.y, c2.pattern.y)
-            assert repr(c1.metrics) == repr(c2.metrics)
+    _assert_same_cells(g1, g2)
+
+    # a run-2 lattice whose sub-problem the workers restrict themselves,
+    # next to an erroring one, on the pool of the full problem
+    ids = (1, 3, 4)
+    serial = evaluate_lattice(p.restrict(ids), "tls", spec)
+    serial_err = evaluate_lattice(p.restrict(ids), "l1l2", spec, solver_opts=opts)
+    with search.LatticePool(p, 2, opts) as pool:
+        pooled = evaluate_lattice(pool.restrict(ids), "tls", spec, pool=pool)
+        pooled_err = evaluate_lattice(pool.restrict(ids), "l1l2", spec, pool=pool)
+    assert all(c.valid for row in pooled.cells for c in row)
+    assert all(c.pattern.status == "error" for row in pooled_err.cells for c in row)
+    _assert_same_cells(serial, pooled)
+    _assert_same_cells(serial_err, pooled_err)
+
+
+def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
+    # workers start at the first lattice with more than one cell, serve
+    # every later lattice, and are joined when the block exits by a raise
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    p = random_problem(rng, n_electrodes=4, n_nuisance=6)
+    spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
+    single = LatticeSpec(-60.0, -45.0, -60.0, -45.0, step_db=15.0)
+    with pytest.raises(RuntimeError, match="stop"):
+        with search.LatticePool(p, 2) as pool:
+            evaluate_lattice(p, "tls", single, pool=pool)
+            assert starts == []
+            evaluate_lattice(p, "tls", spec, pool=pool)
+            evaluate_lattice(pool.restrict((1, 2)), "tls", spec, pool=pool)
+            two_run_search(p, "tls", "B", 3, spec, pool=pool)
+            assert starts == [2]
+            raise RuntimeError("stop")
+    assert multiprocessing.active_children() == []
+    # a pool serves only its own problem and the sub-problems it made
+    with search.LatticePool(p) as pool:
+        with pytest.raises(SearchError, match="pool"):
+            evaluate_lattice(p.restrict((1, 2)), "tls", spec, pool=pool)
+        with pytest.raises(SearchError, match="pool"):
+            two_run_search(p.restrict((1, 2, 3)), "tls", "B", 2, spec, pool=pool)
 
 
 def test_pooled_lattice_measures_cells_in_workers(rng, monkeypatch):
