@@ -77,11 +77,11 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
 
 
 def run_search_pipeline(problem, cfg: RunConfig):
-    """All (method, case, channels) searches with shared first runs.
+    """All (method, case, channels) searches with shared lattices.
 
-    One lattice pool serves every lattice of the run; its workers are
-    joined before this returns.  Returns (records, outcomes, timings);
-    timings carries per-method first-run lattice times and
+    One lattice pool serves and keeps every lattice of the run; its
+    workers are joined before this returns.  Returns (records, outcomes,
+    timings); timings carries per-method first-run lattice times and
     per-combination wall times.
     """
     for k in cfg.channels:
@@ -89,18 +89,16 @@ def run_search_pipeline(problem, cfg: RunConfig):
             raise search.SearchError(f"channel count {k} must be between 2 "
                                      f"and the {problem.n_electrodes} electrodes")
     spec_by_method = {
-        m: search.default_lattice_spec(m, step_db=cfg.step_db) for m in cfg.methods
+        m: search.default_lattice_spec(m, step_db=cfg.lattice_step_db)
+        for m in cfg.methods
     }
     timings: dict[str, float] = {}
-    run1_grids = {}
     records, outcomes = [], []
-    run2_cache: dict = {}
     with search.LatticePool(problem, search.resolve_threads(cfg.threads),
                             cfg.solver_opts()) as pool:
         for m in cfg.methods:
             t0 = time.perf_counter()
-            run1_grids[m] = search.evaluate_lattice(problem, m, spec_by_method[m],
-                                                    pool=pool)
+            pool.grid(problem, m, spec_by_method[m])
             timings[f"lattice_{m}_s"] = time.perf_counter() - t0
 
         for m in cfg.methods:
@@ -109,8 +107,7 @@ def run_search_pipeline(problem, cfg: RunConfig):
                     t0 = time.perf_counter()
                     outcome = search.two_run_search(
                         problem, m, case, k, spec_by_method[m],
-                        threshold=cfg.gamma_threshold, run1_grid=run1_grids[m],
-                        run2_grid_cache=run2_cache, pool=pool,
+                        threshold=cfg.gamma_threshold, pool=pool,
                     )
                     timings[f"search_{m}_{case}_{k}_s"] = time.perf_counter() - t0
                     outcomes.append(outcome)

@@ -46,10 +46,6 @@ class RunConfig:
         return self.mu / 2.0
 
     @property
-    def step_db(self) -> float:
-        return self.lattice_step_db
-
-    @property
     def target_compartment(self) -> int:
         return len(self.radii)
 

@@ -223,10 +223,12 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != LEADFIELD_MAGIC:
+        header = fh.read(16)
+        if header[:8] != LEADFIELD_MAGIC:
             raise IoError("bad lead-field magic; not a TESLF file")
-        rows, cols = struct.unpack("<II", fh.read(8))
+        if len(header) < 16:
+            raise IoError("lead-field file is shorter than its header says")
+        rows, cols = struct.unpack("<II", header[8:])
         mat = np.fromfile(fh, dtype="<f8", count=rows * cols)
     if mat.size != rows * cols:
         raise IoError("lead-field file is shorter than its header says")

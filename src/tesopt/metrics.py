@@ -112,7 +112,7 @@ def _design(offsets: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(a), a, b, a * a, a * b, b * b])
 
 
-def deviation_estimate(grid3x3, step_db: float, clamped: bool = False) -> DeviationEstimate:
+def deviation_estimate(grid3x3, clamped: bool = False) -> DeviationEstimate:
     """Quadratic-surface deviation over a half-resolution neighborhood.
 
     Fits c0 + c1 a + c2 b + c3 a^2 + c4 ab + c5 b^2 to the 3x3 samples

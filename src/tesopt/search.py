@@ -9,7 +9,6 @@ carrying the largest currents in the first run's selection.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -201,13 +200,15 @@ def _worker(task):
 
 
 class LatticePool:
-    """Worker processes that serve every lattice of one search.
+    """Workers, solver options and solved grids of one search.
 
     A pool is made for one problem and evaluates that problem and the
     sub-problems its ``restrict`` made.  The workers start at the first
     lattice that needs them (more than one worker and more than one
     cell) and get the problem and the solver options once; a task names
     its sub-problem by electrode ids, and each worker restricts it once.
+    ``grid`` keeps every lattice it solved, so the searches of one method
+    share their first run and the second runs that land on one montage.
     Leaving the ``with`` block shuts the workers down and joins them.
     """
 
@@ -217,6 +218,7 @@ class LatticePool:
         self.threads = threads
         self.opts = solver_opts or {}
         self._problems = {frozenset(p.electrode_ids): p}
+        self._grids: dict = {}
         self._executor: ProcessPoolExecutor | None = None
 
     def restrict(self, ids) -> StimulusProblem:
@@ -226,11 +228,24 @@ class LatticePool:
             self._problems[key] = self.problem.restrict(ids)
         return self._problems[key]
 
-    def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
-        """One finished cell per (alpha_db, weight_db) pair, in order."""
-        if self._problems.get(frozenset(p.electrode_ids)) is not p:
+    def _key(self, p: StimulusProblem) -> frozenset:
+        """Channel set of ``p``, which must be a problem this pool serves."""
+        key = frozenset(p.electrode_ids)
+        if self._problems.get(key) is not p:
             raise SearchError("a lattice pool evaluates only its own problem "
                               "and the sub-problems it restricted")
+        return key
+
+    def grid(self, p: StimulusProblem, method: str, spec: LatticeSpec) -> CandidateGrid:
+        """The lattice of ``p``, solved by ``evaluate_lattice`` once per pool."""
+        key = (method, self._key(p), spec)
+        if key not in self._grids:
+            self._grids[key] = evaluate_lattice(p, method, spec, pool=self)
+        return self._grids[key]
+
+    def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
+        """One finished cell per (alpha_db, weight_db) pair, in order."""
+        self._key(p)
         if self.threads <= 1 or len(cells) <= 1:
             return [_solve_cell(p, method, self.opts, cell) for cell in cells]
         if self._executor is None:
@@ -251,34 +266,20 @@ class LatticePool:
             self._executor = None
 
 
-def _pool_for(p, pool, threads, solver_opts):
-    """The caller's pool, or a temporary one over ``p`` closed on exit."""
-    if pool is None:
-        return LatticePool(p, threads, solver_opts)
-    return contextlib.nullcontext(pool)
-
-
-def evaluate_lattice(
-    p: StimulusProblem,
-    method: str,
-    spec: LatticeSpec,
-    threads: int = 1,
-    solver_opts: dict | None = None,
-    pool: LatticePool | None = None,
-) -> CandidateGrid:
+def evaluate_lattice(p: StimulusProblem, method: str, spec: LatticeSpec,
+                     pool: LatticePool | None = None) -> CandidateGrid:
     """Solve one candidate per lattice cell; failures are recorded, not raised.
 
-    ``pool`` serves the lattice with its own workers and solver options,
-    in place of a temporary pool of ``threads`` workers over ``p``; ``p``
-    is then the pool's problem or a sub-problem it restricted.  The
+    ``pool`` serves the lattice with its workers and solver options; ``p``
+    is then the pool's problem or a sub-problem it restricted.  Without
+    one the cells are solved in this process with default options.  The
     result is independent of the worker count: cells are pure functions
     of (problem, method, cell parameters) and are reassembled in index
     order.
     """
     weights = spec.weight_values
     cells_in = [(a, w) for a in spec.alpha_values for w in weights]
-    with _pool_for(p, pool, threads, solver_opts) as pool:
-        cells = pool.map(p, method, cells_in)
+    cells = (pool or LatticePool(p)).map(p, method, cells_in)
     n = weights.size
     rows = [cells[k:k + n] for k in range(0, len(cells), n)]
     return CandidateGrid(method=method, spec=spec, cells=rows)
@@ -353,8 +354,8 @@ class SearchOutcome:
 _METRIC_NAMES = ("gamma", "theta", "ad_deg", "max_current")
 
 
-def _window_deviations(grid: CandidateGrid, cell: tuple[int, int],
-                       step_db: float) -> dict[str, DeviationEstimate]:
+def _window_deviations(grid: CandidateGrid,
+                       cell: tuple[int, int]) -> dict[str, DeviationEstimate]:
     ni, nj = grid.dims
     i = min(max(cell[0], 1), ni - 2) if ni >= 3 else cell[0]
     j = min(max(cell[1], 1), nj - 2) if nj >= 3 else cell[1]
@@ -365,7 +366,7 @@ def _window_deviations(grid: CandidateGrid, cell: tuple[int, int],
         if ni >= 3 and nj >= 3:
             window = arr[i - 1 : i + 2, j - 1 : j + 2]
             try:
-                out[name] = deviation_estimate(window, step_db, clamped=clamped)
+                out[name] = deviation_estimate(window, clamped=clamped)
             except MetricError:
                 # too few finite samples to fit: the deviation is unknown
                 out[name] = DeviationEstimate(math.nan, (math.nan,) * 6,
@@ -395,48 +396,33 @@ def two_run_search(
     k: int,
     spec: LatticeSpec,
     threshold: float = GAMMA_THRESHOLD,
-    threads: int = 1,
-    solver_opts: dict | None = None,
-    run1_grid: CandidateGrid | None = None,
-    run2_grid_cache: dict | None = None,
     pool: LatticePool | None = None,
 ) -> SearchOutcome:
     """Full-montage sweep, channel restriction, restricted re-sweep.
 
-    ``run1_grid`` may be passed in when several (case, k) variants share
-    the same first run; ``run2_grid_cache`` deduplicates second runs that
-    land on the same montage.  Neither affects the result.  ``pool``, made
-    for ``p``, serves both lattices as in ``evaluate_lattice``.
+    Both lattices come from ``pool.grid``, so searches on one pool share
+    each lattice they have in common; ``p`` is then a problem the pool
+    serves, as in ``evaluate_lattice``.  Without a pool the search runs
+    on a serial pool of its own.
     """
     if k > p.n_electrodes:
         raise SearchError("k exceeds the electrode count")
-    if pool is not None and pool.problem is not p:
-        raise SearchError("the lattice pool was made for another problem")
-    with _pool_for(p, pool, threads, solver_opts) as pool:
-        grid1 = run1_grid if run1_grid is not None else evaluate_lattice(
-            p, method, spec, pool=pool
-        )
-        sel1 = _selection(grid1, case, threshold)
-        if sel1 is None:
-            return SearchOutcome(method, case, k, "no-feasible-candidate",
-                                 None, None, (), {}, run1_grid=grid1)
-        c1 = grid1.cell(*sel1)
-        montage = restrict_montage(c1.pattern.y, k, p.electrode_ids)
-
-        cache_key = (method, montage)
-        if run2_grid_cache is not None and cache_key in run2_grid_cache:
-            grid2 = run2_grid_cache[cache_key]
-        else:
-            grid2 = evaluate_lattice(pool.restrict(montage), method, spec, pool=pool)
-            if run2_grid_cache is not None:
-                run2_grid_cache[cache_key] = grid2
+    pool = pool or LatticePool(p)
+    grid1 = pool.grid(p, method, spec)
+    sel1 = _selection(grid1, case, threshold)
+    if sel1 is None:
+        return SearchOutcome(method, case, k, "no-feasible-candidate",
+                             None, None, (), {}, run1_grid=grid1)
+    c1 = grid1.cell(*sel1)
+    montage = restrict_montage(c1.pattern.y, k, p.electrode_ids)
+    grid2 = pool.grid(pool.restrict(montage), method, spec)
     sel2 = _selection(grid2, case, threshold)
     if sel2 is None:
         return SearchOutcome(method, case, k, "no-feasible-candidate",
                              RunSelection(sel1, c1.params, c1.pattern, c1.metrics),
                              None, montage, {}, run1_grid=grid1, run2_grid=grid2)
     c2 = grid2.cell(*sel2)
-    deviations = _window_deviations(grid2, sel2, spec.step_db)
+    deviations = _window_deviations(grid2, sel2)
     return SearchOutcome(
         method=method,
         case=case,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import balanced_grid_minimum, lp_vertex_minimum, random_bounded_lp
-from tesopt import fem, meshgen
+from tesopt import cli, fem, meshgen
 from tesopt.config import RunConfig
 from tesopt.lp import make_program, solve_lp
 from tesopt.metrics import current_ratio, deviation_estimate, focused_density
@@ -24,7 +24,6 @@ from tesopt.optimizers import (
 )
 from tesopt.search import (
     default_lattice_spec,
-    resolve_threads,
     select_case_a,
     select_case_b,
     two_run_search,
@@ -49,9 +48,8 @@ from conftest import random_problem  # noqa: E402
 
 @pytest.fixture(scope="session")
 def desk(tmp_path_factory):
-    """Built-in acceptance model plus the three first-run lattices."""
+    """Built-in acceptance model and its stimulus problem."""
     cfg = RunConfig()
-    threads = resolve_threads(None)
 
     t0 = time.perf_counter()
     mesh = meshgen.generate_ball_mesh(list(cfg.radii), list(cfg.conductivities),
@@ -67,22 +65,9 @@ def desk(tmp_path_factory):
     lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
     problem = fem.split_problem(lf, target, cfg.mu)
     t_leadfield = time.perf_counter() - t0
-
-    from tesopt.search import evaluate_lattice
-
-    grids = {}
-    lattice_times = {}
-    for method in cfg.methods:
-        t0 = time.perf_counter()
-        grids[method] = evaluate_lattice(
-            problem, method, default_lattice_spec(method, cfg.step_db),
-            threads=threads, solver_opts=cfg.solver_opts(),
-        )
-        lattice_times[method] = time.perf_counter() - t0
     return dict(cfg=cfg, mesh=mesh, layout=layout, points=points, target=target,
-                system=system, lf=lf, problem=problem, grids=grids,
-                lattice_times=lattice_times, t_mesh=t_mesh,
-                t_leadfield=t_leadfield, threads=threads)
+                system=system, lf=lf, problem=problem, t_mesh=t_mesh,
+                t_leadfield=t_leadfield)
 
 
 def test_criterion_1_lp_vertex_oracle():
@@ -175,11 +160,11 @@ def test_criterion_5_fem_structure(desk):
           sym_ok and null_ok and worst <= 1e-8)
 
 
-def test_criterion_6_constraint_suite(desk):
+def test_criterion_6_constraint_suite(desk, outcomes):
     cfg = desk["cfg"]
     mu, gamma = cfg.mu, cfg.gamma
     n_checked = 0
-    for method, grid in desk["grids"].items():
+    for method, grid in outcomes[1].items():
         for row in grid.cells:
             for cell in row:
                 y = cell.pattern.y
@@ -224,33 +209,20 @@ def test_criterion_7_weighting_expansion(desk):
 
 @pytest.fixture(scope="session")
 def outcomes(desk):
-    cfg = desk["cfg"]
-    p = desk["problem"]
-    threads = desk["threads"]
-    results = {}
-    times = {}
-    cache: dict = {}
-    for method in cfg.methods:
-        spec = default_lattice_spec(method, cfg.step_db)
-        for case in cfg.cases:
-            for k in cfg.channels:
-                t0 = time.perf_counter()
-                results[(method, case, k)] = two_run_search(
-                    p, method, case, k, spec, threshold=cfg.gamma_threshold,
-                    threads=threads, solver_opts=cfg.solver_opts(),
-                    run1_grid=desk["grids"][method], run2_grid_cache=cache,
-                )
-                times[(method, case, k)] = time.perf_counter() - t0
-    return results, times
+    """Every (method, case, channels) search of the shipped pipeline, the
+    three first-run lattices and the pipeline's timings."""
+    _, results, timings = cli.run_search_pipeline(desk["problem"], desk["cfg"])
+    run1_grids = {out.method: out.run1_grid for out in results}
+    return results, run1_grids, timings
 
 
 def test_criterion_8_determinism_and_dominance(desk, outcomes):
-    results, _ = outcomes
+    results, run1_grids, _ = outcomes
     cfg = desk["cfg"]
     p = desk["problem"]
 
     # byte-identical rerun of a full two-run search
-    spec = default_lattice_spec("tls", cfg.step_db)
+    spec = default_lattice_spec("tls", cfg.lattice_step_db)
     a = two_run_search(p, "tls", "B", 8, spec, threshold=cfg.gamma_threshold)
     b = two_run_search(p, "tls", "B", 8, spec, threshold=cfg.gamma_threshold)
     rerun_ok = pickle.dumps(a) == pickle.dumps(b)
@@ -265,8 +237,8 @@ def test_criterion_8_determinism_and_dominance(desk, outcomes):
 
     # case-B dominance on every evaluated grid
     dominance_ok = True
-    grids = list(desk["grids"].values())
-    for out in results.values():
+    grids = list(run1_grids.values())
+    for out in results:
         for g in (out.run1_grid, out.run2_grid):
             if g is not None:
                 grids.append(g)
@@ -282,7 +254,7 @@ def test_criterion_8_determinism_and_dominance(desk, outcomes):
 
     # montage nesting: run-2 support inside the run-1 top-k set
     nesting_ok = True
-    for out in results.values():
+    for out in results:
         if out.status != "ok":
             continue
         nesting_ok &= set(out.run2.pattern.active_ids) <= set(out.montage)
@@ -302,18 +274,18 @@ def test_criterion_9_deviation_estimator():
     worst = 0.0
     for fn, expect in surfaces:
         samples = np.array([[fn(a, b) for b in (-1, 0, 1)] for a in (-1, 0, 1)])
-        est = deviation_estimate(samples, 5.0)
+        est = deviation_estimate(samples)
         worst = max(worst, abs(est.deviation - expect))
     check(9, f"three analytic quadratics reproduce half-step extrema "
              f"(worst deviation error {worst:.1e} <= 1e-12)", worst <= 1e-12)
 
 
 def test_criterion_10_end_to_end_budget(desk, outcomes):
-    _, times = outcomes
-    total = desk["t_mesh"] + desk["t_leadfield"] + sum(desk["lattice_times"].values()) \
-        + sum(times.values())
-    l1l1_t = desk["lattice_times"]["l1l1"]
-    tls_t = desk["lattice_times"]["tls"]
+    _, _, timings = outcomes
+    # the lattice_<method>_s and search_<method>_<case>_<k>_s entries
+    total = desk["t_mesh"] + desk["t_leadfield"] + sum(timings.values())
+    l1l1_t = timings["lattice_l1l1_s"]
+    tls_t = timings["lattice_tls_s"]
     check(10, f"pipeline mesh+leadfield+searches in {total:.0f}s < 900s; "
               f"L1L1 lattice ({l1l1_t:.0f}s) slower than TLS ({tls_t:.1f}s)",
           total < 900.0 and l1l1_t > tls_t)

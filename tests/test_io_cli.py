@@ -176,6 +176,15 @@ def test_lead_field_truncated_binary_rejected(tmp_path, rng):
         io.read_lead_field(path)
 
 
+def test_lead_field_short_header_rejected(tmp_path):
+    # the magic and 2 of the 8 count bytes: an IoError, not a struct.error
+    path = tmp_path / "lf.bin"
+    path.write_bytes(io.LEADFIELD_MAGIC + b"\x06\x00")
+    assert path.stat().st_size == 10
+    with pytest.raises(io.IoError, match="shorter"):
+        io.read_lead_field(path)
+
+
 @pytest.mark.parametrize("field, value, match", [
     ("x1", [0.2, 0.0], "x1"),
     ("x1", 0.2, "x1"),
@@ -322,8 +331,7 @@ def test_config_rejects_removed_lp_keys(tmp_path):
 
 
 def test_config_lattice_step_resolution():
-    assert RunConfig().step_db == 15.0
-    assert RunConfig(lattice_step_db=30.0).step_db == 30.0
+    assert RunConfig().lattice_step_db == 15.0
     cfg = RunConfig()
     assert set(cfg.solver_opts()) == {"l1l2"}
     assert cfg.target_compartment == 3
@@ -496,6 +504,40 @@ def test_cli_search_leaves_no_worker_running(tmp_path, tiny_cfg, monkeypatch):
     workers = search.resolve_threads(2)
     assert pools == ([workers] if workers > 1 else [])
     assert multiprocessing.active_children() == []
+
+
+def test_search_pipeline_solves_each_lattice_once(tmp_path, tiny_cfg, monkeypatch):
+    # every case and channel count of a method shares its run-1 lattice,
+    # and run-2 lattices on one montage are solved once
+    lattices = []
+    evaluate_lattice = search.evaluate_lattice
+
+    def counting_lattice(p, method, spec, pool=None):
+        lattices.append((method, p.electrode_ids))
+        return evaluate_lattice(p, method, spec, pool=pool)
+
+    monkeypatch.setattr(search, "evaluate_lattice", counting_lattice)
+    cfg = json.loads(tiny_cfg.read_text())
+    # no threshold: case A selects too, often the montage case B selects
+    cfg.update(methods=["l1l1", "l1l2", "tls"], cases=["A", "B"], channels=[3, 4],
+               lattice_step_db=90.0, gamma_threshold=0.0)
+    tiny_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    cli.main(["leadfield", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    _, problem = io.read_lead_field(out / "leadfield.bin")
+    _, outcomes, timings = cli.run_search_pipeline(problem, RunConfig.load(tiny_cfg))
+    assert len(outcomes) == 12 and all(o.status == "ok" for o in outcomes)
+    expected = {(m, problem.electrode_ids) for m in cfg["methods"]}
+    expected |= {(o.method, o.montage) for o in outcomes if o.run2_grid is not None}
+    assert len(expected) < 3 + len(outcomes)   # some run-2 lattices are shared
+    assert len(lattices) == len(set(lattices)) == len(expected)
+    assert set(lattices) == expected
+    # the run-1 lattices are solved (and timed) before any search
+    assert lattices[:3] == [(m, problem.electrode_ids) for m in cfg["methods"]]
+    assert {f"lattice_{m}_s" for m in cfg["methods"]} <= set(timings)
+    for m in cfg["methods"]:
+        assert len({id(o.run1_grid) for o in outcomes if o.method == m}) == 1
 
 
 @pytest.mark.parametrize("channels", [[4, 9], [1, 4]])

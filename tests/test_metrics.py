@@ -110,11 +110,11 @@ def _surface(fn):
 
 
 def test_deviation_exact_quadratics():
-    est = deviation_estimate(_surface(lambda a, b: a * a + b * b), 5.0)
+    est = deviation_estimate(_surface(lambda a, b: a * a + b * b))
     assert abs(est.deviation - 0.5) <= 1e-12
-    est = deviation_estimate(_surface(lambda a, b: 2 * a), 5.0)
+    est = deviation_estimate(_surface(lambda a, b: 2 * a))
     assert abs(est.deviation - 1.0) <= 1e-12
-    est = deviation_estimate(_surface(lambda a, b: 3.0), 5.0)
+    est = deviation_estimate(_surface(lambda a, b: 3.0))
     assert est.deviation <= 1e-12
 
 
@@ -124,7 +124,7 @@ def test_deviation_general_quadratic_half_step():
     def fn(a, b):
         return 1 + a - 2 * b + 0.5 * a * a - a * b + 2 * b * b
 
-    est = deviation_estimate(_surface(fn), 5.0)
+    est = deviation_estimate(_surface(fn))
     offsets = [(a, b) for a in (-0.5, 0, 0.5) for b in (-0.5, 0, 0.5)]
     oracle = max(abs(fn(a, b) - fn(0, 0)) for a, b in offsets)
     assert abs(est.deviation - oracle) <= 1e-12
@@ -133,14 +133,14 @@ def test_deviation_general_quadratic_half_step():
 def test_deviation_imputation_and_errors():
     grid = _surface(lambda a, b: a + b)
     grid[0, 0] = np.nan
-    est = deviation_estimate(grid, 5.0)
+    est = deviation_estimate(grid)
     assert est.imputed
     bad = np.full((3, 3), np.nan)
     bad[0, 0] = bad[1, 1] = bad[2, 2] = 1.0
     with pytest.raises(MetricError):
-        deviation_estimate(bad, 5.0)
+        deviation_estimate(bad)
     with pytest.raises(MetricError):
-        deviation_estimate(np.zeros((2, 3)), 5.0)
+        deviation_estimate(np.zeros((2, 3)))
 
 
 def test_compute_metrics_degenerate(rng):

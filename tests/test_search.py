@@ -130,11 +130,17 @@ def test_lattice_failures_recorded_not_raised(rng):
                for row in grid.cells for c in row)
 
 
+def _pooled_lattice(p, method, spec, threads, opts=None):
+    """One lattice on a pool of ``threads`` workers, joined on return."""
+    with search.LatticePool(p, threads, opts) as pool:
+        return evaluate_lattice(p, method, spec, pool=pool)
+
+
 def test_lattice_parallel_schedule_independence(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
-    g1 = evaluate_lattice(p, "tls", spec, threads=1)
-    g2 = evaluate_lattice(p, "tls", spec, threads=2)
+    g1 = evaluate_lattice(p, "tls", spec)
+    g2 = _pooled_lattice(p, "tls", spec, 2)
     for r1, r2 in zip(g1.cells, g2.cells):
         for c1, c2 in zip(r1, r2):
             assert np.array_equal(c1.pattern.y, c2.pattern.y)
@@ -173,8 +179,8 @@ def test_lattice_workers_pin_blas(rng):
         assert worker == [1] * known
         assert _blas_calls(paths, "get") == parent
         spec = LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0)
-        g1 = evaluate_lattice(p, "l1l1", spec, threads=1)
-        g2 = evaluate_lattice(p, "l1l1", spec, threads=2)
+        g1 = evaluate_lattice(p, "l1l1", spec)
+        g2 = _pooled_lattice(p, "l1l1", spec, 2)
     finally:
         for path, counts in saved.items():
             for count in counts:  # none for a library without a known symbol
@@ -202,8 +208,8 @@ def test_lattice_error_cells_independent_of_threads(rng):
     spec = LatticeSpec(-60.0, -30.0, -60.0, -30.0, step_db=15.0)
     # an unknown solver option makes every cell raise, in workers as well
     opts = {"l1l2": {"bogus": 1}}
-    g1 = evaluate_lattice(p, "l1l2", spec, threads=1, solver_opts=opts)
-    g2 = evaluate_lattice(p, "l1l2", spec, threads=2, solver_opts=opts)
+    g1 = _pooled_lattice(p, "l1l2", spec, 1, opts)
+    g2 = _pooled_lattice(p, "l1l2", spec, 2, opts)
     assert g1.dims == g2.dims == (2, 2)
     for row in g1.cells:
         for c1 in row:
@@ -217,7 +223,8 @@ def test_lattice_error_cells_independent_of_threads(rng):
     # next to an erroring one, on the pool of the full problem
     ids = (1, 3, 4)
     serial = evaluate_lattice(p.restrict(ids), "tls", spec)
-    serial_err = evaluate_lattice(p.restrict(ids), "l1l2", spec, solver_opts=opts)
+    with search.LatticePool(p, 1, opts) as pool:
+        serial_err = evaluate_lattice(pool.restrict(ids), "l1l2", spec, pool=pool)
     with search.LatticePool(p, 2, opts) as pool:
         pooled = evaluate_lattice(pool.restrict(ids), "tls", spec, pool=pool)
         pooled_err = evaluate_lattice(pool.restrict(ids), "l1l2", spec, pool=pool)
@@ -259,6 +266,36 @@ def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
             two_run_search(p.restrict((1, 2, 3)), "tls", "B", 2, spec, pool=pool)
 
 
+def test_pool_grid_memo_serves_repeat_searches(rng, monkeypatch):
+    # a search whose two lattices are both in the pool's memo solves none
+    calls = []
+    evaluate = search.evaluate_lattice
+
+    def counting(p, method, spec, pool=None):
+        calls.append((method, p.electrode_ids, spec))
+        return evaluate(p, method, spec, pool=pool)
+
+    monkeypatch.setattr(search, "evaluate_lattice", counting)
+    p = random_problem(rng, n_electrodes=4, n_nuisance=6)
+    spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
+    with search.LatticePool(p) as pool:
+        first = two_run_search(p, "tls", "B", 2, spec, pool=pool)
+        assert first.status == "ok"
+        assert calls == [("tls", p.electrode_ids, spec), ("tls", first.montage, spec)]
+        again = two_run_search(p, "tls", "B", 2, spec, pool=pool)
+        assert len(calls) == 2
+        assert again.run1_grid is first.run1_grid
+        assert again.run2_grid is first.run2_grid
+        assert pickle.dumps(again) == pickle.dumps(first)
+        # another method or lattice is solved afresh
+        pool.grid(p, "l1l2", spec)
+        pool.grid(p, "tls", LatticeSpec(-90.0, -60.0, -90.0, -60.0, step_db=30.0))
+        assert len(calls) == 4
+        # a memo hit still serves only the pool's own problems
+        with pytest.raises(SearchError, match="pool"):
+            pool.grid(random_problem(rng, n_electrodes=4, n_nuisance=6), "tls", spec)
+
+
 def test_pooled_lattice_measures_cells_in_workers(rng, monkeypatch):
     # pool workers solve and measure each cell; the parent only collects
     calls = []
@@ -270,9 +307,9 @@ def test_pooled_lattice_measures_cells_in_workers(rng, monkeypatch):
     monkeypatch.setattr(search, "compute_metrics", counting)
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
-    g2 = evaluate_lattice(p, "tls", spec, threads=2)
+    g2 = _pooled_lattice(p, "tls", spec, 2)
     assert calls == []
-    g1 = evaluate_lattice(p, "tls", spec, threads=1)
+    g1 = evaluate_lattice(p, "tls", spec)
     assert len(calls) == 4
     assert g1.dims == g2.dims == (2, 2)
     for r1, r2 in zip(g1.cells, g2.cells):
@@ -390,7 +427,7 @@ def test_window_deviation_nan_when_too_few_samples():
     for i, j in ((1, 0), (1, 1), (2, 0), (2, 1)):
         c = grid.cells[i][j]
         grid.cells[i][j] = replace(c, metrics=replace(c.metrics, ad_deg=math.nan))
-    dev = _window_deviations(grid, (0, 0), 5.0)
+    dev = _window_deviations(grid, (0, 0))
     assert math.isnan(dev["ad_deg"].deviation)
     assert dev["ad_deg"].clamped
     for name in ("gamma", "theta", "max_current"):
