@@ -9,8 +9,10 @@ a quasi-definite KKT system
     ( G' W G + d I    E' ) (dv)
     ( E              -d I ) (dy)
 
-with W = z/s and a static regularization d.  Iterative refinement
-against the unregularized system removes the regularization error.
+with W = z/s and a static regularization d, a relative shift at
+roundoff scale.  The first solve is then already as accurate as the
+elimination's roundoff allows; one correction against the unregularized
+system is applied only when its residual is not yet at that floor.
 Ruiz row and column equilibration is applied to the constraints up
 front and the iteration works on the equilibrated data only: each
 residual is computed once per iteration, and the stopping tests rescale
@@ -33,7 +35,7 @@ and ``p`` and supplies
   ``ET(y)``;
 - the Newton step: ``factor(W)`` prepares it for the weights W = z/s,
   and ``solve(r1, r2)`` returns (dv, dy) with Gs'WGs dv + Es'dy = r1
-  and Es dv = r2, up to the error iterative refinement removes.
+  and Es dv = r2, up to the error the one correction removes.
 
 ``SparseConstraints`` is the generic operator over CSR matrices, which
 ``make_program`` builds; a caller that knows the structure of its LP
@@ -48,9 +50,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-REGULARIZATION = 1e-12
-REFINE_PASSES = 4        # iterative-refinement corrections per Newton solve
-REFINE_TOL = 1e-14       # relative residual that ends refinement early
+REGULARIZATION = 1e-15   # relative diagonal shift, at roundoff scale
+REFINE_TOL = 1e-14       # relative residual below which no correction is made
 FRACTION_TO_BOUNDARY = 0.99
 CERT_TOL = 1e-8          # certificate tolerance on equilibrated data
 LP_TOL = 1e-10           # default relative stopping tolerance
@@ -146,10 +147,11 @@ class SparseConstraints:
     from segment reductions over ``indptr``, column maxima from a
     scatter-max over ``indices``.  ``factor(W)`` forms Gs'WGs and factors
     [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU; ``solve(r1, r2)``
-    returns (dv, dy) for it.  The primal regularization d is scaled to
-    stay visible next to the largest diagonal entry when active-set
-    weights blow up; the equality block is O(1) after equilibration and
-    keeps the absolute value.  This is the reference for structured
+    returns (dv, dy) for it.  The primal regularization d is relative
+    to the largest diagonal entry, so it stays at roundoff scale next to
+    it when active-set weights blow up, and only keeps the factorization
+    defined; the equality block is O(1) after equilibration and keeps
+    the absolute value.  This is the reference for structured
     operators.
     """
 
@@ -203,25 +205,24 @@ class SparseConstraints:
 
 
 def _refined_solve(ops, W, r1, r2):
-    """Solve the unregularized Newton system by iterative refinement.
+    """Solve the unregularized Newton system with at most one correction.
 
     The system is Gs'WGs dv + Es'dy = r1, Es dv = r2; ``ops.solve``
-    applies a factorization of a regularized or reduced form of it, and
-    the residuals come from the operator's products.  Refinement stops
-    after REFINE_PASSES corrections or once the residual falls below
-    REFINE_TOL relative to the right-hand side.
+    applies a factorization of a shifted or reduced form of it, and the
+    residual comes from the operator's products.  With the shift at
+    roundoff scale the first solve is already at the elimination's
+    roundoff floor, so one correction is applied only when the residual
+    exceeds REFINE_TOL relative to the right-hand side; a second could
+    not push it below that floor.
     """
     dv, dy = ops.solve(r1, r2)
+    e1 = r1 - (ops.GT(W * ops.G(dv)) + ops.ET(dy))
+    e2 = r2 - ops.E(dv)
     rhs_norm = np.linalg.norm(np.concatenate([r1, r2]))
-    for _ in range(REFINE_PASSES):
-        e1 = r1 - (ops.GT(W * ops.G(dv)) + ops.ET(dy))
-        e2 = r2 - ops.E(dv)
-        if np.linalg.norm(np.concatenate([e1, e2])) <= REFINE_TOL * (1.0 + rhs_norm):
-            break
-        c1, c2 = ops.solve(e1, e2)
-        dv = dv + c1
-        dy = dy + c2
-    return dv, dy
+    if np.linalg.norm(np.concatenate([e1, e2])) <= REFINE_TOL * (1.0 + rhs_norm):
+        return dv, dy
+    c1, c2 = ops.solve(e1, e2)
+    return dv + c1, dy + c2
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:

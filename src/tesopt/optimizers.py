@@ -342,10 +342,12 @@ class L1L1Constraints:
     of cancellation), and q, rho the t3 coupling and the dose weight
     after Sherman-Morrison.  S is factored by LAPACK ``potrf``, and the
     balance row is then one scalar Schur complement, 1'S^-1 1.  S gets
-    the same relative diagonal shift as ``SparseConstraints``;
-    ``solve_lp``'s refinement removes it.  References: Mehrotra, SIAM J.
-    Optim. 2 (1992); Wright, Primal-Dual Interior-Point Methods (SIAM
-    1997), ch. 11.
+    the same roundoff-scale relative diagonal shift as
+    ``SparseConstraints``.  It keeps the Cholesky defined when the weight
+    spread leaves S numerically singular, and its error is small enough
+    for the one correction ``solve_lp`` may apply.  References:
+    Mehrotra, SIAM J. Optim. 2 (1992); Wright, Primal-Dual Interior-Point
+    Methods (SIAM 1997), ch. 11.
     """
 
     def __init__(self, p: StimulusProblem):
@@ -397,8 +399,9 @@ class L1L1Constraints:
         self.rho = w[3 * k] / (1.0 + w[3 * k] * self.inv_s3.sum())
         q = self.es[self.pen]
         S = self.K.T @ (d[:self.nk, None] * self.K) + self.rho * np.outer(q, q)
-        S[np.diag_indices_from(S)] += d[self.pen]
-        S[np.diag_indices_from(S)] += REGULARIZATION * max(1.0, S.diagonal().max())
+        diag = S.reshape(-1)[::self.L + 1]      # a strided view of S's diagonal
+        diag += d[self.pen]
+        diag += REGULARIZATION * max(1.0, diag.max())
         # S is symmetric, so its transpose is the Fortran-ordered S that
         # potrf factors in place
         self.chol, info = _POTRF(S.T, overwrite_a=True)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
-from tesopt import optimizers
+from tesopt import fem, lp as lp_module, optimizers
+from tesopt.cli import build_model
+from tesopt.config import RunConfig
 from oracles import assembled_l1l1_lp, balanced_grid_minimum
 from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp
 from tesopt.optimizers import (
@@ -30,7 +32,7 @@ from tesopt.optimizers import (
     tls_diagnostics,
     tls_raw_solution,
 )
-from tesopt.search import LatticeSpec, evaluate_lattice
+from tesopt.search import LatticeSpec, default_lattice_spec, evaluate_lattice
 
 
 def test_lp_block_counts(rng):
@@ -197,6 +199,57 @@ def test_l1l1_lattice_builds_no_sparse_matrix(rng, monkeypatch):
     grid = evaluate_lattice(p, "l1l1", LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0))
     statuses = [c.pattern.status for row in grid.cells for c in row]
     assert "optimal" in statuses and "error" not in statuses, statuses
+
+
+@pytest.fixture(scope="module")
+def bench_l1l1_problem():
+    """Model 1000 of the search_l1l1 benchmark: the small ball meshed at
+    10 mm, 32 electrodes and 100 field points."""
+    cfg = RunConfig.from_dict({"radii": [0.09, 0.08, 0.07], "cell_size": 0.01,
+                               "field_point_count": 100, "seed": 1000})
+    mesh, layout, points, target = build_model(cfg)
+    lf = fem.lead_field(fem.assemble(mesh, layout), mesh, points,
+                        target_point=target.point_index)
+    return fem.split_problem(lf, target, cfg.mu)
+
+
+def test_l1l1_weak_regularization_cell_optimal(bench_l1l1_problem, monkeypatch):
+    # at (-160, -70) dB the Newton weights spread past 1e22; a diagonal
+    # shift of 1e-12 relative left a dual-equation error there that
+    # refinement could not remove, and the cell stalled at max_iter
+    spreads = []
+    factor = L1L1Constraints.factor
+
+    def recording(self, W):
+        spreads.append(W.max() / W.min())
+        factor(self, W)
+
+    monkeypatch.setattr(L1L1Constraints, "factor", recording)
+    pat = solve_l1l1(bench_l1l1_problem, MethodParams(alpha_db=-160.0, weight_db=-70.0))
+    assert max(spreads) > 1e22
+    assert pat.status == "optimal"
+
+
+def test_l1l1_newton_solve_budget(bench_l1l1_problem, monkeypatch):
+    # each Newton solve of an L1L1 lattice is one factorization solve plus
+    # at most one correction; both outcomes occur on the bench lattice
+    calls, per_solve = [0], []
+    solve, refined = L1L1Constraints.solve, lp_module._refined_solve
+
+    def counting_solve(self, r1, r2):
+        calls[0] += 1
+        return solve(self, r1, r2)
+
+    def counting_refined(*args):
+        calls[0] = 0
+        out = refined(*args)
+        per_solve.append(calls[0])
+        return out
+
+    monkeypatch.setattr(L1L1Constraints, "solve", counting_solve)
+    monkeypatch.setattr(lp_module, "_refined_solve", counting_refined)
+    evaluate_lattice(bench_l1l1_problem, "l1l1", default_lattice_spec("l1l1", step_db=45.0))
+    assert set(per_solve) == {1, 2}
 
 
 def test_l1l1_paths_agree_below_threshold(rng):
