@@ -62,7 +62,15 @@ def angle_difference(j1, j2) -> float:
     j2 = np.asarray(j2, dtype=float)
     if not j1.any() or not j2.any():
         raise MetricError("angle undefined for zero vectors")
-    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(j1, j2)), j1 @ j2)))
+    return float(np.degrees(np.arctan2(np.linalg.norm(cross3(j1, j2)), j1 @ j2)))
+
+
+def cross3(a, b) -> np.ndarray:
+    """a x b of two 3-vectors: the products and differences of ``np.cross``,
+    so bitwise equal to it, without its broadcasting set-up."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def compute_metrics(p, pattern) -> MetricSet:

@@ -198,10 +198,8 @@ def _finalize(p: StimulusProblem, y_raw: np.ndarray, status: str,
             status="degenerate", raw_objective=raw_objective,
         )
     y = equalize_dose(y, p.mu)
-    active = tuple(
-        eid for eid, val in zip(p.electrode_ids, y)
-        if abs(val) > DEGENERATE_FRACTION * p.mu
-    )
+    active = tuple(p.electrode_ids[i]
+                   for i in np.flatnonzero(np.abs(y) > DEGENERATE_FRACTION * p.mu))
     return CurrentPattern(
         y=y, electrode_ids=p.electrode_ids, active_ids=active,
         status=status, raw_objective=raw_objective,
@@ -454,114 +452,205 @@ def solve_l1l1(p: StimulusProblem, params: MethodParams) -> CurrentPattern:
     return solve_l1l1_linear(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
 
 
-def _simplex_threshold(w: np.ndarray, r: float) -> float:
-    """The t with sum((w - t)_+) = r, for r > 0 (Duchi et al., ICML 2008)."""
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - r
-    k = np.nonzero(u * np.arange(1, w.size + 1) > css)[0][-1]
-    return float(css[k] / (k + 1.0))
+def _simplex_thresholds(w: np.ndarray, r: float) -> np.ndarray:
+    """Per row of w, the t with sum((w - t)_+) = r, for r > 0 (Duchi et al.,
+    ICML 2008)."""
+    n = w.shape[1]
+    u = np.sort(w, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - r
+    # the last k with u_k * k > css_k, counted from the end
+    k = n - 1 - np.argmax((u * np.arange(1, n + 1) > css)[:, ::-1], axis=1)
+    return css[np.arange(w.shape[0]), k] / (k + 1.0)
 
 
-def project_feasible(w: np.ndarray, mu: float, l1_weight: float = 0.0) -> np.ndarray:
+def _balance(w: np.ndarray, a: np.ndarray, lam2: np.ndarray) -> np.ndarray:
+    """sum((w - a)_+) - sum((a - lam2 - w)_+) for each row of w and each
+    entry of the same row of a: (B, L) and (B, m) give (B, m)."""
+    d = w[:, None, :] - a[:, :, None]
+    above = np.maximum(d, 0.0).sum(axis=2)
+    np.negative(d, out=d)
+    d -= lam2[:, None, None]
+    return above - np.maximum(d, 0.0, out=d).sum(axis=2)
+
+
+def project_feasible(w: np.ndarray, mu: float,
+                     l1_weight: float | np.ndarray = 0.0) -> np.ndarray:
     """Exact prox of l1_weight*||.||_1 over {1'x = 0, ||x||_1 <= mu}.
 
     The minimizer is x = (w - a)_+ - (b - w)_+.  With the dose slack,
     a - b = 2*l1_weight and a balances the two parts; the balance is
-    piecewise linear in a with kinks at w_i and w_i + 2*l1_weight, so a
-    is interpolated on the bracketing pair of kinks.  When that x
-    exceeds the dose, each part carries exactly mu/2 and a, b are the
-    two simplex thresholds.  With l1_weight = 0 this is the plain
+    piecewise linear and non-increasing in a, with kinks at w_i and
+    w_i + 2*l1_weight, so a is interpolated on the first pair of sorted
+    kinks where it turns non-positive.  That pair is found in two
+    passes: on about every sqrt(2L)-th kink, then on the kinks between
+    the two of those that bracket the sign change.  When that x exceeds
+    the dose, each part carries exactly mu/2 and a, b are the two
+    simplex thresholds.  With l1_weight = 0 this is the plain
     projection.
+
+    ``w`` is one point (L,) or a stack of rows (B, L), each projected on
+    its own; ``l1_weight`` is a scalar or one weight per row.  A row's
+    result does not depend on the rows beside it.
     """
     w = np.asarray(w, dtype=float)
-    lam2 = 2.0 * l1_weight
-    if w.max() - w.min() <= lam2:
-        return np.zeros_like(w)
-    kinks = np.sort(np.concatenate([w, w + lam2]))
-    d = w[None, :] - kinks[:, None]
-    balance = np.maximum(d, 0.0).sum(axis=1) - np.maximum(-d - lam2, 0.0).sum(axis=1)
-    k = int(np.argmax(balance <= 0.0))   # balance(kinks[0]) > 0 here
-    lo, hi = balance[k - 1], balance[k]
-    a = kinks[k - 1] + (kinks[k] - kinks[k - 1]) * (lo / (lo - hi))
-    b = a - lam2
-    pos = np.maximum(w - a, 0.0)
-    neg = np.maximum(b - w, 0.0)
-    if pos.sum() + neg.sum() > mu:
-        pos = np.maximum(w - _simplex_threshold(w, 0.5 * mu), 0.0)
-        neg = np.maximum(-_simplex_threshold(-w, 0.5 * mu) - w, 0.0)
+    rows = np.atleast_2d(w)
+    lam2 = 2.0 * np.asarray(l1_weight, dtype=float)
+    if lam2.ndim == 0:
+        lam2 = np.full(rows.shape[0], lam2)
+    live = rows.max(axis=1) - rows.min(axis=1) > lam2
+    if live.all():
+        return _prox_rows(rows, mu, lam2).reshape(w.shape)
+    out = np.zeros_like(rows)
+    if live.any():
+        out[live] = _prox_rows(rows[live], mu, lam2[live])
+    return out.reshape(w.shape)
+
+
+def _prox_rows(w: np.ndarray, mu: float, lam2: np.ndarray) -> np.ndarray:
+    """``project_feasible`` on rows whose spread exceeds their lam2."""
+    m = 2 * w.shape[1]
+    kinks = np.sort(np.concatenate([w, w + lam2[:, None]], axis=1), axis=1)
+    # the balance is > 0 at the first kink and < 0 at the last, so the
+    # coarse pass, which ends on the last kink, always finds a kink <= 0
+    step = math.isqrt(m - 1) + 1
+    coarse = np.minimum(np.arange(step, m - 1 + step, step), m - 1)
+    first = (_balance(w, kinks[:, coarse], lam2) <= 0.0).argmax(axis=1)
+    r = np.arange(w.shape[0])[:, None]
+    window = kinks[r, np.minimum(step * first[:, None] + np.arange(step + 1), m - 1)]
+    bal = _balance(w, window, lam2)
+    # k >= 1: the window starts on the first kink or on a coarse one > 0
+    k = (bal <= 0.0).argmax(axis=1)[:, None] + np.array([-1, 0])
+    (lo, hi), (a_lo, a_hi) = bal[r, k].T, window[r, k].T
+    a = a_lo + (a_hi - a_lo) * (lo / (lo - hi))
+    pos = np.maximum(w - a[:, None], 0.0)
+    neg = np.maximum((a - lam2)[:, None] - w, 0.0)
+    over = pos.sum(axis=1) + neg.sum(axis=1) > mu
+    if over.any():
+        wo = w[over]
+        t = _simplex_thresholds(np.concatenate([wo, -wo]), 0.5 * mu)[:, None]
+        pos[over] = np.maximum(wo - t[:len(wo)], 0.0)
+        neg[over] = np.maximum(-t[len(wo):] - wo, 0.0)
     return pos - neg
+
+
+def solve_l1l2_lanes(
+    p: StimulusProblem, alpha, eps,
+    tol: float = L1L2_TOL, max_iter: int = L1L2_MAX_ITER,
+) -> list[CurrentPattern]:
+    """First-order primal-dual splitting for the L2-fit variant, one lane
+    per entry of the equal-length sequences ``alpha`` and ``eps``, all
+    lanes of ``p`` in lockstep; one pattern per lane, in order.
+
+    Dual blocks handle the fit norm and the dead-zone nuisance norm; the
+    primal step takes the exact prox of the weighted L1 penalty
+    restricted to the dose polytope.  Step sizes come from the norm of
+    the stacked matrix (``sigma_scale``), split so primal moves are on
+    the dose scale and dual moves on the unit-ball scale (Chambolle &
+    Pock, J. Math. Imaging Vis. 40, 2011).
+
+    The nuisance block enters through its QR factor R (L2 = QR): the
+    nuisance dual starts at 0 and only gains multiples of L2 ybar, so it
+    stays in range(Q), and its norm, L2' q and both residual norms are
+    the same with R in place of L2.  The dead zone keeps sqrt(M).
+
+    Every operation acts on each lane's row alone: products are einsum
+    sums over one row, never a gemm, whose rows can round differently
+    with the rows beside them.  A lane therefore ends bitwise as it
+    would alone, whatever the other lanes, and it leaves the loop once
+    it passes the residual test or reaches ``max_iter``.
+    """
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    L = p.n_electrodes
+    thr = alpha * p.zeta
+    # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
+    # with g = L1' x1 / ||x1|| (g = 0 when x1 = 0): -g is the fit gradient
+    # at 0, the nuisance term has 0 in its subdifferential there, the dose
+    # constraint is slack and nu is the balance multiplier.  The test is
+    # exact when eps*nu > 0 and x1 != 0.
+    x1_norm = np.linalg.norm(p.x1)
+    g = p.target_drive() / x1_norm if x1_norm > 0 else np.zeros(L)
+    certified = 0.5 * (g.max() - g.min()) <= thr
+    y = np.zeros((alpha.size, L))
+    converged = certified.copy()
+    lanes = np.flatnonzero(~certified)
+    if lanes.size:
+        y[lanes], converged[lanes] = _pdhg_lanes(p, thr[lanes], eps[lanes], tol, max_iter)
+    return [_finalize(p, y[b], "optimal" if converged[b] else "max_iter",
+                      l1l2_objective(p, y[b], alpha[b], eps[b]))
+            for b in range(alpha.size)]
+
+
+def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
+                tol: float, max_iter: int):
+    """The PDHG loop of ``solve_l1l2_lanes`` on its uncertified lanes.
+
+    Returns the final y, one row per lane, and whether each lane passed
+    the residual test.
+    """
+    K = np.vstack([p.L1, p.nuisance_factor()])
+    KT = np.ascontiguousarray(K.T)
+    op_norm = max(p.sigma_scale, 1e-300)
+    tau = 0.99 * p.mu / op_norm
+    sigma = 0.99 / (p.mu * op_norm)
+    sigma_x1 = sigma * p.x1
+    p_tol = tol * (1.0 + op_norm)
+    d_tol = tol * (1.0 + op_norm * p.mu)
+    lam = tau * thr                                     # prox weights
+    shrink = sigma * (eps * p.nu * np.sqrt(p.n_nuisance))
+    y_out = np.zeros((thr.size, p.n_electrodes))
+    converged = np.zeros(thr.size, dtype=bool)
+    run = np.arange(thr.size)                           # lanes still iterating
+    y = y_out.copy()
+    ybar = y.copy()
+    q = np.zeros((thr.size, K.shape[0]))
+    for it in range(1, max_iter + 1):
+        w = q + sigma * np.einsum("ij,bj->bi", K, ybar)
+        w1 = w[:, :3] - sigma_x1
+        w2 = w[:, 3:]
+        n1 = np.sqrt((w1 * w1).sum(axis=1))
+        n2 = np.sqrt((w2 * w2).sum(axis=1))
+        keep = np.minimum(np.maximum(n2 - shrink, 0.0), 1.0)
+        qn = np.concatenate([
+            w1 / np.maximum(1.0, n1)[:, None],
+            w2 * np.divide(keep, n2, out=np.ones_like(n2), where=n2 > 0)[:, None],
+        ], axis=1)
+        y_new = project_feasible(y - tau * np.einsum("ij,bj->bi", KT, qn), p.mu, lam)
+        if it == 1 or it % 25 == 0:
+            dq = q - qn
+            dy = y - y_new
+            rp = dy / tau - np.einsum("ij,bj->bi", KT, dq)
+            rd = dq / sigma - np.einsum("ij,bj->bi", K, dy)
+            done = ((np.sqrt((rp * rp).sum(axis=1)) <= p_tol)
+                    & (np.sqrt((rd * rd).sum(axis=1)) <= d_tol))
+            if done.any():
+                y_out[run[done]] = y_new[done]
+                converged[run[done]] = True
+                live = ~done
+                if not live.any():
+                    return y_out, converged
+                run, lam, shrink = run[live], lam[live], shrink[live]
+                y, y_new, qn = y[live], y_new[live], qn[live]
+        ybar = 2.0 * y_new - y
+        q = qn
+        y = y_new
+    y_out[run] = y
+    return y_out, converged
 
 
 def solve_l1l2_linear(
     p: StimulusProblem, alpha: float, eps: float,
     tol: float = L1L2_TOL, max_iter: int = L1L2_MAX_ITER,
 ) -> CurrentPattern:
-    """First-order primal-dual splitting for the L2-fit variant.
-
-    Dual blocks handle the fit norm and the dead-zone nuisance norm; the
-    primal step takes the exact prox of the weighted L1 penalty
-    restricted to the dose polytope.  Step sizes come from the norm of
-    the stacked matrix (``sigma_scale``), split so primal moves are on
-    the dose scale and dual moves on the unit-ball scale.
-
-    The nuisance block enters through its QR factor R (L2 = QR): the
-    nuisance dual starts at 0 and only gains multiples of L2 ybar, so it
-    stays in range(Q), and its norm, L2' q and both residual norms are
-    the same with R in place of L2.  The dead zone keeps sqrt(M).
-    """
-    # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
-    # with g = L1' x1 / ||x1|| (g = 0 when x1 = 0): -g is the fit gradient
-    # at 0, the nuisance term has 0 in its subdifferential there, the dose
-    # constraint is slack and nu is the balance multiplier.  The test is
-    # exact when eps*nu > 0 and x1 != 0.
-    L = p.n_electrodes
-    x1_norm = np.linalg.norm(p.x1)
-    g = p.target_drive() / x1_norm if x1_norm > 0 else np.zeros(L)
-    if 0.5 * (g.max() - g.min()) <= alpha * p.zeta:
-        zero = np.zeros(L)
-        return _finalize(p, zero, "optimal", l1l2_objective(p, zero, alpha, eps))
-    K = np.vstack([p.L1, p.nuisance_factor()])
-    op_norm = max(p.sigma_scale, 1e-300)
-    tau = 0.99 * p.mu / op_norm
-    sigma = 0.99 / (p.mu * op_norm)
-
-    dead = eps * p.nu * np.sqrt(p.n_nuisance)
-    thr = alpha * p.zeta
-    y = np.zeros(L)
-    ybar = y.copy()
-    q = np.zeros(K.shape[0])
-    status = "max_iter"
-    p_scale = 1.0 + op_norm
-    d_scale = 1.0 + op_norm * p.mu
-    for it in range(1, max_iter + 1):
-        w = q + sigma * (K @ ybar)
-        w1 = w[:3] - sigma * p.x1
-        w2 = w[3:]
-        qn = np.empty_like(q)
-        qn[:3] = w1 / max(1.0, np.linalg.norm(w1))
-        n2 = np.linalg.norm(w2)
-        qn[3:] = w2 * (min(max(n2 - sigma * dead, 0.0), 1.0) / n2) if n2 > 0 else w2
-        y_new = project_feasible(y - tau * (K.T @ qn), p.mu, l1_weight=tau * thr)
-        if it == 1 or it % 25 == 0:
-            dq = q - qn
-            dy = y - y_new
-            p_res = np.linalg.norm(dy / tau - K.T @ dq)
-            d_res = np.linalg.norm(dq / sigma - K @ dy)
-            if p_res <= tol * p_scale and d_res <= tol * d_scale:
-                q = qn
-                y = y_new
-                status = "optimal"
-                break
-        ybar = 2.0 * y_new - y
-        q = qn
-        y = y_new
-    raw = l1l2_objective(p, y, alpha, eps)
-    return _finalize(p, y, status, raw)
+    """One L1L2 cell: the one-lane case of ``solve_l1l2_lanes``."""
+    return solve_l1l2_lanes(p, [alpha], [eps], tol, max_iter)[0]
 
 
-def solve_l1l2(p: StimulusProblem, params: MethodParams, **kwargs) -> CurrentPattern:
-    return solve_l1l2_linear(
-        p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db), **kwargs
+def solve_l1l2(p: StimulusProblem, params, **kwargs) -> list[CurrentPattern]:
+    """One pattern per ``MethodParams`` of ``params``, solved as lanes."""
+    return solve_l1l2_lanes(
+        p, [db_to_linear(c.alpha_db) for c in params],
+        [db_to_linear(c.weight_db) for c in params], **kwargs
     )
 
 

@@ -123,7 +123,7 @@ def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
     if method == "l1l1":
         return optimizers.solve_l1l1(p, params)
     if method == "l1l2":
-        return optimizers.solve_l1l2(p, params, **opts.get("l1l2", {}))
+        return optimizers.solve_l1l2(p, [params], **opts.get("l1l2", {}))[0]
     if method == "tls":
         return optimizers.solve_tls(p, params)
     raise SearchError(f"unknown method {method!r}")
@@ -175,6 +175,13 @@ def _init_worker(p, opts, blas_paths):
     _WORKER_STATE["pool"] = LatticePool(p, solver_opts=opts)
 
 
+def _candidate(p, params, pattern, reason=None) -> CandidateCell:
+    if reason is None:
+        reason = "" if pattern.status == "optimal" else pattern.status
+    return CandidateCell(params, pattern, compute_metrics(p, pattern),
+                         valid=pattern.status == "optimal", reason=reason)
+
+
 def _solve_cell(p, method, opts, cell) -> CandidateCell:
     """Solve and measure one lattice cell; a solver failure becomes an
     ``error`` cell with a zero pattern instead of aborting the sweep."""
@@ -186,11 +193,23 @@ def _solve_cell(p, method, opts, cell) -> CandidateCell:
             y=np.zeros(p.n_electrodes), electrode_ids=p.electrode_ids,
             active_ids=(), status="error", raw_objective=math.nan,
         )
-        reason = f"{type(exc).__name__}: {exc}"
-    else:
-        reason = "" if pattern.status == "optimal" else pattern.status
-    return CandidateCell(params, pattern, compute_metrics(p, pattern),
-                         valid=pattern.status == "optimal", reason=reason)
+        return _candidate(p, params, pattern, f"{type(exc).__name__}: {exc}")
+    return _candidate(p, params, pattern)
+
+
+def _solve_l1l2_cells(p, opts, cells) -> list[CandidateCell]:
+    """Every cell of an L1L2 lattice as the lanes of one solve.
+
+    A lane ends bitwise as its one-lane solve, so when the lane solve
+    raises, the cells are solved again one by one: the cells that raise
+    become ``error`` cells and the others keep their patterns.
+    """
+    params = [MethodParams(alpha_db=float(a), weight_db=float(w)) for a, w in cells]
+    try:
+        patterns = optimizers.solve_l1l2(p, params, **opts.get("l1l2", {}))
+    except Exception:
+        return [_solve_cell(p, "l1l2", opts, cell) for cell in cells]
+    return [_candidate(p, c, pattern) for c, pattern in zip(params, patterns)]
 
 
 def _worker(task):
@@ -203,10 +222,12 @@ class LatticePool:
     """Workers, solver options and solved grids of one search.
 
     A pool is made for one problem and evaluates that problem and the
-    sub-problems its ``restrict`` made.  The workers start at the first
-    lattice that needs them (more than one worker and more than one
-    cell) and get the problem and the solver options once; a task names
-    its sub-problem by electrode ids, and each worker restricts it once.
+    sub-problems its ``restrict`` made.  An L1L2 lattice is solved in
+    this process, as the lanes of one ``optimizers.solve_l1l2`` call.
+    The workers start at the first L1L1 or TLS lattice that needs them
+    (more than one worker and more than one cell) and get the problem
+    and the solver options once; a task names its sub-problem by
+    electrode ids, and each worker restricts it once.
     ``grid`` keeps every lattice it solved, so the searches of one method
     share their first run and the second runs that land on one montage.
     Leaving the ``with`` block shuts the workers down and joins them.
@@ -246,6 +267,8 @@ class LatticePool:
     def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
         """One finished cell per (alpha_db, weight_db) pair, in order."""
         self._key(p)
+        if method == "l1l2":
+            return _solve_l1l2_cells(p, self.opts, cells)
         if self.threads <= 1 or len(cells) <= 1:
             return [_solve_cell(p, method, self.opts, cell) for cell in cells]
         if self._executor is None:

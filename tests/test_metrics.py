@@ -10,6 +10,7 @@ from tesopt.metrics import (
     MetricError,
     angle_difference,
     compute_metrics,
+    cross3,
     current_ratio,
     deviation_estimate,
     focused_density,
@@ -80,6 +81,18 @@ def test_angle_difference_resolves_small_angles():
     t = 1e-9
     ad = angle_difference([1.0, 0.0, 0.0], [math.cos(t), math.sin(t), 0.0])
     assert abs(ad - 5.729577951308232e-08) <= 1e-9 * 5.729577951308232e-08
+
+
+def test_cross3_bitwise_np_cross(rng):
+    # random pairs over eleven decades, with zero components of both
+    # signs and parallel pairs
+    a = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-8, 3, size=(20000, 1))
+    b = rng.normal(size=(20000, 3))
+    a[::7, 1] = 0.0
+    b[::5, 2] = -0.0
+    a[::11] = 3.0 * b[::11]
+    for x, y in zip(a, b):
+        assert cross3(x, y).tobytes() == np.cross(x, y).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

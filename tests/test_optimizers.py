@@ -20,19 +20,21 @@ from tesopt.optimizers import (
     StimulusProblem,
     _finalize,
     build_l1l1_lp,
+    db_to_linear,
     equalize_dose,
     l1l1_objective,
     l1l2_objective,
     project_feasible,
     solve_l1l1,
     solve_l1l1_linear,
+    solve_l1l2,
     solve_l1l2_linear,
     solve_tls,
     solve_tls_linear,
     tls_diagnostics,
     tls_raw_solution,
 )
-from tesopt.search import LatticeSpec, default_lattice_spec, evaluate_lattice
+from tesopt.search import LatticePool, LatticeSpec, default_lattice_spec, evaluate_lattice
 
 
 def test_lp_block_counts(rng):
@@ -346,6 +348,71 @@ def test_l1l2_compressed_matches_full(rng):
         assert got.status == ref.status
         assert np.abs(got.y - ref.y).max() <= 1e-10 * p.mu
         assert abs(got.raw_objective - ref.raw_objective) <= 1e-10 * ref.raw_objective
+
+
+def _same_pattern(a, b):
+    return (a.y.tobytes() == b.y.tobytes() and a.status == b.status
+            and a.active_ids == b.active_ids and a.raw_objective == b.raw_objective)
+
+
+def test_l1l2_lattice_cells_match_one_lane(rng):
+    # a lattice is solved as the lanes of one PDHG loop; each cell is
+    # bitwise its own one-lane solve, for certified lanes, lanes that
+    # pass the residual test and lanes at the cap
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    spec = LatticeSpec(-140.0, 40.0, -140.0, 40.0, 30.0)
+    opts = {"l1l2": {"max_iter": 60}}
+    with LatticePool(p, solver_opts=opts) as pool:
+        grid = evaluate_lattice(p, "l1l2", spec, pool=pool)
+    statuses = {c.pattern.status for row in grid.cells for c in row}
+    assert statuses == {"optimal", "degenerate", "max_iter"}, statuses
+    for row in grid.cells:
+        for cell in row:
+            fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
+            ref = solve_l1l2_linear(fresh, db_to_linear(cell.params.alpha_db),
+                                    db_to_linear(cell.params.weight_db), max_iter=60)
+            assert _same_pattern(cell.pattern, ref)
+
+
+def test_l1l2_lanes_independent_of_neighbours(rng):
+    # reversing the lanes or splitting them in two calls changes no byte
+    p = random_problem(rng, n_electrodes=12, n_nuisance=60)
+    spec = LatticeSpec(-140.0, 40.0, -140.0, 40.0, 20.0)
+    params = [MethodParams(a, w) for a in spec.alpha_values for w in spec.weight_values]
+    lanes = solve_l1l2(p, params, max_iter=300)
+    reverse = solve_l1l2(p, params[::-1], max_iter=300)[::-1]
+    half = len(params) // 2
+    halves = solve_l1l2(p, params[:half], max_iter=300) \
+        + solve_l1l2(p, params[half:], max_iter=300)
+    assert len({c.status for c in lanes}) == 3
+    for a, b, c in zip(lanes, reverse, halves):
+        assert _same_pattern(a, b) and _same_pattern(a, c)
+
+
+def test_project_feasible_rows_match_one_dimensional(rng):
+    # a (B, L) stack is projected row by row: zero rows (spread within
+    # 2*l1_weight), rows inside the dose and dose-capped rows, with one
+    # weight per row and with a shared one
+    mu = 4e-3
+    for L in (2, 3, 8, 32):
+        w = rng.normal(size=(60, L)) * mu * 10 ** rng.uniform(-1.5, 0.5, size=(60, 1))
+        w[5] = 0.0
+        w[7] = w[7, 0]
+        w[9, ::2] = w[9, 1]                     # ties
+        spread = w.max(axis=1) - w.min(axis=1)
+        lam = spread * rng.uniform(0.0, 0.7, size=60)
+        lam[:10] = 0.5 * spread[:10] * 1.01     # zero rows
+        stack = project_feasible(w, mu, lam)
+        kinds = set()
+        for row, weight, x in zip(w, lam, stack):
+            one = project_feasible(row, mu, weight)
+            assert x.tobytes() == one.tobytes()
+            l1 = np.abs(x).sum()
+            kinds.add("zero" if l1 == 0 else "capped" if l1 > mu * (1 - 1e-12) else "inside")
+        assert kinds == {"zero", "capped", "inside"}, kinds
+        shared = project_feasible(w, mu, 0.1 * mu)
+        for row, x in zip(w, shared):
+            assert x.tobytes() == project_feasible(row, mu, 0.1 * mu).tobytes()
 
 
 def test_nuisance_factor_keeps_norms(rng):

@@ -234,6 +234,33 @@ def test_lattice_error_cells_independent_of_threads(rng):
     _assert_same_cells(serial_err, pooled_err)
 
 
+def test_l1l2_lattice_error_stays_on_its_cell(rng, monkeypatch):
+    # an L1L2 lattice is one lane solve; when it raises, the cells are
+    # solved one by one, so only the raising cell becomes an error cell
+    # and every other cell keeps the bytes of the lane solve
+    p = random_problem(rng, n_electrodes=4, n_nuisance=6)
+    spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
+    lanes = evaluate_lattice(p, "l1l2", spec)
+    solve = search.optimizers.solve_l1l2
+
+    def failing(p, params, **kwargs):
+        if any(c == MethodParams(-60.0, -90.0) for c in params):
+            raise FloatingPointError("bad lane")
+        return solve(p, params, **kwargs)
+
+    monkeypatch.setattr(search.optimizers, "solve_l1l2", failing)
+    grid = evaluate_lattice(p, "l1l2", spec)
+    for r1, r2 in zip(lanes.cells, grid.cells):
+        for c1, c2 in zip(r1, r2):
+            if c2.params == MethodParams(-60.0, -90.0):
+                assert c2.pattern.status == "error" and not c2.valid
+                assert c2.reason == "FloatingPointError: bad lane"
+            else:
+                assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
+                assert (c1.pattern.status, c1.valid, c1.reason) == \
+                    (c2.pattern.status, c2.valid, c2.reason)
+
+
 def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
     # workers start at the first lattice with more than one cell, serve
     # every later lattice, and are joined when the block exits by a raise
