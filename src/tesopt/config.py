@@ -1,9 +1,9 @@
-"""Run configuration with desk-scale defaults, JSON round-trippable."""
+"""Run configuration with desk-scale defaults, read from JSON."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .optimizers import L1L2_MAX_ITER, L1L2_TOL
@@ -67,9 +67,6 @@ class RunConfig:
         for c in self.cases:
             if c not in ("A", "B"):
                 raise ConfigError(f"unknown case {c!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

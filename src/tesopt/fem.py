@@ -11,12 +11,11 @@ is symmetric positive semidefinite with the constant vector in its
 kernel.  The gauge is fixed by requiring the electrode voltages ``w`` to
 sum to zero.
 
-Both direct solves run in a nested-dissection order of the mesh nodes
-(George 1973; Lipton, Rose & Tarjan 1979), computed once by ``assemble``.
 The stiffness matrix A, symmetric positive definite, is factored by a
-multifrontal Cholesky (Duff & Reid 1983; Liu 1992) whose dense fronts are
-the leaves and separators of the dissection; the block system of
-``solve_forward`` keeps a sparse LU in the same node order.
+multifrontal Cholesky (Duff & Reid 1983; Liu 1992) in a nested-dissection
+order of the mesh nodes (George 1973; Lipton, Rose & Tarjan 1979),
+computed once by ``assemble``; its dense fronts are the leaves and
+separators of the dissection.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec, boundary_faces
@@ -51,32 +49,7 @@ class CemSystem:
     n_electrodes: int
     order: np.ndarray           # (N,) fill-reducing node order of A
     front_bounds: np.ndarray    # (F+1,) Cholesky fronts, contiguous in ``order``
-    _block_lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
     _stiff_solve: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def block_matrix(self) -> sp.csr_matrix:
-        C = sp.diags(self.c_diag)
-        return sp.bmat([[self.A, -self.B], [-self.B.T, C]], format="csr")
-
-    def validate(self, tol: float = 1e-10) -> None:
-        asym = abs(self.A - self.A.T)
-        scale = abs(self.A).max()
-        if asym.max() > 1e-12 * scale:
-            raise FemError("A is not symmetric")
-        if np.any(self.A.diagonal() <= 0.0):
-            raise FemError("A has non-positive diagonal entries")
-        ones = np.ones(self.n_nodes + self.n_electrodes)
-        resid = self.block_matrix() @ ones
-        if np.linalg.norm(resid) > tol * scale * np.sqrt(ones.size):
-            raise FemError("block system does not annihilate the constant vector")
-
-
-@dataclass(frozen=True)
-class ForwardSolution:
-    """Nodal potentials and ungrounded electrode voltages, in volts."""
-
-    z: np.ndarray  # (N,)
-    w: np.ndarray  # (L,)
 
 
 @dataclass
@@ -173,13 +146,6 @@ def _nested_dissection(nodes: np.ndarray, A: sp.csr_matrix) -> tuple[np.ndarray,
     return np.concatenate(out), bounds
 
 
-def _solve_permuted(lu: spla.SuperLU, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs given ``lu`` factoring M[perm][:, perm]."""
-    x = np.empty_like(rhs)
-    x[perm] = lu.solve(rhs[perm])
-    return x
-
-
 def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:
     """Assemble the stiffness/electrode blocks of the CEM system."""
     n = mesh.n_nodes
@@ -234,60 +200,6 @@ def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:
     order, bounds = _nested_dissection(mesh.nodes, A)
     return CemSystem(A=A, B=B.tocsr(), c_diag=c_diag, n_nodes=n, n_electrodes=L,
                      order=order, front_bounds=bounds)
-
-
-def _block_perm(sys: CemSystem) -> np.ndarray:
-    """Node order of A, then the electrode rows, then the gauge row."""
-    n, L = sys.n_nodes, sys.n_electrodes
-    return np.concatenate([sys.order, np.arange(n, n + L + 1)])
-
-
-def _block_factorization(sys: CemSystem) -> spla.SuperLU:
-    """LU of the gauge-augmented block matrix in ``_block_perm`` order.
-
-    The trailing [[S, 1], [1^T, 0]] block is a saddle point with S
-    singular, so SuperLU keeps its partial pivoting here.
-    """
-    if sys._block_lu is None:
-        n, L = sys.n_nodes, sys.n_electrodes
-        # augment with the gauge row/column: sum of electrode voltages = 0
-        k = sp.csr_matrix(
-            (np.ones(L), (np.arange(n, n + L), np.zeros(L, dtype=int))),
-            shape=(n + L, 1),
-        )
-        aug = sp.bmat([[sys.block_matrix(), k], [k.T, None]], format="csr")
-        p = _block_perm(sys)
-        sys._block_lu = spla.splu(aug[p][:, p].tocsc(), permc_spec="NATURAL")
-    return sys._block_lu
-
-
-def solve_forward(sys: CemSystem, y: np.ndarray, tol: float = 1e-10) -> ForwardSolution:
-    """Solve for potentials given a balanced current pattern ``y`` (A)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (sys.n_electrodes,):
-        raise FemError("current pattern length does not match electrode count")
-    l1 = np.abs(y).sum()
-    if abs(y.sum()) > 1e-12 * max(l1, 1e-300):
-        raise FemError("current pattern violates Kirchhoff balance")
-    if l1 == 0.0:
-        return ForwardSolution(z=np.zeros(sys.n_nodes), w=np.zeros(sys.n_electrodes))
-
-    lu = _block_factorization(sys)
-    perm = _block_perm(sys)
-    rhs = np.concatenate([np.zeros(sys.n_nodes), y, [0.0]])
-    x = _solve_permuted(lu, perm, rhs)
-    M = sys.block_matrix()
-    zw = x[:-1]
-    resid = M @ zw - rhs[:-1]
-    rel = np.linalg.norm(resid) / np.linalg.norm(rhs[:-1])
-    if rel > tol:
-        # one step of iterative refinement through the augmented system
-        corr = _solve_permuted(lu, perm, np.concatenate([-resid, [0.0]]))
-        zw = zw + corr[:-1]
-        rel = np.linalg.norm(M @ zw - rhs[:-1]) / np.linalg.norm(rhs[:-1])
-        if rel > tol:
-            raise FemError(f"forward solve did not converge (residual {rel:.3e})")
-    return ForwardSolution(z=zw[: sys.n_nodes], w=zw[sys.n_nodes :])
 
 
 # (start, stop, rows, L11, L21): the factor columns start:stop of the

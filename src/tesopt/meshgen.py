@@ -50,9 +50,6 @@ class HeadMesh:
         e = p[:, 1:] - p[:, :1]
         return np.linalg.det(e) / 6.0
 
-    def tet_centroids(self) -> np.ndarray:
-        return self.nodes[self.tets].mean(axis=1)
-
     def conductivity_per_tet(self) -> np.ndarray:
         table = np.zeros(max(self.conductivities) + 1)
         for lab, sig in self.conductivities.items():

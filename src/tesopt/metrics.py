@@ -80,12 +80,9 @@ def compute_metrics(p, pattern) -> MetricSet:
     if pattern.degenerate or np.abs(y).sum() == 0.0:
         return MetricSet(0.0, 0.0, math.nan, 0.0, flags=("degenerate",))
     gamma = focused_density(p, y)
-    nuis = np.linalg.norm(p.L2 @ y)
-    if nuis == 0.0:
-        theta = math.inf
+    theta = current_ratio(p, y)
+    if theta == math.inf:
         flags.append("zero_nuisance")
-    else:
-        theta = float(gamma / (nuis / np.sqrt(p.n_nuisance)))
     focused = p.L1 @ y
     if np.linalg.norm(focused) == 0.0:
         ad = math.nan

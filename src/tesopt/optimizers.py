@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp
-from .metrics import focused_density
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
@@ -109,16 +108,6 @@ class StimulusProblem:
         return StimulusProblem.from_parts(
             self.L1[:, cols], self.L2[:, cols], self.x1, self.mu, electrode_ids=ids
         )
-
-    def gram_target(self) -> np.ndarray:
-        if "g1" not in self._cache:
-            self._cache["g1"] = self.L1.T @ self.L1
-        return self._cache["g1"]
-
-    def gram_nuisance(self) -> np.ndarray:
-        if "g2" not in self._cache:
-            self._cache["g2"] = self.L2.T @ self.L2
-        return self._cache["g2"]
 
     def nuisance_factor(self) -> np.ndarray:
         """R of L2 = QR, at most L x L: ||R y|| = ||L2 y|| for every y.
@@ -693,46 +682,4 @@ def solve_tls_linear(p: StimulusProblem, alpha: float, delta: float) -> CurrentP
 def solve_tls(p: StimulusProblem, params: MethodParams) -> CurrentPattern:
     return solve_tls_linear(
         p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db)
-    )
-
-
-@dataclass
-class TlsDiagnostics:
-    """Zero-weight ridge solution and utilities for expansion checks."""
-
-    y_tilde: np.ndarray
-    gamma_tilde: float
-    alpha: float
-    _eigvecs: np.ndarray = field(repr=False, compare=False, default=None)
-    _eigvals: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def w_norm_sq(self, vec: np.ndarray) -> float:
-        """Quadratic form of the ridge inverse: vec' W vec."""
-        proj = self._eigvecs.T @ vec
-        return float(proj @ (proj / self._eigvals))
-
-    def ridge_inverse(self) -> np.ndarray:
-        return (self._eigvecs / self._eigvals) @ self._eigvecs.T
-
-
-def tls_diagnostics(p: StimulusProblem, alpha: float) -> TlsDiagnostics:
-    """Zero-weight solution via the eigendecomposition of the target Gram.
-
-    The Gram matrix has rank at most three, so a Cholesky factorization is
-    not viable for small ridge levels; the eigen path is stable for any
-    positive alpha.
-    """
-    if alpha <= 0.0:
-        raise OptimizerError("alpha must be positive")
-    lam, Q = np.linalg.eigh(p.gram_target())
-    lam = np.maximum(lam, 0.0) + (alpha * p.sigma_scale) ** 2
-    b = p.target_drive()
-    y_tilde = (Q / lam) @ (Q.T @ b)
-    gamma_tilde = focused_density(p, y_tilde) if p.x1.any() else 0.0
-    return TlsDiagnostics(
-        y_tilde=y_tilde,
-        gamma_tilde=gamma_tilde,
-        alpha=alpha,
-        _eigvecs=Q,
-        _eigvals=lam,
     )

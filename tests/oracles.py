@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: vertex
 enumeration for LPs, the assembled sparse constraint matrix of the
 L1L1 LP, dense grid search on the balanced-current subspace for the
-convex solvers, finite differences for element matrices, and scipy's
-default-ordered ``splu`` for the CEM solves.
+convex solvers, finite differences for element matrices, scipy's
+``splu`` for the CEM solves (``cem_reference``, ``forward_reference`` on
+the ``block_matrix``), and an eigendecomposition for the zero-weight
+TLS ridge solution (``ridge_reference``).
 """
 
 from itertools import combinations
@@ -182,3 +184,35 @@ def cem_reference(system):
     L = S.shape[0]
     shift = (np.trace(Ss) / L) * np.ones((L, L)) / L
     return S, X @ np.linalg.inv(Ss + shift)
+
+
+def block_matrix(system):
+    """The CEM block matrix [[A, -B], [-B^T, C]] of ``fem``'s docstring."""
+    return sp.bmat([[system.A, -system.B], [-system.B.T, sp.diags(system.c_diag)]], format="csr")
+
+
+def forward_reference(system, y, tol=1e-10):
+    """Potentials z and electrode voltages w for balanced patterns y, (L,) or (L, k): one
+    SuperLU factor of the block matrix and gauge row sum(w) = 0, in ``system.order``."""
+    y = np.asarray(y, dtype=float)
+    if np.any(np.abs(y.sum(axis=0)) > 1e-12 * np.abs(y).sum(axis=0)):
+        raise ValueError("current pattern violates Kirchhoff balance")
+    n, L, M = system.n_nodes, system.n_electrodes, block_matrix(system)
+    gauge = sp.csr_matrix(np.r_[np.zeros(n), np.ones(L)][:, None])
+    perm = np.r_[system.order, n:n + L + 1]
+    aug = sp.bmat([[M, gauge], [gauge.T, None]], format="csr")[perm][:, perm]
+    rhs = np.zeros((n + L + 1,) + y.shape[1:])
+    rhs[n:n + L] = y
+    zw = spla.splu(aug.tocsc(), permc_spec="NATURAL").solve(rhs[perm])[np.argsort(perm)]
+    resid = np.linalg.norm(M @ zw[:-1] - rhs[:-1], axis=0)
+    if np.any(resid > tol * np.linalg.norm(y, axis=0)):
+        raise ValueError("forward solve misses its residual tolerance")
+    return zw[:n], zw[n:-1]
+
+
+def ridge_reference(p, alpha):
+    """y_tilde = W L1'x1 and W = (L1'L1 + (alpha sigma)^2 I)^-1 from the
+    eigenpairs of L1'L1, whose rank of at most three rules out Cholesky."""
+    lam, Q = np.linalg.eigh(p.L1.T @ p.L1)
+    Qs = Q / (np.maximum(lam, 0.0) + (alpha * p.sigma_scale) ** 2)
+    return Qs @ (Q.T @ p.target_drive()), Qs @ Q.T

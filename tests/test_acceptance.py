@@ -11,17 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import balanced_grid_minimum, lp_vertex_minimum, random_bounded_lp
+from oracles import (balanced_grid_minimum, block_matrix, forward_reference,
+                     lp_vertex_minimum, random_bounded_lp, ridge_reference)
 from tesopt import cli, fem, meshgen
 from tesopt.config import RunConfig
 from tesopt.lp import make_program, solve_lp
 from tesopt.metrics import current_ratio, deviation_estimate, focused_density
-from tesopt.optimizers import (
-    solve_l1l1_linear,
-    solve_l1l2_linear,
-    tls_diagnostics,
-    tls_raw_solution,
-)
+from tesopt.optimizers import solve_l1l1_linear, solve_l1l2_linear, tls_raw_solution
 from tesopt.search import (
     default_lattice_spec,
     select_case_a,
@@ -114,7 +110,7 @@ def test_criterion_3_tls_exactness():
         alpha = 10 ** rng.uniform(-3, -1)
         delta = 10 ** rng.uniform(-2, 1)
         y = tls_raw_solution(p, alpha, delta)
-        A = (p.gram_target() + (delta * alpha) ** 2 * p.gram_nuisance()
+        A = (p.L1.T @ p.L1 + (delta * alpha) ** 2 * (p.L2.T @ p.L2)
              + (alpha * p.sigma_scale) ** 2 * np.eye(p.n_electrodes))
         b = p.target_drive()
         worst = max(worst, np.linalg.norm(A @ y - b) / np.linalg.norm(b))
@@ -143,18 +139,15 @@ def test_criterion_5_fem_structure(desk):
     scale = np.abs(S).max()
     sym_ok = np.abs(S - S.T).max() <= 1e-10 * scale
     ones = np.ones(system.n_nodes + system.n_electrodes)
-    resid = system.block_matrix() @ ones
+    resid = block_matrix(system) @ ones
     block_scale = abs(system.A).max()
     null_ok = np.linalg.norm(resid) <= 1e-10 * block_scale * np.sqrt(ones.size)
     R = fem.resistivity_matrix(system)
     rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(10):
-        y = rng.normal(size=system.n_electrodes)
-        y -= y.mean()
-        z_mat = R @ y
-        z_fwd = fem.solve_forward(system, y).z
-        worst = max(worst, np.linalg.norm(z_mat - z_fwd) / np.linalg.norm(z_fwd))
+    Y = rng.normal(size=(10, system.n_electrodes))
+    Y = (Y - Y.mean(axis=1, keepdims=True)).T
+    z_fwd, _ = forward_reference(system, Y)
+    worst = np.max(np.linalg.norm(R @ Y - z_fwd, axis=0) / np.linalg.norm(z_fwd, axis=0))
     check(5, f"Schur symmetry 1e-10, null-vector annihilation 1e-10, R*y vs "
              f"forward solve <= 1e-8 on 10 patterns (worst {worst:.1e})",
           sym_ok and null_ok and worst <= 1e-8)
@@ -184,14 +177,14 @@ def test_criterion_7_weighting_expansion(desk):
     details = []
     for alpha_db in (-90.0, -60.0):
         alpha = 10 ** (alpha_db / 20.0)
-        diag = tls_diagnostics(p, alpha)
-        norm = np.linalg.norm(diag.ridge_inverse() @ p.gram_nuisance(), 2)
+        y_tilde, W = ridge_reference(p, alpha)
+        norm = np.linalg.norm(W @ (p.L2.T @ p.L2), 2)
         delta0 = np.sqrt(0.1 / (alpha**2 * norm))
         y_d = tls_raw_solution(p, alpha, delta0)
-        deficit = 1.0 - focused_density(p, y_d) / diag.gamma_tilde
+        deficit = 1.0 - focused_density(p, y_d) / focused_density(p, y_tilde)
         predicted = (delta0 * alpha) ** 2 \
-            * np.linalg.norm(p.L2 @ diag.y_tilde) ** 2 \
-            / (p.x1 @ (p.L1 @ diag.y_tilde))
+            * np.linalg.norm(p.L2 @ y_tilde) ** 2 \
+            / (p.x1 @ (p.L1 @ y_tilde))
         rel = abs(deficit - predicted) / abs(predicted)
         gamma0 = focused_density(p, tls_raw_solution(p, alpha, 0.0))
         theta0 = current_ratio(p, tls_raw_solution(p, alpha, 0.0))

@@ -1,8 +1,9 @@
-"""Package modules import each other at module level only.
+"""Package modules import each other at module level only and use all they define.
 
 An import deferred into a function or class body hides a module cycle
 or a dependency from the reader; the package's layering keeps every
-intra-package import at the top of its module.
+intra-package import at the top of its module.  A definition no package
+code names serves only the tests, and belongs with them.
 """
 
 import ast
@@ -36,3 +37,22 @@ def test_no_deferred_package_imports():
                  for path in modules
                  for line in _deferred_package_imports(ast.parse(path.read_text()))]
     assert not offenders, offenders
+
+
+UNREFERENCED_ALLOWED = {
+    "generate_box_mesh",            # model builder for box and bar geometries
+    "electrodes_from_face_sets",    # model builder for electrodes on given faces
+    "make_program",                 # the generic LP entry point of lp
+    "solve_l1l2_linear",            # single-cell companion of the l1l1 and tls ones
+}
+
+
+def test_every_definition_is_referenced():
+    nodes = [node for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"
+             for node in ast.walk(ast.parse(path.read_text()))]
+    defined = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("__")}
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    # a name in only one of the two sets is unreferenced or wrongly allowed
+    assert sorted((defined - named) ^ UNREFERENCED_ALLOWED) == []

@@ -53,7 +53,7 @@ def test_volume_conservation_exact():
 def test_label_rule_innermost_layer():
     radii = [0.09, 0.08, 0.07]
     mesh = generate_ball_mesh(radii, [1.0, 1.0, 1.0], 0.008)
-    rho = np.linalg.norm(mesh.tet_centroids(), axis=1)
+    rho = np.linalg.norm(mesh.nodes[mesh.tets].mean(axis=1), axis=1)
     expect = np.ones_like(mesh.labels)
     for i, r in enumerate(radii):
         expect[rho <= r + 1e-15] = i + 1

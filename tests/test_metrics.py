@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
+from tesopt.optimizers import CurrentPattern
 from tesopt.metrics import (
     MetricError,
     angle_difference,
@@ -157,14 +158,24 @@ def test_deviation_imputation_and_errors():
 
 
 def test_compute_metrics_degenerate(rng):
-    from tesopt.optimizers import CurrentPattern
-
     p = random_problem(rng)
     pat = CurrentPattern(y=np.zeros(3), electrode_ids=(1, 2, 3), active_ids=(),
                          status="degenerate", raw_objective=0.0)
     m = compute_metrics(p, pat)
     assert "degenerate" in m.flags
     assert m.gamma == 0.0 and m.max_current == 0.0
+
+
+def test_compute_metrics_theta_is_current_ratio(rng):
+    for _ in range(20):
+        p = random_problem(rng, n_electrodes=6, n_nuisance=10, scale=10.0 ** rng.uniform(-3, 3))
+        y = rng.normal(size=6) * 10.0 ** rng.uniform(-6, 0)
+        m = compute_metrics(p, CurrentPattern(y - y.mean(), (), (), "optimal", 0.0))
+        assert m.theta == current_ratio(p, y - y.mean()) and m.flags == ()
+    p = random_problem(rng)
+    p.L2[:] = 0.5   # constant nuisance rows: a balanced pattern drives none
+    m = compute_metrics(p, CurrentPattern(np.array([1e-3, -1e-3, 0.0]), (), (), "optimal", 0.0))
+    assert m.theta == math.inf and m.flags == ("zero_nuisance",)
 
 
 def test_metricset_validation(rng):

@@ -11,7 +11,7 @@ from conftest import random_problem
 from tesopt import fem, lp as lp_module, optimizers
 from tesopt.cli import build_model
 from tesopt.config import RunConfig
-from oracles import assembled_l1l1_lp, balanced_grid_minimum
+from oracles import assembled_l1l1_lp, balanced_grid_minimum, ridge_reference
 from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp
 from tesopt.optimizers import (
     L1L1Constraints,
@@ -31,7 +31,6 @@ from tesopt.optimizers import (
     solve_l1l2_linear,
     solve_tls,
     solve_tls_linear,
-    tls_diagnostics,
     tls_raw_solution,
 )
 from tesopt.search import LatticePool, LatticeSpec, default_lattice_spec, evaluate_lattice
@@ -516,9 +515,9 @@ def test_project_feasible_exact_prox(vals, lam_frac, seed):
 
 def test_tls_delta_zero_matches_ridge(rng):
     p = random_problem(rng, n_electrodes=5, n_nuisance=12)
-    diag = tls_diagnostics(p, 0.05)
+    y_tilde, _ = ridge_reference(p, 0.05)
     pat = solve_tls_linear(p, 0.05, 0.0)
-    yt = diag.y_tilde - diag.y_tilde.mean()
+    yt = y_tilde - y_tilde.mean()
     yt = yt * (p.mu / np.abs(yt).sum())
     assert np.allclose(pat.y, yt, atol=1e-12)
 
@@ -540,7 +539,7 @@ def test_tls_normal_equation_residual(rng):
         alpha = 10 ** rng.uniform(-3, -1)
         delta = 10 ** rng.uniform(-2, 1)
         y = tls_raw_solution(p, alpha, delta)
-        A = (p.gram_target() + (delta * alpha) ** 2 * p.gram_nuisance()
+        A = (p.L1.T @ p.L1 + (delta * alpha) ** 2 * (p.L2.T @ p.L2)
              + (alpha * p.sigma_scale) ** 2 * np.eye(6))
         b = p.target_drive()
         assert np.linalg.norm(A @ y - b) <= 1e-10 * np.linalg.norm(b)
@@ -574,27 +573,22 @@ def test_tls_diagnostics_residual(rng):
     # y_tilde must solve its defining ridge system to 1e-10 relative
     for alpha in (1e-4, 1e-2, 0.5):
         p = random_problem(rng, n_electrodes=7, n_nuisance=11)
-        diag = tls_diagnostics(p, alpha)
-        A = p.gram_target() + (alpha * p.sigma_scale) ** 2 * np.eye(7)
+        y_tilde, _ = ridge_reference(p, alpha)
+        A = p.L1.T @ p.L1 + (alpha * p.sigma_scale) ** 2 * np.eye(7)
         b = p.target_drive()
-        resid = np.linalg.norm(A @ diag.y_tilde - b)
+        resid = np.linalg.norm(A @ y_tilde - b)
         assert resid <= 1e-10 * max(np.linalg.norm(b),
-                                    np.linalg.norm(A, 2) * np.linalg.norm(diag.y_tilde))
+                                    np.linalg.norm(A, 2) * np.linalg.norm(y_tilde))
 
 
 def test_tls_diagnostics_consistency(rng):
-    from tesopt.metrics import focused_density
-
     p = random_problem(rng, n_electrodes=5, n_nuisance=10)
-    diag = tls_diagnostics(p, 0.07)
-    assert np.isclose(diag.gamma_tilde, focused_density(p, diag.y_tilde))
+    y_tilde, W = ridge_reference(p, 0.07)
     zero = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
                            zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
-    assert not tls_diagnostics(zero, 0.07).y_tilde.any()
-    # W-norm utility agrees with the explicit inverse
-    vec = np.random.default_rng(0).normal(size=5)
-    W = diag.ridge_inverse()
-    assert np.isclose(diag.w_norm_sq(vec), vec @ W @ vec)
+    assert not ridge_reference(zero, 0.07)[0].any()
+    # the explicit inverse maps the target drive to y_tilde
+    assert np.linalg.norm(W @ p.target_drive() - y_tilde) <= 1e-10 * np.linalg.norm(y_tilde)
 
 
 def test_sign_symmetry(rng):
@@ -619,14 +613,13 @@ def test_expansion_small_delta(rng):
 
     p = random_problem(rng, n_electrodes=6, n_nuisance=20, scale=3.0)
     alpha = 0.05
-    diag = tls_diagnostics(p, alpha)
-    Wm = diag.ridge_inverse()
-    norm = np.linalg.norm(Wm @ p.gram_nuisance(), 2)
+    y_tilde, Wm = ridge_reference(p, alpha)
+    norm = np.linalg.norm(Wm @ (p.L2.T @ p.L2), 2)
     delta = np.sqrt(0.05 / (alpha**2 * norm))
     y_d = tls_raw_solution(p, alpha, delta)
-    deficit = 1.0 - focused_density(p, y_d) / diag.gamma_tilde
-    predicted = (delta * alpha) ** 2 * np.linalg.norm(p.L2 @ diag.y_tilde) ** 2 \
-        / (p.x1 @ (p.L1 @ diag.y_tilde))
+    deficit = 1.0 - focused_density(p, y_d) / focused_density(p, y_tilde)
+    predicted = (delta * alpha) ** 2 * np.linalg.norm(p.L2 @ y_tilde) ** 2 \
+        / (p.x1 @ (p.L1 @ y_tilde))
     assert abs(deficit - predicted) <= 0.10 * abs(predicted)
 
 
