@@ -20,6 +20,16 @@ it elementwise to original units.  A solve ends as ``infeasible`` or
 ``unbounded`` only on a Farkas certificate; one that neither converges
 nor certifies ends as ``max_iter``.
 
+``solve_lp_lanes`` runs one loop over a stack of B programs, the lanes,
+that share one constraint operator and differ only in c, h and f.  Every
+iterate is a (B, .) array with one row per lane, and every decision is
+taken per lane: the residual test, the 15-iteration stall rule, both
+certificates, the at-most-one correction and a failed factorization.  A
+lane leaves the stack when it ends.  Every operation acts on each lane's
+row alone, and every reduction is a row sum, so a lane ends bitwise as
+it would alone, whatever lanes share the loop; ``solve_lp`` is the
+one-lane case.
+
 The solver reaches G and E only through a constraint operator, the
 ``ops`` of a ``LinearProgram``.  An operator has the sizes ``m``, ``n``
 and ``p`` and supplies
@@ -31,11 +41,15 @@ and ``p`` and supplies
   reciprocal factors;
 - the scalings ``dr_g``, ``dr_e`` and ``dc`` that this produced, with
   Gs = diag(1/dr_g) G diag(1/dc) and Es = diag(1/dr_e) E diag(1/dc);
-- products with Gs, Gs', Es and Es': ``G(v)``, ``GT(z)``, ``E(v)`` and
-  ``ET(y)``;
-- the Newton step: ``factor(W)`` prepares it for the weights W = z/s,
-  and ``solve(r1, r2)`` returns (dv, dy) with Gs'WGs dv + Es'dy = r1
-  and Es dv = r2, up to the error the one correction removes.
+- lane-wise products with Gs, Gs', Es and Es': ``G(v)``, ``GT(z)``,
+  ``E(v)`` and ``ET(y)`` map a (B, .) stack to a C-ordered (B, .) stack,
+  row by row;
+- the lane-wise Newton step: ``factor(W)`` prepares it for the (B, m)
+  weights W = z/s, one factorization per row, and returns a boolean per
+  lane that is False where the step matrix is singular; after a factor
+  in which every lane succeeded, ``solve(r1, r2)`` returns (dv, dy) with
+  Gs'WGs dv + Es'dy = r1 and Es dv = r2 in each row, up to the error the
+  one correction removes.
 
 ``SparseConstraints`` is the generic operator over CSR matrices, which
 ``make_program`` builds; a caller that knows the structure of its LP
@@ -57,6 +71,7 @@ CERT_TOL = 1e-8          # certificate tolerance on equilibrated data
 LP_TOL = 1e-10           # default relative stopping tolerance
 LP_MAX_ITER = 200        # default iteration cap
 RUIZ_ITERS = 10          # Ruiz equilibration sweeps
+STALL_ITERS = 15         # iterations without measurable progress that end a lane
 
 
 @dataclass(frozen=True)
@@ -140,19 +155,24 @@ def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
     return out
 
 
+def _lanes_product(A: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+    """A applied to each row of the stack X, as a C-ordered stack."""
+    return np.ascontiguousarray((A @ X.T).T)
+
+
 class SparseConstraints:
     """The generic constraint operator: CSR G and E, and a sparse KKT LU.
 
     Equilibrates copies Gs, Es of G and E when built: row maxima come
     from segment reductions over ``indptr``, column maxima from a
     scatter-max over ``indices``.  ``factor(W)`` forms Gs'WGs and factors
-    [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU; ``solve(r1, r2)``
-    returns (dv, dy) for it.  The primal regularization d is relative
-    to the largest diagonal entry, so it stays at roundoff scale next to
-    it when active-set weights blow up, and only keeps the factorization
-    defined; the equality block is O(1) after equilibration and keeps
-    the absolute value.  This is the reference for structured
-    operators.
+    [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU, one per lane;
+    ``solve(r1, r2)`` returns (dv, dy) for it.  The primal regularization
+    d is relative to the largest diagonal entry, so it stays at roundoff
+    scale next to it when active-set weights blow up, and only keeps the
+    factorization defined; the equality block is O(1) after
+    equilibration and keeps the absolute value.  This is the reference
+    for structured operators.
     """
 
     def __init__(self, G: sp.csr_matrix, E: sp.csr_matrix):
@@ -160,7 +180,7 @@ class SparseConstraints:
         self.Gs, self.Es = G.tocsr(copy=True), E.tocsr(copy=True)
         self.dr_g, self.dr_e, self.dc = ruiz_scalings(self)
         self.GsT, self.EsT = self.Gs.T.tocsr(), self.Es.T.tocsr()
-        self._lu = None
+        self._lu = []
 
     def row_maxima(self):
         return _row_maxima(self.Gs), _row_maxima(self.Es)
@@ -180,54 +200,70 @@ class SparseConstraints:
         self.Es.data *= cc[self.Es.indices]
 
     def G(self, v):
-        return self.Gs @ v
+        return _lanes_product(self.Gs, v)
 
     def GT(self, z):
-        return self.GsT @ z
+        return _lanes_product(self.GsT, z)
 
     def E(self, v):
-        return self.Es @ v
+        return _lanes_product(self.Es, v)
 
     def ET(self, y):
-        return self.EsT @ y
+        return _lanes_product(self.EsT, y)
 
-    def factor(self, W: np.ndarray) -> None:
-        H = self.Gs.T @ sp.diags(W) @ self.Gs
-        delta_p = REGULARIZATION * max(1.0, abs(H.diagonal()).max())
-        K = H + delta_p * sp.identity(self.n)
-        if self.p:
-            K = sp.bmat([[K, self.EsT], [self.Es, -REGULARIZATION * sp.identity(self.p)]])
-        self._lu = spla.splu(K.tocsc())
+    def factor(self, W: np.ndarray) -> np.ndarray:
+        self._lu = []
+        ok = np.ones(len(W), dtype=bool)
+        for b, w in enumerate(W):
+            H = self.Gs.T @ sp.diags(w) @ self.Gs
+            delta_p = REGULARIZATION * max(1.0, abs(H.diagonal()).max())
+            K = H + delta_p * sp.identity(self.n)
+            if self.p:
+                K = sp.bmat([[K, self.EsT],
+                             [self.Es, -REGULARIZATION * sp.identity(self.p)]])
+            try:
+                self._lu.append(spla.splu(K.tocsc()))
+            except RuntimeError:  # exactly singular
+                ok[b] = False
+        return ok
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        x = self._lu.solve(np.concatenate([r1, r2]))
-        return x[: self.n], x[self.n :]
+        x = np.array([lu.solve(np.concatenate([a, b]))
+                      for lu, a, b in zip(self._lu, r1, r2)])
+        return x[:, : self.n], x[:, self.n :]
+
+
+def _row_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of [a, b], from row sums."""
+    return np.sqrt((a * a).sum(axis=1) + (b * b).sum(axis=1))
 
 
 def _refined_solve(ops, W, r1, r2):
     """Solve the unregularized Newton system with at most one correction.
 
-    The system is Gs'WGs dv + Es'dy = r1, Es dv = r2; ``ops.solve``
-    applies a factorization of a shifted or reduced form of it, and the
-    residual comes from the operator's products.  With the shift at
-    roundoff scale the first solve is already at the elimination's
-    roundoff floor, so one correction is applied only when the residual
-    exceeds REFINE_TOL relative to the right-hand side; a second could
-    not push it below that floor.
+    The system is Gs'WGs dv + Es'dy = r1, Es dv = r2 in every lane;
+    ``ops.solve`` applies a factorization of a shifted or reduced form of
+    it, and the residual comes from the operator's products.  With the
+    shift at roundoff scale the first solve is already at the
+    elimination's roundoff floor, so one correction is applied only to
+    the lanes whose residual exceeds REFINE_TOL relative to their
+    right-hand side; a second could not push it below that floor.
     """
     dv, dy = ops.solve(r1, r2)
     e1 = r1 - (ops.GT(W * ops.G(dv)) + ops.ET(dy))
     e2 = r2 - ops.E(dv)
-    rhs_norm = np.linalg.norm(np.concatenate([r1, r2]))
-    if np.linalg.norm(np.concatenate([e1, e2])) <= REFINE_TOL * (1.0 + rhs_norm):
+    fix = ~(_row_norms(e1, e2) <= REFINE_TOL * (1.0 + _row_norms(r1, r2)))
+    if not fix.any():
         return dv, dy
     c1, c2 = ops.solve(e1, e2)
-    return dv + c1, dy + c2
+    fix = fix[:, None]
+    return np.where(fix, dv + c1, dv), np.where(fix, dy + c2, dy)
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest step a with x + a*dx >= 0; inf when no entry decreases."""
-    return float(np.divide(x, -dx, out=np.full_like(x, np.inf), where=dx < 0).min())
+def _max_step(x: np.ndarray, dx: np.ndarray):
+    """Largest step a with x + a*dx >= 0 along the last axis; inf when no
+    entry decreases."""
+    return np.divide(x, -dx, out=np.full_like(x, np.inf), where=dx < 0).min(axis=-1)
 
 
 def solve_lp(
@@ -235,156 +271,186 @@ def solve_lp(
     tol: float = LP_TOL,
     max_iter: int = LP_MAX_ITER,
 ) -> LpSolution:
-    """Solve the LP; statuses other than ``optimal`` carry best iterates.
+    """Solve one LP: the one-lane case of ``solve_lp_lanes``."""
+    return solve_lp_lanes([lp], tol, max_iter)[0]
 
-    The loop, its starting point and its refined Newton steps reach the
-    constraints only through ``lp.ops``: products with the equilibrated
-    Gs, Gs', Es and Es', the scalings dr_g, dr_e and dc, and the
-    operator's ``factor(W)``/``solve(r1, r2)`` for the Newton system
+
+def solve_lp_lanes(
+    lps,
+    tol: float = LP_TOL,
+    max_iter: int = LP_MAX_ITER,
+) -> list[LpSolution]:
+    """Solve LPs that share one constraint operator as lockstep lanes.
+
+    Returns one solution per program, in order; statuses other than
+    ``optimal`` carry best iterates.  The loop, its starting point and
+    its refined Newton steps reach the constraints only through the
+    shared ``ops``: lane-wise products with the equilibrated Gs, Gs', Es
+    and Es', the scalings dr_g, dr_e and dc, and the operator's
+    ``factor(W)``/``solve(r1, r2)`` for the Newton systems
     Gs'WGs dv + Es'dy = r1, Es dv = r2 (see the module docstring).
     """
-    lp.validate()
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if not lps:
+        return []
+    ops = lps[0].ops
+    for lp in lps:
+        lp.validate()
+        if lp.ops is not ops:
+            raise ValueError("lanes must share one constraint operator")
 
-    ops = lp.ops
     dr_g, dr_e, dc = ops.dr_g, ops.dr_e, ops.dc
-    cs = lp.c / dc
-    hs = lp.h / dr_g
-    fs = lp.f / dr_e if lp.f.size else lp.f
+    c = np.array([lp.c for lp in lps])
+    h = np.array([lp.h for lp in lps])
+    f = np.array([lp.f for lp in lps]).reshape(len(lps), ops.p)
+    cs, hs, fs = c / dc, h / dr_g, f / dr_e
     m, p = ops.m, ops.p
 
-    h_scale = 1.0 + np.abs(lp.h).max(initial=0.0)
-    f_scale = 1.0 + np.abs(lp.f).max(initial=0.0)
-    c_scale = 1.0 + np.abs(lp.c).max(initial=0.0)
+    h_scale = 1.0 + np.abs(h).max(axis=1, initial=0.0)
+    f_scale = 1.0 + np.abs(f).max(axis=1, initial=0.0)
+    c_scale = 1.0 + np.abs(c).max(axis=1, initial=0.0)
 
     # starting point: primal/dual least-squares with unit weights, then a
-    # positive shift (Mehrotra-style) on the slacks and multipliers
-    W = np.ones(m)
-    ops.factor(W)
+    # positive shift (Mehrotra-style) on the slacks and multipliers; the
+    # weights, and so the factorization, are the same in every lane
+    W = np.ones((len(lps), m))
+    if not ops.factor(W).all():
+        raise np.linalg.LinAlgError("Newton matrix of the starting point is singular")
     v, _ = _refined_solve(ops, W, ops.GT(hs), fs)
     r = hs - ops.G(v)
-    shift = -r.min()
-    s = r if shift < 0 else r + (1.0 + shift)
-    s = np.maximum(s, 1e-8)
-    u, yw = _refined_solve(ops, W, cs, np.zeros(p))
+    shift = -r.min(axis=1, keepdims=True)
+    s = np.maximum(np.where(shift < 0, r, r + (1.0 + shift)), 1e-8)
+    u, yw = _refined_solve(ops, W, cs, np.zeros((len(lps), p)))
     z = -ops.G(u)
     y = -yw
-    shift = -z.min()
-    z = z if shift < 0 else z + (1.0 + shift)
-    z = np.maximum(z, 1e-8)
+    shift = -z.min(axis=1, keepdims=True)
+    z = np.maximum(np.where(shift < 0, z, z + (1.0 + shift)), 1e-8)
 
-    mu_history: list[float] = []
-    status = "max_iter"
-    iters = 0
+    out: list[LpSolution | None] = [None] * len(lps)
+    mu_history: list[list[float]] = [[] for _ in lps]
+    run = np.arange(len(lps))                  # lanes still iterating
 
     def residuals():
         """Equilibrated residuals, and their measures in original units:
         the original residuals are dc*rd, dr_e*rp and dr_g*rg."""
-        rd = cs + ops.GT(z) + (ops.ET(y) if p else 0.0)
-        rp = (ops.E(v) - fs) if p else np.zeros(0)
+        rd = cs + ops.GT(z) + ops.ET(y)
+        rp = ops.E(v) - fs
         rg = ops.G(v) + s - hs
-        obj = float(cs @ v)
-        dual_obj = float(-(hs @ z) - (fs @ y if p else 0.0))
+        obj = (cs * v).sum(axis=1)
+        dual_obj = -(hs * z).sum(axis=1) - (fs * y).sum(axis=1)
         # primal-dual objective gap: the complementarity sum s'z floors at
         # roughly m*eps*scale in doubles and cannot certify tight tolerances
         return rd, rp, rg, {
-            "ineq": float(np.abs(dr_g * rg).max()),
-            "eq": float(np.abs(dr_e * rp).max(initial=0.0)),
-            "dual": float(np.abs(dc * rd).max()),
-            "gap": abs(obj - dual_obj),
+            "ineq": np.abs(dr_g * rg).max(axis=1),
+            "eq": np.abs(dr_e * rp).max(axis=1, initial=0.0),
+            "dual": np.abs(dc * rd).max(axis=1),
+            "gap": np.abs(obj - dual_obj),
             "objective": obj,
         }
 
     def converged(res):
-        return (
-            res["ineq"] <= tol * h_scale
-            and res["eq"] <= tol * f_scale
-            and res["dual"] <= tol * c_scale
-            and res["gap"] <= tol * (1.0 + abs(res["objective"]))
+        return ((res["ineq"] <= tol * h_scale)
+                & (res["eq"] <= tol * f_scale)
+                & (res["dual"] <= tol * c_scale)
+                & (res["gap"] <= tol * (1.0 + np.abs(res["objective"]))))
+
+    def finish(i, status, iters, res):
+        b = run[i]
+        out[b] = LpSolution(
+            v=v[i] / dc,
+            status=status,
+            iterations=iters,
+            residuals={
+                "primal": float(max(res["ineq"][i], res["eq"][i])),
+                "dual": float(res["dual"][i]),
+                "gap": float(res["gap"][i]),
+            },
+            mu_history=tuple(mu_history[b]),
         )
 
-    best_err = np.inf
-    stall = 0
+    best_err = np.full(len(lps), np.inf)
+    stall = np.zeros(len(lps), dtype=int)
     for it in range(1, max_iter + 1):
-        iters = it
-        mu = float(s @ z) / m
-        mu_history.append(mu)
+        mu = (s * z).sum(axis=1) / m
+        for b, mu_b in zip(run, mu.tolist()):
+            mu_history[b].append(mu_b)
 
         rd, rp, rg, res = residuals()
-        if converged(res):
-            status = "optimal"
-            break
-        err = max(res["ineq"] / h_scale, res["eq"] / f_scale,
-                  res["dual"] / c_scale, res["gap"] / (1.0 + abs(res["objective"])))
-        if err < best_err * 0.98:
-            best_err = err
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 15:  # no measurable progress: numerical floor reached
-                break
+        conv = converged(res)
+        err = np.maximum.reduce([res["ineq"] / h_scale, res["eq"] / f_scale,
+                                 res["dual"] / c_scale,
+                                 res["gap"] / (1.0 + np.abs(res["objective"]))])
+        better = err < best_err * 0.98
+        best_err = np.where(better, err, best_err)
+        stall = np.where(better, 0, stall + 1)
 
         # Farkas-type certificates on the equilibrated data, with
-        # Gs'z + Es'y = rd - cs, Gs v = rg - s + hs and Es v = rp + fs
-        obj_ray = float(hs @ z + (fs @ y if p else 0.0))
-        znorm = max(np.abs(z).max(), np.abs(y).max(initial=0.0))
-        if obj_ray < -CERT_TOL * znorm:
-            cert = np.abs(rd - cs).max()
-            if cert <= CERT_TOL * max(1.0, znorm) and znorm > 1e2:
-                status = "infeasible"
-                break
-        vnorm = np.abs(v).max()
-        if vnorm > 1e2 and res["objective"] < -CERT_TOL * vnorm:
-            ray_ineq = np.maximum(rg - s + hs, 0.0).max()
-            ray_eq = np.abs(rp + fs).max() if p else 0.0
-            if max(ray_ineq, ray_eq) <= CERT_TOL * vnorm:
-                status = "unbounded"
-                break
+        # Gs'z + Es'y = rd - cs, Gs v = rg - s + hs and Es v = rp + fs;
+        # a certificate's residual is measured only when a lane passes
+        # its other tests
+        obj_ray = (hs * z).sum(axis=1) + (fs * y).sum(axis=1)
+        znorm = np.maximum(np.abs(z).max(axis=1), np.abs(y).max(axis=1, initial=0.0))
+        infeasible = (obj_ray < -CERT_TOL * znorm) & (znorm > 1e2)
+        if infeasible.any():
+            infeasible &= np.abs(rd - cs).max(axis=1) <= CERT_TOL * np.maximum(1.0, znorm)
+        vnorm = np.abs(v).max(axis=1)
+        unbounded = (vnorm > 1e2) & (res["objective"] < -CERT_TOL * vnorm)
+        if unbounded.any():
+            ray = np.maximum(np.maximum(rg - s + hs, 0.0).max(axis=1),
+                             np.abs(rp + fs).max(axis=1, initial=0.0))
+            unbounded &= ray <= CERT_TOL * vnorm
+        # no measurable progress for STALL_ITERS iterations: numerical floor
+        stalled = stall >= STALL_ITERS
+        ended = conv | stalled | infeasible | unbounded
 
-        W = np.clip(z / s, 1e-16, 1e16)
-        try:
-            ops.factor(W)
-        except (RuntimeError, np.linalg.LinAlgError):  # singular step matrix
+        go = np.flatnonzero(~ended)
+        W = np.clip(z[go] / s[go], 1e-16, 1e16)
+        while go.size:
+            ok = ops.factor(W)
+            if ok.all():
+                break
+            ended[go[~ok]] = True              # singular step matrix: max_iter
+            go, W = go[ok], W[ok]
+        for i in np.flatnonzero(ended):
+            status = next((name for name, flags in (
+                ("optimal", conv), ("max_iter", stalled), ("infeasible", infeasible),
+                ("unbounded", unbounded)) if flags[i]), "max_iter")
+            finish(i, status, it, res)
+        if not go.size:
             break
+        if go.size < run.size:
+            (run, v, s, z, y, cs, hs, fs, h_scale, f_scale, c_scale, best_err,
+             stall, mu, rd, rp, rg) = (a[go] for a in (
+                run, v, s, z, y, cs, hs, fs, h_scale, f_scale, c_scale, best_err,
+                stall, mu, rd, rp, rg))
 
         # predictor (affine scaling) step
         rhs1 = -rd - ops.GT(W * rg - z)
         dv, dy = _refined_solve(ops, W, rhs1, -rp)
         ds = -rg - ops.G(dv)
         dz = -z - W * ds
-        ap = min(1.0, _max_step(s, ds))
-        ad = min(1.0, _max_step(z, dz))
-        mu_aff = float((s + ap * ds) @ (z + ad * dz)) / m
-        sigma = np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0)
+        ap = np.minimum(1.0, _max_step(s, ds))[:, None]
+        ad = np.minimum(1.0, _max_step(z, dz))[:, None]
+        mu_aff = ((s + ap * ds) * (z + ad * dz)).sum(axis=1) / m
+        sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0)
 
         # corrector step reusing the factorization
-        t = sigma * mu - ds * dz
+        t = (sigma * mu)[:, None] - ds * dz
         rhs1 = -rd - ops.GT(t / s - z + W * rg)
         dv, dy = _refined_solve(ops, W, rhs1, -rp)
         ds = -rg - ops.G(dv)
         dz = t / s - z - W * ds
 
-        ap = min(1.0, FRACTION_TO_BOUNDARY * _max_step(s, ds))
-        ad = min(1.0, FRACTION_TO_BOUNDARY * _max_step(z, dz))
+        ap = np.minimum(1.0, FRACTION_TO_BOUNDARY * _max_step(s, ds))[:, None]
+        ad = np.minimum(1.0, FRACTION_TO_BOUNDARY * _max_step(z, dz))[:, None]
         v = v + ap * dv
         s = s + ap * ds
         y = y + ad * dy
         z = z + ad * dz
     else:
-        # the loop ran out after a step: test the final iterate once
+        # the loop ran out after a step: test the final iterates once
         _, _, _, res = residuals()
-        if converged(res):
-            status = "optimal"
-
-    return LpSolution(
-        v=v / dc,
-        status=status,
-        iterations=iters,
-        residuals={
-            "primal": max(res["ineq"], res["eq"]),
-            "dual": res["dual"],
-            "gap": res["gap"],
-        },
-        mu_history=tuple(mu_history),
-    )
+        for i, conv in enumerate(converged(res)):
+            finish(i, "optimal" if conv else "max_iter", max_iter, res)
+    return out

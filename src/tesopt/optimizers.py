@@ -15,11 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp
+from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp, solve_lp_lanes
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
 NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.nuisance_factor
+
+# iterate entries (lanes x inequality rows) of one L1L1 lane solve; its
+# working arrays peak at about 26 doubles per entry, about 14 MB in all
+L1L1_LANE_ENTRIES = 1 << 16
 
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
@@ -315,7 +319,12 @@ class L1L1Constraints:
     in blocks A, B, C plus the dose row.  Products apply these blocks
     to the equilibrated data, Gs v = G (v/dc) / dr_g and so on, with the
     Ruiz scalings computed from the blocks once, when the operator is
-    built; no sparse matrix is formed.
+    built; no sparse matrix is formed.  Every method acts on a (B, .)
+    stack of lanes: products with K are stacked ``np.matmul`` calls, one
+    vector-matrix product per lane, and every reduction is a row sum, so
+    each lane's row is computed as it would be alone.  A gemm over the
+    whole stack would be faster, but its rows can round differently with
+    the rows beside them.
 
     Newton steps are taken in electrode space, in the original scale,
     where the weights are W' = W/dr_g^2.  The t1 and t2 blocks of G'W'G
@@ -327,9 +336,9 @@ class L1L1Constraints:
 
     with D = (4ab + (a+b)c)/(a+b+c) for the block weights a, b, c (free
     of cancellation), and q, rho the t3 coupling and the dose weight
-    after Sherman-Morrison.  S is factored by LAPACK ``potrf``, and the
-    balance row is then one scalar Schur complement, 1'S^-1 1.  S gets
-    the same roundoff-scale relative diagonal shift as
+    after Sherman-Morrison.  Each lane's S is factored by LAPACK
+    ``potrf``, and the balance row is then one scalar Schur complement,
+    1'S^-1 1.  S gets the same roundoff-scale relative diagonal shift as
     ``SparseConstraints``.  It keeps the Cholesky defined when the weight
     spread leaves S numerically singular, and its error is small enough
     for the one correction ``solve_lp`` may apply.  References:
@@ -340,67 +349,85 @@ class L1L1Constraints:
     def __init__(self, p: StimulusProblem):
         self.L, M = p.n_electrodes, p.n_nuisance
         self.K = np.vstack([p.L1, p.L2])
+        self.KT = np.ascontiguousarray(self.K.T)
         self.nk = 3 + M                         # rows of K
         self.k = self.nk + self.L               # rows per block A, B, C
         self.m, self.n, self.p = 3 * self.k + 1, self.L + self.k, 1
         self.pen = slice(self.nk, self.k)
-        self.ones = np.ones(self.L)
         self.dr_g, self.dr_e, self.dc = ruiz_scalings(_L1L1Blocks(self.K))
         self.dr_g2 = self.dr_g**2
 
+    def _K(self, x: np.ndarray) -> np.ndarray:
+        """K x for each row x of a (B, L) stack."""
+        return np.matmul(x[:, None, :], self.KT)[:, 0]
+
+    def _KT(self, x: np.ndarray) -> np.ndarray:
+        """K' x for each row x of a (B, nk) stack."""
+        return np.matmul(x[:, None, :], self.K)[:, 0]
+
     def G(self, v: np.ndarray) -> np.ndarray:
         u = v / self.dc
-        y, t = u[:self.L], u[self.L:]
-        ky = np.concatenate([self.K @ y, -y])
-        return np.concatenate([ky - t, -(ky + t), -t, [t[self.pen].sum()]]) / self.dr_g
+        y, t = u[:, :self.L], u[:, self.L:]
+        ky = np.concatenate([self._K(y), -y], axis=1)
+        return np.concatenate([ky - t, -(ky + t), -t,
+                               t[:, self.pen].sum(axis=1, keepdims=True)], axis=1) / self.dr_g
 
     def GT(self, z: np.ndarray) -> np.ndarray:
         k = self.k
         w = z / self.dr_g
-        a, b, c = w[:k], w[k:2 * k], w[2 * k:3 * k]
+        a, b, c = w[:, :k], w[:, k:2 * k], w[:, 2 * k:3 * k]
         ab = a - b
         gt = -(a + b + c)
-        gt[self.pen] += w[3 * k]
-        return np.concatenate([self.K.T @ ab[:self.nk] - ab[self.nk:], gt]) / self.dc
+        gt[:, self.pen] += w[:, 3 * k:]
+        return np.concatenate([self._KT(ab[:, :self.nk]) - ab[:, self.nk:], gt],
+                              axis=1) / self.dc
 
     def E(self, v: np.ndarray) -> np.ndarray:
-        L = self.L
-        return np.array([(v[:L] / self.dc[:L]).sum()]) / self.dr_e
+        return (v[:, :self.L] / self.dc[:self.L]).sum(axis=1, keepdims=True) / self.dr_e
 
     def ET(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[:self.L] = y[0] / self.dr_e[0]
+        out = np.zeros((len(y), self.n))
+        out[:, :self.L] = y / self.dr_e[0]
         return out / self.dc
 
-    def factor(self, W: np.ndarray) -> None:
-        k = self.k
+    def factor(self, W: np.ndarray) -> np.ndarray:
+        k, L = self.k, self.L
         w = W / self.dr_g2
-        a, b, c = w[:k], w[k:2 * k], w[2 * k:3 * k]
+        a, b, c = w[:, :k], w[:, k:2 * k], w[:, 2 * k:3 * k]
         self.s = a + b + c
         d = (4.0 * a * b + (a + b) * c) / self.s
         # the (t, y) block of G'W'G is diag(e) [K; I]
         self.e = b - a
-        self.e[self.pen] *= -1.0
+        self.e[:, self.pen] *= -1.0
         self.es = self.e / self.s
-        self.inv_s3 = 1.0 / self.s[self.pen]
-        self.rho = w[3 * k] / (1.0 + w[3 * k] * self.inv_s3.sum())
-        q = self.es[self.pen]
-        S = self.K.T @ (d[:self.nk, None] * self.K) + self.rho * np.outer(q, q)
-        diag = S.reshape(-1)[::self.L + 1]      # a strided view of S's diagonal
-        diag += d[self.pen]
-        diag += REGULARIZATION * max(1.0, diag.max())
-        # S is symmetric, so its transpose is the Fortran-ordered S that
-        # potrf factors in place
-        self.chol, info = _POTRF(S.T, overwrite_a=True)
-        if info != 0:
-            raise np.linalg.LinAlgError("electrode-space Newton matrix is not positive definite")
-        self.u = self._chol_solve(self.ones)
-        self.u_sum = self.u.sum()
+        self.inv_s3 = 1.0 / self.s[:, self.pen]
+        w_dose = w[:, 3 * k]
+        self.rho = w_dose / (1.0 + w_dose * self.inv_s3.sum(axis=1))
+        q = self.es[:, self.pen]
+        S = np.matmul(self.KT, d[:, :self.nk, None] * self.K) \
+            + self.rho[:, None, None] * (q[:, :, None] * q[:, None, :])
+        diag = S.reshape(len(W), -1)[:, ::L + 1]    # a strided view of each diagonal
+        diag += d[:, self.pen]
+        diag += REGULARIZATION * np.maximum(1.0, diag.max(axis=1))[:, None]
+        # each S is symmetric, so its transpose is the Fortran-ordered S
+        # that potrf factors in place
+        self.chol = []
+        ok = np.ones(len(W), dtype=bool)
+        for lane, mat in enumerate(S):
+            chol, info = _POTRF(mat.T, overwrite_a=True)
+            self.chol.append(chol)
+            ok[lane] = info == 0
+        if ok.all():
+            self.u = self._chol_solve(np.ones((len(W), L)))
+            self.u_sum = self.u.sum(axis=1)
+        return ok
 
     def _chol_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = _POTRS(self.chol, rhs)
-        if info != 0:
-            raise ValueError(f"potrs argument {-info} is invalid")
+        x = np.empty_like(rhs)
+        for lane, (chol, r) in enumerate(zip(self.chol, rhs)):
+            x[lane], info = _POTRS(chol, r)
+            if info != 0:
+                raise ValueError(f"potrs argument {-info} is invalid")
         return x
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
@@ -408,37 +435,67 @@ class L1L1Constraints:
         # (diag(s3) + w_dose 1 1')^-1 = diag(1/s3) - rho (1/s3)(1/s3)'
         L, pen = self.L, self.pen
         g = self.dc * r1
-        gy, gt = g[:L], g[L:]
+        gy, gt = g[:, :L], g[:, L:]
         h = self.es * gt
-        h[pen] -= (self.rho * (gt[pen] @ self.inv_s3)) * self.es[pen]
-        w = self._chol_solve(gy - self.K.T @ h[:self.nk] - h[pen])
-        lam = (w.sum() - self.dr_e[0] * r2[0]) / self.u_sum
-        x = w - lam * self.u
-        t = (gt - self.e * np.concatenate([self.K @ x, x])) / self.s
-        t[pen] -= (self.rho * t[pen].sum()) * self.inv_s3
-        return self.dc * np.concatenate([x, t]), self.dr_e * lam
+        h[:, pen] -= (self.rho * (gt[:, pen] * self.inv_s3).sum(axis=1))[:, None] \
+            * self.es[:, pen]
+        w = self._chol_solve(gy - self._KT(h[:, :self.nk]) - h[:, pen])
+        lam = (w.sum(axis=1) - self.dr_e[0] * r2[:, 0]) / self.u_sum
+        x = w - lam[:, None] * self.u
+        t = (gt - self.e * np.concatenate([self._K(x), x], axis=1)) / self.s
+        t[:, pen] -= (self.rho * t[:, pen].sum(axis=1))[:, None] * self.inv_s3
+        return self.dc * np.concatenate([x, t], axis=1), self.dr_e * lam[:, None]
+
+
+def _l1l1_zero(p: StimulusProblem, alpha: float, eps: float) -> CurrentPattern | None:
+    """The exact y = 0 certificate: its pattern, or None when it fails.
+
+    y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
+    with g = L1' sign(x1): -g is a subgradient of the fit at 0, the
+    nuisance term has 0 in its subdifferential there, the dose rows are
+    slack and nu is the balance multiplier.  The test is exact when
+    eps*nu > 0 and no x1_i is 0.  |g_i| <= zeta, so every alpha >= 1
+    passes.
+    """
+    g = p.L1.T @ np.sign(p.x1)
+    if 0.5 * (g.max() - g.min()) > alpha * p.zeta:
+        return None
+    zero = np.zeros(p.n_electrodes)
+    return _finalize(p, zero, "optimal", l1l1_objective(p, zero, alpha, eps))
+
+
+def _l1l1_pattern(p: StimulusProblem, sol, alpha: float, eps: float) -> CurrentPattern:
+    y = sol.v[: p.n_electrodes]
+    return _finalize(p, y, sol.status, l1l1_objective(p, y, alpha, eps))
 
 
 def solve_l1l1_linear(p: StimulusProblem, alpha: float, eps: float) -> CurrentPattern:
-    # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
-    # with g = L1' sign(x1): -g is a subgradient of the fit at 0, the
-    # nuisance term has 0 in its subdifferential there, the dose rows are
-    # slack and nu is the balance multiplier.  The test is exact when
-    # eps*nu > 0 and no x1_i is 0.  |g_i| <= zeta, so every alpha >= 1
-    # passes.
-    g = p.L1.T @ np.sign(p.x1)
-    if 0.5 * (g.max() - g.min()) <= alpha * p.zeta:
-        zero = np.zeros(p.n_electrodes)
-        return _finalize(p, zero, "optimal", l1l1_objective(p, zero, alpha, eps))
-    lp = build_l1l1_lp(p, alpha, eps)
-    sol = solve_lp(lp)
-    y = sol.v[: p.n_electrodes]
-    raw = l1l1_objective(p, y, alpha, eps)
-    return _finalize(p, y, sol.status, raw)
+    """One L1L1 cell: the y = 0 certificate, else one LP by ``solve_lp``."""
+    zero = _l1l1_zero(p, alpha, eps)
+    if zero is not None:
+        return zero
+    return _l1l1_pattern(p, solve_lp(build_l1l1_lp(p, alpha, eps)), alpha, eps)
 
 
-def solve_l1l1(p: StimulusProblem, params: MethodParams) -> CurrentPattern:
-    return solve_l1l1_linear(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
+def solve_l1l1(p: StimulusProblem, params) -> list[CurrentPattern]:
+    """One pattern per ``MethodParams`` of ``params``, in order.
+
+    Cells that pass the y = 0 certificate are settled by it; the others
+    are the lanes of ``solve_lp_lanes`` calls of at most
+    L1L1_LANE_ENTRIES iterate entries each, and each lane is bitwise
+    equal to its ``solve_l1l1_linear`` solve.
+    """
+    alpha = [db_to_linear(c.alpha_db) for c in params]
+    eps = [db_to_linear(c.weight_db) for c in params]
+    out = [_l1l1_zero(p, a, e) for a, e in zip(alpha, eps)]
+    lanes = [b for b, pattern in enumerate(out) if pattern is None]
+    lps = [build_l1l1_lp(p, alpha[b], eps[b]) for b in lanes]
+    per_solve = max(1, L1L1_LANE_ENTRIES // lps[0].ops.m) if lps else 1
+    for start in range(0, len(lps), per_solve):
+        sols = solve_lp_lanes(lps[start:start + per_solve])
+        for b, sol in zip(lanes[start:start + per_solve], sols):
+            out[b] = _l1l1_pattern(p, sol, alpha[b], eps[b])
+    return out
 
 
 def _simplex_thresholds(w: np.ndarray, r: float) -> np.ndarray:

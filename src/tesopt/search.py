@@ -9,6 +9,7 @@ carrying the largest currents in the first run's selection.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -22,7 +23,7 @@ from . import optimizers
 from .metrics import DeviationEstimate, MetricError, MetricSet, compute_metrics, \
     deviation_estimate
 from .optimizers import CurrentPattern, MethodParams, StimulusProblem
-from .optimizers import db_to_linear  # noqa: F401  (re-exported)
+from .optimizers import db_to_linear
 
 METHODS = ("l1l1", "l1l2", "tls")
 GAMMA_THRESHOLD = 0.11  # A/m^2
@@ -36,10 +37,12 @@ DEFAULT_RANGES = {
 DESK_STEP_DB = 15.0
 FULL_STEP_DB = 5.0
 
-# thread-count setters of the OpenBLAS builds in the numpy and scipy
-# wheels (64-bit and 32-bit integer interfaces)
+# thread-count setters and getters of the OpenBLAS builds in the numpy
+# and scipy wheels (64-bit and 32-bit integer interfaces)
 BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
                        "scipy_openblas_set_num_threads")
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads")
 
 
 class SearchError(RuntimeError):
@@ -121,7 +124,7 @@ def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
                       weight_db: float, opts: dict) -> CurrentPattern:
     params = MethodParams(alpha_db=alpha_db, weight_db=weight_db)
     if method == "l1l1":
-        return optimizers.solve_l1l1(p, params)
+        return optimizers.solve_l1l1_linear(p, db_to_linear(alpha_db), db_to_linear(weight_db))
     if method == "l1l2":
         return optimizers.solve_l1l2(p, [params], **opts.get("l1l2", {}))[0]
     if method == "tls":
@@ -145,25 +148,51 @@ def _openblas_paths() -> tuple[str, ...]:
                          if len(f) == 6 and "openblas" in f[5].lower()}))
 
 
-def _pin_blas(paths) -> None:
-    """Run each listed OpenBLAS library on one thread.
+@functools.cache
+def _blas_thread_controls(paths) -> tuple:
+    """(getter, setter) of the thread count of each listed OpenBLAS.
 
-    Pool workers would otherwise each start the default number of BLAS
-    threads and oversubscribe the cores.  A library that cannot be
-    opened or has no known setter is left alone.
+    A library that cannot be opened or lacks a known pair is left out.
     """
+    controls = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
+        for get_name, set_name in zip(BLAS_THREAD_GETTERS, BLAS_THREAD_SETTERS):
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
                 break
+    return tuple(controls)
+
+
+def _pin_blas(paths) -> None:
+    """Run each listed OpenBLAS library on one thread.
+
+    Pool workers would otherwise each start the default number of BLAS
+    threads and oversubscribe the cores.
+    """
+    for _, setter in _blas_thread_controls(tuple(paths)):
+        setter(1)
+
+
+@contextlib.contextmanager
+def _single_thread_blas():
+    """Run the bundled OpenBLAS libraries on one thread inside the block,
+    as the pool workers do, and restore their thread counts on exit."""
+    controls = _blas_thread_controls(_openblas_paths())
+    saved = [getter() for getter, _ in controls]
+    try:
+        for _, setter in controls:
+            setter(1)
+        yield
+    finally:
+        for (_, setter), count in zip(controls, saved):
+            setter(count)
 
 
 # Forked workers get initargs without pickling; a functools.partial over
@@ -197,25 +226,31 @@ def _solve_cell(p, method, opts, cell) -> CandidateCell:
     return _candidate(p, params, pattern)
 
 
-def _solve_l1l2_cells(p, opts, cells) -> list[CandidateCell]:
-    """Every cell of an L1L2 lattice as the lanes of one solve.
+def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
+    """Cells solved in this process: L1L1 and L1L2 cells as the lanes of
+    one solve, TLS cells one by one.
 
     A lane ends bitwise as its one-lane solve, so when the lane solve
     raises, the cells are solved again one by one: the cells that raise
     become ``error`` cells and the others keep their patterns.
     """
+    if method not in ("l1l1", "l1l2"):
+        return [_solve_cell(p, method, opts, cell) for cell in cells]
     params = [MethodParams(alpha_db=float(a), weight_db=float(w)) for a, w in cells]
     try:
-        patterns = optimizers.solve_l1l2(p, params, **opts.get("l1l2", {}))
+        if method == "l1l1":
+            patterns = optimizers.solve_l1l1(p, params)
+        else:
+            patterns = optimizers.solve_l1l2(p, params, **opts.get("l1l2", {}))
     except Exception:
-        return [_solve_cell(p, "l1l2", opts, cell) for cell in cells]
+        return [_solve_cell(p, method, opts, cell) for cell in cells]
     return [_candidate(p, c, pattern) for c, pattern in zip(params, patterns)]
 
 
 def _worker(task):
-    method, ids, cell = task
+    method, ids, cells = task
     local = _WORKER_STATE["pool"]
-    return _solve_cell(local.restrict(ids), method, local.opts, cell)
+    return _solve_cells(local.restrict(ids), method, local.opts, cells)
 
 
 class LatticePool:
@@ -227,7 +262,15 @@ class LatticePool:
     The workers start at the first L1L1 or TLS lattice that needs them
     (more than one worker and more than one cell) and get the problem
     and the solver options once; a task names its sub-problem by
-    electrode ids, and each worker restricts it once.
+    electrode ids, and each worker restricts it once.  An L1L1 lattice
+    goes to the workers as one task each, the strided share
+    ``cells[i::threads]``, which the worker solves as the lanes of one
+    ``optimizers.solve_l1l1`` call; at 1000 field points its LP is
+    compute-bound, so the split pays.  A TLS cell is a task of its own.
+    A serial pool solves every lattice in this process, L1L1 as one
+    lane solve, and lattices solved in this process run the bundled
+    OpenBLAS on one thread, as the workers do, so the cells do not
+    depend on the worker count.
     ``grid`` keeps every lattice it solved, so the searches of one method
     share their first run and the second runs that land on one montage.
     Leaving the ``with`` block shuts the workers down and joins them.
@@ -267,18 +310,25 @@ class LatticePool:
     def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
         """One finished cell per (alpha_db, weight_db) pair, in order."""
         self._key(p)
-        if method == "l1l2":
-            return _solve_l1l2_cells(p, self.opts, cells)
-        if self.threads <= 1 or len(cells) <= 1:
-            return [_solve_cell(p, method, self.opts, cell) for cell in cells]
+        if method == "l1l2" or self.threads <= 1 or len(cells) <= 1:
+            with _single_thread_blas():
+                return _solve_cells(p, method, self.opts, cells)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.threads, initializer=_init_worker,
                 initargs=(self.problem, self.opts, _openblas_paths()),
             )
+        if method == "l1l1":
+            n = min(self.threads, len(cells))
+            tasks = [(method, p.electrode_ids, cells[i::n]) for i in range(n)]
+            out = [None] * len(cells)
+            for i, solved in enumerate(self._executor.map(_worker, tasks)):
+                out[i::n] = solved
+            return out
         chunk = max(1, len(cells) // (4 * self.threads))
-        tasks = [(method, p.electrode_ids, cell) for cell in cells]
-        return list(self._executor.map(_worker, tasks, chunksize=chunk))
+        tasks = [(method, p.electrode_ids, [cell]) for cell in cells]
+        return [c for solved in self._executor.map(_worker, tasks, chunksize=chunk)
+                for c in solved]
 
     def __enter__(self) -> "LatticePool":
         return self

@@ -12,7 +12,7 @@ from tesopt import fem, lp as lp_module, optimizers
 from tesopt.cli import build_model
 from tesopt.config import RunConfig
 from oracles import assembled_l1l1_lp, balanced_grid_minimum, ridge_reference
-from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp
+from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
 from tesopt.optimizers import (
     L1L1Constraints,
     MethodParams,
@@ -121,8 +121,9 @@ def test_l1l1_operator_matches_assembled(rng):
         ref, ops = SparseConstraints(G, E), L1L1Constraints(p)
         for got, want in zip((ops.dr_g, ops.dr_e, ops.dc), (ref.dr_g, ref.dr_e, ref.dc)):
             assert np.array_equal(got, want)
-        for _ in range(3):
-            v, z, y = rng.normal(size=ops.n), rng.normal(size=ops.m), rng.normal(size=1)
+        for lanes in (1, 3):
+            v, z = rng.normal(size=(lanes, ops.n)), rng.normal(size=(lanes, ops.m))
+            y = rng.normal(size=(lanes, 1))
             for got, want in ((ops.G(v), ref.G(v)), (ops.GT(z), ref.GT(z)),
                               (ops.E(v), ref.E(v)), (ops.ET(y), ref.ET(y))):
                 assert got.shape == want.shape
@@ -140,8 +141,8 @@ def test_l1l1_newton_solvers_agree(rng):
 
         class Recording(SparseConstraints):
             def factor(self, W):
-                met.append(W.copy())
-                super().factor(W)
+                met.extend(W.copy())
+                return super().factor(W)
 
         assert solve_lp(replace(lp, ops=Recording(G, E))).status == "optimal"
         uniform = [np.full(lp.ops.m, 10 ** u) for u in rng.uniform(-8, 8, 8)]
@@ -151,9 +152,9 @@ def test_l1l1_newton_solvers_agree(rng):
             r2 = rng.normal(size=1)
             steps = []
             for ops in (SparseConstraints(G, E), L1L1Constraints(p)):
-                ops.factor(W)
-                dv, dy = _refined_solve(ops, W, r1, r2)
-                steps.append(np.concatenate([dv, dy]))
+                assert ops.factor(W[None]).all()
+                dv, dy = _refined_solve(ops, W[None], r1[None], r2[None])
+                steps.append(np.concatenate([dv[0], dy[0]]))
             ref, got = steps
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -169,12 +170,12 @@ def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
         ruiz.append(1)
         return ruiz_scalings(*args, **kwargs)
 
-    def counting_solve(lp, **kwargs):
-        lps.append(lp)
-        return solve_lp(lp, **kwargs)
+    def counting_solve(lanes, **kwargs):
+        lps.extend(lanes)
+        return solve_lp_lanes(lanes, **kwargs)
 
     monkeypatch.setattr(optimizers, "ruiz_scalings", counting_ruiz)
-    monkeypatch.setattr(optimizers, "solve_lp", counting_solve)
+    monkeypatch.setattr(optimizers, "solve_lp_lanes", counting_solve)
     grid = evaluate_lattice(p, "l1l1", LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0))
     assert len(lps) > 4 and len(ruiz) == 1
     assert all(lp.ops is lps[0].ops for lp in lps)
@@ -182,7 +183,7 @@ def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
     for row in grid.cells:
         for cell in row:
             fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
-            ref = solve_l1l1(fresh, cell.params)
+            ref = solve_l1l1(fresh, [cell.params])[0]
             assert np.array_equal(cell.pattern.y, ref.y)
             assert cell.pattern.status == ref.status
 
@@ -223,10 +224,10 @@ def test_l1l1_weak_regularization_cell_optimal(bench_l1l1_problem, monkeypatch):
 
     def recording(self, W):
         spreads.append(W.max() / W.min())
-        factor(self, W)
+        return factor(self, W)
 
     monkeypatch.setattr(L1L1Constraints, "factor", recording)
-    pat = solve_l1l1(bench_l1l1_problem, MethodParams(alpha_db=-160.0, weight_db=-70.0))
+    pat = solve_l1l1(bench_l1l1_problem, [MethodParams(alpha_db=-160.0, weight_db=-70.0)])[0]
     assert max(spreads) > 1e22
     assert pat.status == "optimal"
 
@@ -251,6 +252,75 @@ def test_l1l1_newton_solve_budget(bench_l1l1_problem, monkeypatch):
     monkeypatch.setattr(lp_module, "_refined_solve", counting_refined)
     evaluate_lattice(bench_l1l1_problem, "l1l1", default_lattice_spec("l1l1", step_db=45.0))
     assert set(per_solve) == {1, 2}
+
+
+def _lattice_params(spec):
+    return [MethodParams(alpha_db=float(a), weight_db=float(w))
+            for a in spec.alpha_values for w in spec.weight_values]
+
+
+def _one_lane(p, params):
+    return solve_l1l1_linear(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
+
+
+def _same_pattern(a, b):
+    return (a.y.tobytes() == b.y.tobytes() and a.status == b.status
+            and np.float64(a.raw_objective).tobytes() == np.float64(b.raw_objective).tobytes())
+
+
+def test_l1l1_lattice_lanes_match_one_lane(bench_l1l1_problem, monkeypatch):
+    # every cell of a 4x4 lattice solved as lanes equals its one-lane solve
+    # bitwise: certificate cells, LP cells, and a lane whose factorization
+    # fails in its sixth iteration, which ends only that lane, at max_iter
+    p = bench_l1l1_problem
+    params = _lattice_params(default_lattice_spec("l1l1", step_db=45.0))
+    lanes = solve_l1l1(p, params)
+    assert {pat.status for pat in lanes} == {"optimal", "degenerate"}
+    for c, pat in zip(params, lanes):
+        assert _same_pattern(pat, _one_lane(p, c))
+
+    target = params[5]
+    assert lanes[5].status == "optimal"
+    factor, seen = L1L1Constraints.factor, []
+
+    def recording(self, W):
+        seen.extend(row.tobytes() for row in W)
+        return factor(self, W)
+
+    monkeypatch.setattr(L1L1Constraints, "factor", recording)
+    _one_lane(p, target)
+    bad = seen[6]                 # seen[0] holds the starting point's unit weights
+
+    def failing(self, W):
+        return factor(self, W) & np.array([row.tobytes() != bad for row in W])
+
+    monkeypatch.setattr(L1L1Constraints, "factor", failing)
+    failed = solve_l1l1(p, params)
+    assert failed[5].status == "max_iter"
+    for b, (c, pat) in enumerate(zip(params, failed)):
+        assert _same_pattern(pat, _one_lane(p, c))
+        if b != 5:
+            assert _same_pattern(pat, lanes[b])
+
+
+def test_l1l1_lanes_independent_of_split(bench_l1l1_problem):
+    # a cell's result does not depend on the lanes solved beside it
+    p = bench_l1l1_problem
+    params = _lattice_params(default_lattice_spec("l1l1", step_db=45.0))
+    whole = solve_l1l1(p, params)
+    strided = [None] * len(params)
+    for i in range(3):
+        strided[i::3] = solve_l1l1(p, params[i::3])
+    splits = {
+        "reversed": solve_l1l1(p, params[::-1])[::-1],
+        "singletons": [solve_l1l1(p, [c])[0] for c in params],
+        "halves": solve_l1l1(p, params[:8]) + solve_l1l1(p, params[8:]),
+        "strided": strided,
+    }
+    for name, got in splits.items():
+        assert len(got) == len(whole), name
+        for a, b in zip(whole, got):
+            assert _same_pattern(a, b), name
 
 
 def test_l1l1_paths_agree_below_threshold(rng):
@@ -626,7 +696,7 @@ def test_expansion_small_delta(rng):
 def test_method_params_wrappers(rng):
     p = random_problem(rng)
     params = MethodParams(alpha_db=-60.0, weight_db=-40.0)
-    a = solve_l1l1(p, params)
+    a = solve_l1l1(p, [params])[0]
     b = solve_l1l1_linear(p, 10 ** (-60 / 20), 10 ** (-40 / 20))
     assert np.array_equal(a.y, b.y)
     a = solve_tls(p, params)

@@ -1,9 +1,13 @@
 import ctypes
 import math
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,70 @@ def test_l1l2_lattice_error_stays_on_its_cell(rng, monkeypatch):
                 assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
                 assert (c1.pattern.status, c1.valid, c1.reason) == \
                     (c2.pattern.status, c2.valid, c2.reason)
+
+
+def test_l1l1_lattice_error_stays_on_its_cell(rng, monkeypatch):
+    # when the lane solve of an L1L1 lattice raises, the cells are solved
+    # one by one, serially and in the workers' shares alike: only the cell
+    # that raises becomes an error cell, the others keep their bytes
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    spec = LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0)
+    lanes = evaluate_lattice(p, "l1l1", spec)
+    bad = MethodParams(-90.0, -30.0)
+    assert lanes.cell(1, 1).params == bad and lanes.cell(1, 1).valid
+    build = search.optimizers.build_l1l1_lp
+
+    def failing(p, alpha, eps):
+        if (alpha, eps) == (db_to_linear(bad.alpha_db), db_to_linear(bad.weight_db)):
+            raise FloatingPointError("bad lane")
+        return build(p, alpha, eps)
+
+    monkeypatch.setattr(search.optimizers, "build_l1l1_lp", failing)
+    for threads in (1, 2):
+        grid = _pooled_lattice(p, "l1l1", spec, threads)
+        for r1, r2 in zip(lanes.cells, grid.cells):
+            for c1, c2 in zip(r1, r2):
+                assert c1.params == c2.params
+                if c2.params == bad:
+                    assert c2.pattern.status == "error" and not c2.valid
+                    assert c2.reason == "FloatingPointError: bad lane"
+                else:
+                    assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
+                    assert (c1.pattern.status, c1.valid, c1.reason) == \
+                        (c2.pattern.status, c2.valid, c2.reason)
+
+
+# Solves one L1L1 lattice at 1000 field points (K is 3003 x 32, large
+# enough for OpenBLAS to thread its products) at 1 and at 2 workers and
+# writes each lattice CSV to the directory named by argv[1].
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from tesopt import io, search
+from tesopt.optimizers import StimulusProblem
+
+rng = np.random.default_rng(11)
+p = StimulusProblem.from_parts(rng.normal(size=(3, 32)), 0.5 * rng.normal(size=(3000, 32)),
+                               rng.normal(size=3), 4e-3)
+spec = search.LatticeSpec(-160.0, -20.0, -160.0, -20.0, 35.0)
+for threads in (1, 2):
+    with search.LatticePool(p, threads) as pool:
+        grid = search.evaluate_lattice(p, "l1l1", spec, pool=pool)
+    io.write_lattice_csv(grid, f"{sys.argv[1]}/threads{threads}.csv")
+"""
+
+
+def test_l1l1_lattice_csv_independent_of_threads(tmp_path):
+    # at the default BLAS thread count the lattice solved in this process
+    # and the one split over the pinned workers write the same bytes
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(search.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path)], env=env,
+                   check=True, timeout=300)
+    one, two = ((tmp_path / f"threads{t}.csv").read_text() for t in (1, 2))
+    assert len(one.splitlines()) == 17
+    assert one == two
 
 
 def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
