@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .optimizers import L1L2_MAX_ITER, L1L2_TOL
-from .search import DESK_STEP_DB, GAMMA_THRESHOLD
+from .search import DESK_STEP_DB, GAMMA_THRESHOLD, METHODS
 
 
 class ConfigError(ValueError):
@@ -31,7 +31,7 @@ class RunConfig:
     # dose limits (A)
     mu: float = 4e-3
     # search configuration
-    methods: tuple[str, ...] = ("l1l1", "l1l2", "tls")
+    methods: tuple[str, ...] = METHODS
     cases: tuple[str, ...] = ("A", "B")
     channels: tuple[int, ...] = (8, 20)
     gamma_threshold: float = GAMMA_THRESHOLD
@@ -62,7 +62,7 @@ class RunConfig:
         if self.mu <= 0.0:
             raise ConfigError("dose cap mu must be positive")
         for m in self.methods:
-            if m not in ("l1l1", "l1l2", "tls"):
+            if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
         for c in self.cases:
             if c not in ("A", "B"):

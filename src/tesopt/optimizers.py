@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp, solve_lp_lanes
+from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp_lanes
+from .lp import solve_lp  # not called here; bench/tracer.py wraps it by this name
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
@@ -152,7 +153,7 @@ class CurrentPattern:
     y: np.ndarray
     electrode_ids: tuple[int, ...]
     active_ids: tuple[int, ...]
-    status: str                 # optimal | degenerate | max_iter | infeasible | unbounded
+    status: str                 # optimal | degenerate | max_iter | infeasible | unbounded | error
     raw_objective: float
 
     @property
@@ -469,24 +470,15 @@ def _l1l1_pattern(p: StimulusProblem, sol, alpha: float, eps: float) -> CurrentP
     return _finalize(p, y, sol.status, l1l1_objective(p, y, alpha, eps))
 
 
-def solve_l1l1_linear(p: StimulusProblem, alpha: float, eps: float) -> CurrentPattern:
-    """One L1L1 cell: the y = 0 certificate, else one LP by ``solve_lp``."""
-    zero = _l1l1_zero(p, alpha, eps)
-    if zero is not None:
-        return zero
-    return _l1l1_pattern(p, solve_lp(build_l1l1_lp(p, alpha, eps)), alpha, eps)
-
-
-def solve_l1l1(p: StimulusProblem, params) -> list[CurrentPattern]:
-    """One pattern per ``MethodParams`` of ``params``, in order.
+def solve_l1l1(p: StimulusProblem, alpha, eps) -> list[CurrentPattern]:
+    """One pattern per entry of the equal-length sequences ``alpha`` and
+    ``eps``, in order.
 
     Cells that pass the y = 0 certificate are settled by it; the others
     are the lanes of ``solve_lp_lanes`` calls of at most
     L1L1_LANE_ENTRIES iterate entries each, and each lane is bitwise
-    equal to its ``solve_l1l1_linear`` solve.
+    equal to its one-lane solve.
     """
-    alpha = [db_to_linear(c.alpha_db) for c in params]
-    eps = [db_to_linear(c.weight_db) for c in params]
     out = [_l1l1_zero(p, a, e) for a, e in zip(alpha, eps)]
     lanes = [b for b, pattern in enumerate(out) if pattern is None]
     lps = [build_l1l1_lp(p, alpha[b], eps[b]) for b in lanes]
@@ -579,7 +571,7 @@ def _prox_rows(w: np.ndarray, mu: float, lam2: np.ndarray) -> np.ndarray:
     return pos - neg
 
 
-def solve_l1l2_lanes(
+def solve_l1l2(
     p: StimulusProblem, alpha, eps,
     tol: float = L1L2_TOL, max_iter: int = L1L2_MAX_ITER,
 ) -> list[CurrentPattern]:
@@ -629,7 +621,7 @@ def solve_l1l2_lanes(
 
 def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
                 tol: float, max_iter: int):
-    """The PDHG loop of ``solve_l1l2_lanes`` on its uncertified lanes.
+    """The PDHG loop of ``solve_l1l2`` on its uncertified lanes.
 
     Returns the final y, one row per lane, and whether each lane passed
     the residual test.
@@ -684,22 +676,6 @@ def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
     return y_out, converged
 
 
-def solve_l1l2_linear(
-    p: StimulusProblem, alpha: float, eps: float,
-    tol: float = L1L2_TOL, max_iter: int = L1L2_MAX_ITER,
-) -> CurrentPattern:
-    """One L1L2 cell: the one-lane case of ``solve_l1l2_lanes``."""
-    return solve_l1l2_lanes(p, [alpha], [eps], tol, max_iter)[0]
-
-
-def solve_l1l2(p: StimulusProblem, params, **kwargs) -> list[CurrentPattern]:
-    """One pattern per ``MethodParams`` of ``params``, solved as lanes."""
-    return solve_l1l2_lanes(
-        p, [db_to_linear(c.alpha_db) for c in params],
-        [db_to_linear(c.weight_db) for c in params], **kwargs
-    )
-
-
 def tls_raw_solution(p: StimulusProblem, alpha: float, delta: float) -> np.ndarray:
     """Minimize ||L1 y - x1||^2 + (delta*alpha)^2 ||L2 y||^2 + (alpha*sigma)^2 ||y||^2.
 
@@ -726,17 +702,16 @@ def tls_raw_solution(p: StimulusProblem, alpha: float, delta: float) -> np.ndarr
     return y
 
 
-def solve_tls_linear(p: StimulusProblem, alpha: float, delta: float) -> CurrentPattern:
-    y_raw = tls_raw_solution(p, alpha, delta)
-    raw = float(
-        np.linalg.norm(p.L1 @ y_raw - p.x1) ** 2
-        + (delta * alpha) ** 2 * np.linalg.norm(p.nuisance_factor() @ y_raw) ** 2
-        + (alpha * p.sigma_scale) ** 2 * np.linalg.norm(y_raw) ** 2
-    )
-    return _finalize(p, y_raw, "optimal", raw)
-
-
-def solve_tls(p: StimulusProblem, params: MethodParams) -> CurrentPattern:
-    return solve_tls_linear(
-        p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db)
-    )
+def solve_tls(p: StimulusProblem, alpha, delta) -> list[CurrentPattern]:
+    """One pattern per entry of the equal-length sequences ``alpha`` and
+    ``delta``, in order, each from one ``tls_raw_solution``."""
+    out = []
+    for a, d in zip(alpha, delta):
+        y_raw = tls_raw_solution(p, a, d)
+        raw = float(
+            np.linalg.norm(p.L1 @ y_raw - p.x1) ** 2
+            + (d * a) ** 2 * np.linalg.norm(p.nuisance_factor() @ y_raw) ** 2
+            + (a * p.sigma_scale) ** 2 * np.linalg.norm(y_raw) ** 2
+        )
+        out.append(_finalize(p, y_raw, "optimal", raw))
+    return out

@@ -120,16 +120,19 @@ class CandidateGrid:
 _WORKER_STATE: dict = {}
 
 
+def _solver(method: str):
+    """The method's lattice solver, looked up at call time, so that a
+    patched ``optimizers`` attribute is the one called."""
+    if method not in METHODS:
+        raise SearchError(f"unknown method {method!r}")
+    return getattr(optimizers, "solve_" + method)
+
+
 def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
                       weight_db: float, opts: dict) -> CurrentPattern:
-    params = MethodParams(alpha_db=alpha_db, weight_db=weight_db)
-    if method == "l1l1":
-        return optimizers.solve_l1l1_linear(p, db_to_linear(alpha_db), db_to_linear(weight_db))
-    if method == "l1l2":
-        return optimizers.solve_l1l2(p, [params], **opts.get("l1l2", {}))[0]
-    if method == "tls":
-        return optimizers.solve_tls(p, params)
-    raise SearchError(f"unknown method {method!r}")
+    """One cell: the one-lane call of the method's solver."""
+    return _solver(method)(p, [db_to_linear(alpha_db)], [db_to_linear(weight_db)],
+                           **opts.get(method, {}))[0]
 
 
 @functools.cache
@@ -196,12 +199,12 @@ def _single_thread_blas():
 
 
 # Forked workers get initargs without pickling; a functools.partial over
-# _solve_cell would pickle the problem into every chunk instead.
-def _init_worker(p, opts, blas_paths):
+# _solve_cells would pickle the problem into every task instead.
+def _init_worker(p, blas_paths):
     _pin_blas(blas_paths)
     # the worker's own serial view of the pool: sub-problems it restricts,
     # with their caches, live as long as the worker
-    _WORKER_STATE["pool"] = LatticePool(p, solver_opts=opts)
+    _WORKER_STATE["pool"] = LatticePool(p)
 
 
 def _candidate(p, params, pattern, reason=None) -> CandidateCell:
@@ -227,21 +230,18 @@ def _solve_cell(p, method, opts, cell) -> CandidateCell:
 
 
 def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
-    """Cells solved in this process: L1L1 and L1L2 cells as the lanes of
-    one solve, TLS cells one by one.
+    """Cells solved in this process by one call of the method's solver.
 
-    A lane ends bitwise as its one-lane solve, so when the lane solve
-    raises, the cells are solved again one by one: the cells that raise
-    become ``error`` cells and the others keep their patterns.
+    Each cell ends bitwise as its one-cell solve, so when the call raises,
+    the cells are solved again one by one: the cells that raise become
+    ``error`` cells and the others keep their patterns.
     """
-    if method not in ("l1l1", "l1l2"):
-        return [_solve_cell(p, method, opts, cell) for cell in cells]
+    solve = _solver(method)
     params = [MethodParams(alpha_db=float(a), weight_db=float(w)) for a, w in cells]
     try:
-        if method == "l1l1":
-            patterns = optimizers.solve_l1l1(p, params)
-        else:
-            patterns = optimizers.solve_l1l2(p, params, **opts.get("l1l2", {}))
+        patterns = solve(p, [db_to_linear(c.alpha_db) for c in params],
+                         [db_to_linear(c.weight_db) for c in params],
+                         **opts.get(method, {}))
     except Exception:
         return [_solve_cell(p, method, opts, cell) for cell in cells]
     return [_candidate(p, c, pattern) for c, pattern in zip(params, patterns)]
@@ -257,23 +257,20 @@ class LatticePool:
     """Workers, solver options and solved grids of one search.
 
     A pool is made for one problem and evaluates that problem and the
-    sub-problems its ``restrict`` made.  An L1L2 lattice is solved in
-    this process, as the lanes of one ``optimizers.solve_l1l2`` call.
-    The workers start at the first L1L1 or TLS lattice that needs them
-    (more than one worker and more than one cell) and get the problem
-    and the solver options once; a task names its sub-problem by
-    electrode ids, and each worker restricts it once.  An L1L1 lattice
+    sub-problems its ``restrict`` made.  A lattice, or a worker's share
+    of one, is one call of ``optimizers.solve_<method>`` over its cells.
+    An L1L1 lattice with more than one cell, on more than one worker,
     goes to the workers as one task each, the strided share
-    ``cells[i::threads]``, which the worker solves as the lanes of one
-    ``optimizers.solve_l1l1`` call; at 1000 field points its LP is
-    compute-bound, so the split pays.  A TLS cell is a task of its own.
-    A serial pool solves every lattice in this process, L1L1 as one
-    lane solve, and lattices solved in this process run the bundled
-    OpenBLAS on one thread, as the workers do, so the cells do not
-    depend on the worker count.
-    ``grid`` keeps every lattice it solved, so the searches of one method
-    share their first run and the second runs that land on one montage.
-    Leaving the ``with`` block shuts the workers down and joins them.
+    ``cells[i::threads]``: at 1000 field points its LP is compute-bound,
+    so the split pays.  Every other lattice is solved in this process,
+    with the bundled OpenBLAS on one thread as in the workers, so the
+    cells do not depend on the worker count.  The workers start at the
+    first L1L1 lattice that needs them and get the problem once; a task
+    names its sub-problem by electrode ids, and each worker restricts it
+    once.  ``grid`` keeps every lattice it solved, so the searches of one
+    method share their first run and the second runs that land on one
+    montage.  Leaving the ``with`` block shuts the workers down and
+    joins them.
     """
 
     def __init__(self, p: StimulusProblem, threads: int = 1,
@@ -310,25 +307,20 @@ class LatticePool:
     def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
         """One finished cell per (alpha_db, weight_db) pair, in order."""
         self._key(p)
-        if method == "l1l2" or self.threads <= 1 or len(cells) <= 1:
+        if method != "l1l1" or self.threads <= 1 or len(cells) <= 1:
             with _single_thread_blas():
                 return _solve_cells(p, method, self.opts, cells)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.threads, initializer=_init_worker,
-                initargs=(self.problem, self.opts, _openblas_paths()),
+                initargs=(self.problem, _openblas_paths()),
             )
-        if method == "l1l1":
-            n = min(self.threads, len(cells))
-            tasks = [(method, p.electrode_ids, cells[i::n]) for i in range(n)]
-            out = [None] * len(cells)
-            for i, solved in enumerate(self._executor.map(_worker, tasks)):
-                out[i::n] = solved
-            return out
-        chunk = max(1, len(cells) // (4 * self.threads))
-        tasks = [(method, p.electrode_ids, [cell]) for cell in cells]
-        return [c for solved in self._executor.map(_worker, tasks, chunksize=chunk)
-                for c in solved]
+        n = min(self.threads, len(cells))
+        tasks = [(method, p.electrode_ids, cells[i::n]) for i in range(n)]
+        out = [None] * len(cells)
+        for i, solved in enumerate(self._executor.map(_worker, tasks)):
+            out[i::n] = solved
+        return out
 
     def __enter__(self) -> "LatticePool":
         return self

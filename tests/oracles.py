@@ -6,7 +6,9 @@ L1L1 LP, dense grid search on the balanced-current subspace for the
 convex solvers, finite differences for element matrices, scipy's
 ``splu`` for the CEM solves (``cem_reference``, ``forward_reference`` on
 the ``block_matrix``), and an eigendecomposition for the zero-weight
-TLS ridge solution (``ridge_reference``).
+TLS ridge solution (``ridge_reference``).  ``l1l1_cell``, ``l1l2_cell``
+and ``tls_cell`` are not references: they are the one-cell calls of the
+library's solvers at linear weights, as the tests write them.
 """
 
 from itertools import combinations
@@ -16,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tesopt.lp import make_program
-from tesopt.optimizers import build_l1l1_lp
+from tesopt.optimizers import build_l1l1_lp, solve_l1l1, solve_l1l2, solve_tls
 
 
 def lp_vertex_minimum(c, G, h, E=None, f=None, feas_tol=1e-9):
@@ -216,3 +218,15 @@ def ridge_reference(p, alpha):
     lam, Q = np.linalg.eigh(p.L1.T @ p.L1)
     Qs = Q / (np.maximum(lam, 0.0) + (alpha * p.sigma_scale) ** 2)
     return Qs @ (Q.T @ p.target_drive()), Qs @ Q.T
+
+
+def l1l1_cell(p, alpha, eps):
+    return solve_l1l1(p, [alpha], [eps])[0]
+
+
+def l1l2_cell(p, alpha, eps, **kwargs):
+    return solve_l1l2(p, [alpha], [eps], **kwargs)[0]
+
+
+def tls_cell(p, alpha, delta):
+    return solve_tls(p, [alpha], [delta])[0]

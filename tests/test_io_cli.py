@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import struct
@@ -494,7 +495,7 @@ def test_cli_search_leaves_no_worker_running(tmp_path, tiny_cfg, monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
     cfg = json.loads(tiny_cfg.read_text())
-    cfg.update(threads=2, cases=["A", "B"], lattice_step_db=90.0)
+    cfg.update(methods=["l1l1"], threads=2, cases=["A", "B"], lattice_step_db=90.0)
     tiny_cfg.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
@@ -582,6 +583,30 @@ def test_cli_optimize_single_solve(tmp_path, tiny_cfg):
     result = json.loads((out / "optimize.json").read_text())
     assert result["status"] == "optimal"
     assert len(result["currents_ma"]) == 6
+
+
+def test_cli_optimize_matches_lattice_rows(tmp_path, tiny_cfg):
+    # tesopt optimize at a run-1 lattice cell writes that cell's CSV figures
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg.update(methods=["l1l1", "l1l2", "tls"], lattice_step_db=90.0)
+    tiny_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    for command in ("mesh", "leadfield", "search"):
+        cli.main([command, "--config", str(tiny_cfg), "--out-dir", str(out)])
+    for method in cfg["methods"]:
+        with open(out / f"lattice_{method}_caseB_k4_run1.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            assert cli.main(["optimize", "--config", str(tiny_cfg), "--out-dir", str(out),
+                             "--method", method, "--alpha-db", row["alpha_db"],
+                             "--weight-db", row["weight_db"]]) == 0
+            result = json.loads((out / "optimize.json").read_text())
+            for key in ("gamma", "theta", "max_current_ma"):
+                assert io._fmt(float(result[key])) == row[key], (method, row, key)
+    _, problem = io.read_lead_field(out / "leadfield.bin")
+    with pytest.raises(search.SearchError, match="unknown method"):
+        search.solve_single_cell(problem, "lp", -60.0, -40.0, {})
 
 
 def test_cli_error_exit(tmp_path):

@@ -11,7 +11,8 @@ from conftest import random_problem
 from tesopt import fem, lp as lp_module, optimizers
 from tesopt.cli import build_model
 from tesopt.config import RunConfig
-from oracles import assembled_l1l1_lp, balanced_grid_minimum, ridge_reference
+from oracles import (assembled_l1l1_lp, balanced_grid_minimum, l1l1_cell, l1l2_cell,
+                     ridge_reference, tls_cell)
 from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
 from tesopt.optimizers import (
     L1L1Constraints,
@@ -26,14 +27,12 @@ from tesopt.optimizers import (
     l1l2_objective,
     project_feasible,
     solve_l1l1,
-    solve_l1l1_linear,
     solve_l1l2,
-    solve_l1l2_linear,
     solve_tls,
-    solve_tls_linear,
     tls_raw_solution,
 )
-from tesopt.search import LatticePool, LatticeSpec, default_lattice_spec, evaluate_lattice
+from tesopt.search import LatticePool, LatticeSpec, default_lattice_spec, evaluate_lattice, \
+    solve_single_cell
 
 
 def test_lp_block_counts(rng):
@@ -65,7 +64,7 @@ def test_l1l1_zero_target_degenerate(rng):
     p = random_problem(rng)
     p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
                         zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
-    pat = solve_l1l1_linear(p, 0.0, 0.0)
+    pat = l1l1_cell(p, 0.0, 0.0)
     assert pat.status == "degenerate"
     assert not pat.y.any()
 
@@ -82,7 +81,7 @@ def test_l1l1_matches_grid_oracle(rng):
         p = random_problem(rng)
         alpha = 10 ** rng.uniform(-4, -1)
         eps = 10 ** rng.uniform(-3, -0.5)
-        pat = solve_l1l1_linear(p, alpha, eps)
+        pat = l1l1_cell(p, alpha, eps)
         assert pat.status == ("degenerate" if alpha >= zero_alpha(p) else "optimal")
         ref = balanced_grid_minimum(p, "l1", alpha, eps)
         assert abs(pat.raw_objective - ref) <= 1e-3 * abs(ref)
@@ -100,7 +99,7 @@ def test_l1l1_zero_certificate_sound(rng):
         assert sol.status == "optimal"
         at_zero = l1l1_objective(p, np.zeros(p.n_electrodes), alpha, eps)
         assert lp.c @ sol.v >= at_zero - 1e-10 * (1 + at_zero)
-        pat = solve_l1l1_linear(p, alpha, eps)
+        pat = l1l1_cell(p, alpha, eps)
         assert pat.status == "degenerate"
         assert pat.raw_objective == at_zero
 
@@ -183,7 +182,8 @@ def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
     for row in grid.cells:
         for cell in row:
             fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
-            ref = solve_l1l1(fresh, [cell.params])[0]
+            ref = l1l1_cell(fresh, db_to_linear(cell.params.alpha_db),
+                            db_to_linear(cell.params.weight_db))
             assert np.array_equal(cell.pattern.y, ref.y)
             assert cell.pattern.status == ref.status
 
@@ -227,7 +227,7 @@ def test_l1l1_weak_regularization_cell_optimal(bench_l1l1_problem, monkeypatch):
         return factor(self, W)
 
     monkeypatch.setattr(L1L1Constraints, "factor", recording)
-    pat = solve_l1l1(bench_l1l1_problem, [MethodParams(alpha_db=-160.0, weight_db=-70.0)])[0]
+    pat = l1l1_cell(bench_l1l1_problem, db_to_linear(-160.0), db_to_linear(-70.0))
     assert max(spreads) > 1e22
     assert pat.status == "optimal"
 
@@ -259,8 +259,14 @@ def _lattice_params(spec):
             for a in spec.alpha_values for w in spec.weight_values]
 
 
+def _linear(params):
+    """The linear (alpha, eps) sequences of a list of MethodParams."""
+    return ([db_to_linear(c.alpha_db) for c in params],
+            [db_to_linear(c.weight_db) for c in params])
+
+
 def _one_lane(p, params):
-    return solve_l1l1_linear(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
+    return l1l1_cell(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
 
 
 def _same_pattern(a, b):
@@ -274,7 +280,7 @@ def test_l1l1_lattice_lanes_match_one_lane(bench_l1l1_problem, monkeypatch):
     # fails in its sixth iteration, which ends only that lane, at max_iter
     p = bench_l1l1_problem
     params = _lattice_params(default_lattice_spec("l1l1", step_db=45.0))
-    lanes = solve_l1l1(p, params)
+    lanes = solve_l1l1(p, *_linear(params))
     assert {pat.status for pat in lanes} == {"optimal", "degenerate"}
     for c, pat in zip(params, lanes):
         assert _same_pattern(pat, _one_lane(p, c))
@@ -295,7 +301,7 @@ def test_l1l1_lattice_lanes_match_one_lane(bench_l1l1_problem, monkeypatch):
         return factor(self, W) & np.array([row.tobytes() != bad for row in W])
 
     monkeypatch.setattr(L1L1Constraints, "factor", failing)
-    failed = solve_l1l1(p, params)
+    failed = solve_l1l1(p, *_linear(params))
     assert failed[5].status == "max_iter"
     for b, (c, pat) in enumerate(zip(params, failed)):
         assert _same_pattern(pat, _one_lane(p, c))
@@ -307,14 +313,14 @@ def test_l1l1_lanes_independent_of_split(bench_l1l1_problem):
     # a cell's result does not depend on the lanes solved beside it
     p = bench_l1l1_problem
     params = _lattice_params(default_lattice_spec("l1l1", step_db=45.0))
-    whole = solve_l1l1(p, params)
+    whole = solve_l1l1(p, *_linear(params))
     strided = [None] * len(params)
     for i in range(3):
-        strided[i::3] = solve_l1l1(p, params[i::3])
+        strided[i::3] = solve_l1l1(p, *_linear(params[i::3]))
     splits = {
-        "reversed": solve_l1l1(p, params[::-1])[::-1],
-        "singletons": [solve_l1l1(p, [c])[0] for c in params],
-        "halves": solve_l1l1(p, params[:8]) + solve_l1l1(p, params[8:]),
+        "reversed": solve_l1l1(p, *_linear(params[::-1]))[::-1],
+        "singletons": [solve_l1l1(p, *_linear([c]))[0] for c in params],
+        "halves": solve_l1l1(p, *_linear(params[:8])) + solve_l1l1(p, *_linear(params[8:])),
         "strided": strided,
     }
     for name, got in splits.items():
@@ -335,7 +341,7 @@ def test_l1l1_paths_agree_below_threshold(rng):
         assert sparse.status == structured.status == "optimal"
         a, b = lp.c @ sparse.v, lp.c @ structured.v
         assert abs(a - b) <= 1e-9 * abs(a)
-        assert solve_l1l1_linear(p, alpha, eps).status == "optimal"
+        assert l1l1_cell(p, alpha, eps).status == "optimal"
 
 
 def test_l1l2_matches_grid_oracle(rng):
@@ -343,7 +349,7 @@ def test_l1l2_matches_grid_oracle(rng):
         p = random_problem(rng)
         alpha = 10 ** rng.uniform(-4, -1)
         eps = 10 ** rng.uniform(-3, -0.5)
-        pat = solve_l1l2_linear(p, alpha, eps)
+        pat = l1l2_cell(p, alpha, eps)
         assert pat.status == "optimal"
         ref = balanced_grid_minimum(p, "l2", alpha, eps)
         assert abs(pat.raw_objective - ref) <= 1e-3 * abs(ref)
@@ -365,7 +371,7 @@ def test_l1l2_zero_certificate_sound(rng):
         eps = 10 ** rng.uniform(-3, -0.5)
         at_zero = l1l2_objective(p, np.zeros(3), alpha, eps)
         assert balanced_grid_minimum(p, "l2", alpha, eps) >= at_zero * (1 - 1e-3)
-        pat = solve_l1l2_linear(p, alpha, eps)
+        pat = l1l2_cell(p, alpha, eps)
         assert pat.status == "degenerate"
         assert pat.raw_objective == at_zero
 
@@ -413,7 +419,7 @@ def test_l1l2_compressed_matches_full(rng):
         alpha = zero_alpha_l2(p) * (1.0 - 10 ** rng.uniform(-1.2, -0.1))
         eps = 10 ** rng.uniform(-4, -2)
         ref = l1l2_full_loop(p, alpha, eps, max_iter=200)
-        got = solve_l1l2_linear(p, alpha, eps, max_iter=200)
+        got = l1l2_cell(p, alpha, eps, max_iter=200)
         assert got.status == ref.status
         assert np.abs(got.y - ref.y).max() <= 1e-10 * p.mu
         assert abs(got.raw_objective - ref.raw_objective) <= 1e-10 * ref.raw_objective
@@ -438,7 +444,7 @@ def test_l1l2_lattice_cells_match_one_lane(rng):
     for row in grid.cells:
         for cell in row:
             fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
-            ref = solve_l1l2_linear(fresh, db_to_linear(cell.params.alpha_db),
+            ref = l1l2_cell(fresh, db_to_linear(cell.params.alpha_db),
                                     db_to_linear(cell.params.weight_db), max_iter=60)
             assert _same_pattern(cell.pattern, ref)
 
@@ -448,11 +454,11 @@ def test_l1l2_lanes_independent_of_neighbours(rng):
     p = random_problem(rng, n_electrodes=12, n_nuisance=60)
     spec = LatticeSpec(-140.0, 40.0, -140.0, 40.0, 20.0)
     params = [MethodParams(a, w) for a in spec.alpha_values for w in spec.weight_values]
-    lanes = solve_l1l2(p, params, max_iter=300)
-    reverse = solve_l1l2(p, params[::-1], max_iter=300)[::-1]
+    lanes = solve_l1l2(p, *_linear(params), max_iter=300)
+    reverse = solve_l1l2(p, *_linear(params[::-1]), max_iter=300)[::-1]
     half = len(params) // 2
-    halves = solve_l1l2(p, params[:half], max_iter=300) \
-        + solve_l1l2(p, params[half:], max_iter=300)
+    halves = solve_l1l2(p, *_linear(params[:half]), max_iter=300) \
+        + solve_l1l2(p, *_linear(params[half:]), max_iter=300)
     assert len({c.status for c in lanes}) == 3
     for a, b, c in zip(lanes, reverse, halves):
         assert _same_pattern(a, b) and _same_pattern(a, c)
@@ -506,13 +512,13 @@ def test_l1l2_zero_target(rng):
     p = random_problem(rng)
     p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
                         zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
-    pat = solve_l1l2_linear(p, 0.0, 0.0)
+    pat = l1l2_cell(p, 0.0, 0.0)
     assert pat.status == "degenerate"
 
 
 def test_l1l2_huge_penalty_degenerate(rng):
     p = random_problem(rng)
-    pat = solve_l1l2_linear(p, 1e6, 1e-3)
+    pat = l1l2_cell(p, 1e6, 1e-3)
     assert pat.status == "degenerate"
 
 
@@ -586,7 +592,7 @@ def test_project_feasible_exact_prox(vals, lam_frac, seed):
 def test_tls_delta_zero_matches_ridge(rng):
     p = random_problem(rng, n_electrodes=5, n_nuisance=12)
     y_tilde, _ = ridge_reference(p, 0.05)
-    pat = solve_tls_linear(p, 0.05, 0.0)
+    pat = tls_cell(p, 0.05, 0.0)
     yt = y_tilde - y_tilde.mean()
     yt = yt * (p.mu / np.abs(yt).sum())
     assert np.allclose(pat.y, yt, atol=1e-12)
@@ -665,15 +671,15 @@ def test_sign_symmetry(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=8)
     flipped = StimulusProblem(L1=p.L1, L2=p.L2, x1=-p.x1, mu=p.mu,
                               zeta=p.zeta, nu=p.nu, sigma_scale=p.sigma_scale)
-    y1 = solve_tls_linear(p, 0.02, 0.3).y
-    y2 = solve_tls_linear(flipped, 0.02, 0.3).y
+    y1 = tls_cell(p, 0.02, 0.3).y
+    y2 = tls_cell(flipped, 0.02, 0.3).y
     assert np.abs(y1 + y2).max() <= 1e-6 * np.abs(y1).max()
     a, e = 1e-3, 1e-2
-    y1 = solve_l1l1_linear(p, a, e).y
-    y2 = solve_l1l1_linear(flipped, a, e).y
+    y1 = l1l1_cell(p, a, e).y
+    y2 = l1l1_cell(flipped, a, e).y
     assert np.abs(y1 + y2).max() <= 1e-6 * p.mu
-    y1 = solve_l1l2_linear(p, a, e).y
-    y2 = solve_l1l2_linear(flipped, a, e).y
+    y1 = l1l2_cell(p, a, e).y
+    y2 = l1l2_cell(flipped, a, e).y
     assert np.abs(y1 + y2).max() <= 1e-5 * p.mu
 
 
@@ -693,15 +699,14 @@ def test_expansion_small_delta(rng):
     assert abs(deficit - predicted) <= 0.10 * abs(predicted)
 
 
-def test_method_params_wrappers(rng):
+def test_single_cell_is_one_solver_call(rng):
+    # tesopt optimize solves a cell at dB levels as the one-cell call of
+    # the method's solver at linear weights
     p = random_problem(rng)
-    params = MethodParams(alpha_db=-60.0, weight_db=-40.0)
-    a = solve_l1l1(p, [params])[0]
-    b = solve_l1l1_linear(p, 10 ** (-60 / 20), 10 ** (-40 / 20))
-    assert np.array_equal(a.y, b.y)
-    a = solve_tls(p, params)
-    b = solve_tls_linear(p, 10 ** (-60 / 20), 10 ** (-40 / 20))
-    assert np.array_equal(a.y, b.y)
+    for method, solve in (("l1l1", solve_l1l1), ("l1l2", solve_l1l2), ("tls", solve_tls)):
+        a = solve_single_cell(p, method, -60.0, -40.0, {})
+        b = solve(p, [10 ** (-60 / 20)], [10 ** (-40 / 20)])[0]
+        assert a.y.tobytes() == b.y.tobytes() and a.status == b.status
 
 
 def test_method_params_validation():

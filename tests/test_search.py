@@ -143,8 +143,8 @@ def _pooled_lattice(p, method, spec, threads, opts=None):
 def test_lattice_parallel_schedule_independence(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
-    g1 = evaluate_lattice(p, "tls", spec)
-    g2 = _pooled_lattice(p, "tls", spec, 2)
+    g1 = evaluate_lattice(p, "l1l1", spec)
+    g2 = _pooled_lattice(p, "l1l1", spec, 2)
     for r1, r2 in zip(g1.cells, g2.cells):
         for c1, c2 in zip(r1, r2):
             assert np.array_equal(c1.pattern.y, c2.pattern.y)
@@ -178,7 +178,7 @@ def test_lattice_workers_pin_blas(rng):
         _blas_calls(paths, "set", 2)
         parent = _blas_calls(paths, "get")
         with ProcessPoolExecutor(max_workers=1, initializer=search._init_worker,
-                                 initargs=(p, {}, paths)) as pool:
+                                 initargs=(p, paths)) as pool:
             worker = pool.submit(_blas_calls, paths, "get").result(timeout=60)
         assert worker == [1] * known
         assert _blas_calls(paths, "get") == parent
@@ -210,7 +210,7 @@ def _assert_same_cells(g1, g2):
 def test_lattice_error_cells_independent_of_threads(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-60.0, -30.0, -60.0, -30.0, step_db=15.0)
-    # an unknown solver option makes every cell raise, in workers as well
+    # an unknown solver option makes every cell raise, at any worker count
     opts = {"l1l2": {"bogus": 1}}
     g1 = _pooled_lattice(p, "l1l2", spec, 1, opts)
     g2 = _pooled_lattice(p, "l1l2", spec, 2, opts)
@@ -226,11 +226,11 @@ def test_lattice_error_cells_independent_of_threads(rng):
     # a run-2 lattice whose sub-problem the workers restrict themselves,
     # next to an erroring one, on the pool of the full problem
     ids = (1, 3, 4)
-    serial = evaluate_lattice(p.restrict(ids), "tls", spec)
+    serial = evaluate_lattice(p.restrict(ids), "l1l1", spec)
     with search.LatticePool(p, 1, opts) as pool:
         serial_err = evaluate_lattice(pool.restrict(ids), "l1l2", spec, pool=pool)
     with search.LatticePool(p, 2, opts) as pool:
-        pooled = evaluate_lattice(pool.restrict(ids), "tls", spec, pool=pool)
+        pooled = evaluate_lattice(pool.restrict(ids), "l1l1", spec, pool=pool)
         pooled_err = evaluate_lattice(pool.restrict(ids), "l1l2", spec, pool=pool)
     assert all(c.valid for row in pooled.cells for c in row)
     assert all(c.pattern.status == "error" for row in pooled_err.cells for c in row)
@@ -238,22 +238,25 @@ def test_lattice_error_cells_independent_of_threads(rng):
     _assert_same_cells(serial_err, pooled_err)
 
 
-def test_l1l2_lattice_error_stays_on_its_cell(rng, monkeypatch):
-    # an L1L2 lattice is one lane solve; when it raises, the cells are
-    # solved one by one, so only the raising cell becomes an error cell
-    # and every other cell keeps the bytes of the lane solve
+@pytest.mark.parametrize("method", ["l1l2", "tls"])
+def test_lattice_error_stays_on_its_cell(rng, monkeypatch, method):
+    # an L1L2 or TLS lattice is one solver call; when it raises, the cells
+    # are solved one by one, so only the raising cell becomes an error
+    # cell and every other cell keeps the bytes of the lattice call
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
-    lanes = evaluate_lattice(p, "l1l2", spec)
-    solve = search.optimizers.solve_l1l2
+    lanes = evaluate_lattice(p, method, spec)
+    assert all(c.pattern.status != "error" for row in lanes.cells for c in row)
+    solve = getattr(search.optimizers, "solve_" + method)
+    bad = (db_to_linear(-60.0), db_to_linear(-90.0))
 
-    def failing(p, params, **kwargs):
-        if any(c == MethodParams(-60.0, -90.0) for c in params):
+    def failing(p, alpha, eps, **kwargs):
+        if bad in zip(alpha, eps):
             raise FloatingPointError("bad lane")
-        return solve(p, params, **kwargs)
+        return solve(p, alpha, eps, **kwargs)
 
-    monkeypatch.setattr(search.optimizers, "solve_l1l2", failing)
-    grid = evaluate_lattice(p, "l1l2", spec)
+    monkeypatch.setattr(search.optimizers, "solve_" + method, failing)
+    grid = evaluate_lattice(p, method, spec)
     for r1, r2 in zip(lanes.cells, grid.cells):
         for c1, c2 in zip(r1, r2):
             if c2.params == MethodParams(-60.0, -90.0):
@@ -330,8 +333,8 @@ def test_l1l1_lattice_csv_independent_of_threads(tmp_path):
 
 
 def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
-    # workers start at the first lattice with more than one cell, serve
-    # every later lattice, and are joined when the block exits by a raise
+    # workers start at the first L1L1 lattice with more than one cell,
+    # serve every later one, and are joined when the block exits by a raise
     starts = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -345,11 +348,14 @@ def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
     single = LatticeSpec(-60.0, -45.0, -60.0, -45.0, step_db=15.0)
     with pytest.raises(RuntimeError, match="stop"):
         with search.LatticePool(p, 2) as pool:
-            evaluate_lattice(p, "tls", single, pool=pool)
-            assert starts == []
+            evaluate_lattice(p, "l1l1", single, pool=pool)
+            # TLS and L1L2 lattices are solved in this process
             evaluate_lattice(p, "tls", spec, pool=pool)
-            evaluate_lattice(pool.restrict((1, 2)), "tls", spec, pool=pool)
-            two_run_search(p, "tls", "B", 3, spec, pool=pool)
+            evaluate_lattice(p, "l1l2", spec, pool=pool)
+            assert starts == []
+            evaluate_lattice(p, "l1l1", spec, pool=pool)
+            evaluate_lattice(pool.restrict((1, 2)), "l1l1", spec, pool=pool)
+            two_run_search(p, "l1l1", "B", 3, spec, pool=pool)
             assert starts == [2]
             raise RuntimeError("stop")
     assert multiprocessing.active_children() == []
@@ -402,9 +408,9 @@ def test_pooled_lattice_measures_cells_in_workers(rng, monkeypatch):
     monkeypatch.setattr(search, "compute_metrics", counting)
     p = random_problem(rng, n_electrodes=4, n_nuisance=6)
     spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
-    g2 = _pooled_lattice(p, "tls", spec, 2)
+    g2 = _pooled_lattice(p, "l1l1", spec, 2)
     assert calls == []
-    g1 = evaluate_lattice(p, "tls", spec)
+    g1 = evaluate_lattice(p, "l1l1", spec)
     assert len(calls) == 4
     assert g1.dims == g2.dims == (2, 2)
     for r1, r2 in zip(g1.cells, g2.cells):
@@ -449,14 +455,14 @@ def test_two_run_dominant_column(rng):
     from itertools import combinations
 
     from tesopt.metrics import focused_density
-    from tesopt.optimizers import solve_tls_linear
+    from oracles import tls_cell
 
     def best_gamma(ids):
         sub = p.restrict(ids)
         best = -math.inf
         for adb in (-90.0, -60.0, -30.0):
             for wdb in (-90.0, -60.0, -30.0):
-                pat = solve_tls_linear(sub, db_to_linear(adb), db_to_linear(wdb))
+                pat = tls_cell(sub, db_to_linear(adb), db_to_linear(wdb))
                 if not pat.degenerate:
                     best = max(best, focused_density(sub, pat.y))
         return best
