@@ -46,7 +46,10 @@ def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
     points = io.load_field_points(out_dir / "fieldpoints.json")
     target = io.load_target(out_dir / "target.json")
     system = fem.assemble(mesh, layout)
-    lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
+    # the roundoff of the factor's dense fronts depends on the BLAS thread
+    # count, so they run on one thread whatever the process started with
+    with search.single_thread_blas():
+        lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
     problem = fem.split_problem(lf, target, cfg.mu)
     io.write_lead_field(lf, problem, out_dir / "leadfield.bin")
     print(f"lead field: {lf.matrix.shape[0]}x{lf.matrix.shape[1]} "

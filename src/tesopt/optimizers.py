@@ -128,6 +128,15 @@ class StimulusProblem:
             self._cache["r2"] = R
         return self._cache["r2"]
 
+    def nuisance_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s, V) with L2'L2 = V diag(s^2) V' and V orthogonal, from the SVD
+        of R: s ascending, led by L - M zeros when M < L."""
+        if "r2_svd" not in self._cache:
+            _, s, vt = np.linalg.svd(self.nuisance_factor())
+            s = np.concatenate([np.zeros(self.n_electrodes - s.size), s[::-1]])
+            self._cache["r2_svd"] = (s, np.ascontiguousarray(vt[::-1].T))
+        return self._cache["r2_svd"]
+
     def target_drive(self) -> np.ndarray:
         if "l1tx" not in self._cache:
             self._cache["l1tx"] = self.L1.T @ self.x1
@@ -676,42 +685,69 @@ def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
     return y_out, converged
 
 
-def tls_raw_solution(p: StimulusProblem, alpha: float, delta: float) -> np.ndarray:
+def tls_raw_solution(p: StimulusProblem, alpha, delta) -> np.ndarray:
     """Minimize ||L1 y - x1||^2 + (delta*alpha)^2 ||L2 y||^2 + (alpha*sigma)^2 ||y||^2.
 
-    One least-squares solve of the stack K = [L1; delta*alpha*R; alpha*sigma*I],
-    with R the nuisance factor (||R y|| = ||L2 y||), so K has at most 3 + 2L
-    rows and its condition number is not squared as on the normal equations
-    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996, 2.2).
-    The result must still solve the normal equations K'K y = L1' x1 to
-    1e-10 relative, with ||K'K||_2 the square of K's largest singular value.
+    In closed form through the three target rows.  With the nuisance
+    spectrum L2'L2 = V diag(s^2) V', the penalty is alpha^2 y'By with
+    B = V diag(delta^2 s^2 + sigma^2) V', and y = V W z, W = diag(delta^2
+    s^2 + sigma^2)^(-1/2), turns the problem into standard-form Tikhonov
+    regularization of the 3 x L matrix C = L1 V W (Elden, BIT 17, 1977;
+    Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM 1998).
+    With the thin SVD C = P diag(g) Q', at most three g_i,
+    z = sum_i g_i/(g_i^2 + alpha^2) (P'x1)_i q_i, exactly, for any rank of
+    L1 and any number of nuisance rows.  So one SVD of C per distinct
+    delta, and per cell a filter and two row-wise products.
+
+    ``alpha`` and ``delta`` are scalars, giving y of shape (L,), or
+    equal-length sequences, giving one row of a (B, L) stack per entry.
+    Per-cell products are row-wise einsum sums, never a gemm over the
+    stack, so a row is bitwise the one-cell result, whatever the rows
+    beside it.  Every y must solve the normal equations K'K y = L1'x1,
+    K'K = L1'L1 + alpha^2 B, to 1e-10 relative, on the scale of
+    max(||L1||_2^2, alpha^2 (delta^2 max(s)^2 + sigma^2)) <= ||K'K||_2.
     """
-    if alpha <= 0.0:
+    a = np.atleast_1d(np.asarray(alpha, dtype=float))
+    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    if not (a > 0.0).all():
         raise OptimizerError("alpha must be positive for the least-squares path")
-    K = np.vstack([
-        p.L1,
-        (delta * alpha) * p.nuisance_factor(),
-        (alpha * p.sigma_scale) * np.eye(p.n_electrodes),
-    ])
-    rhs = np.concatenate([p.x1, np.zeros(K.shape[0] - 3)])
-    y, _, _, sv = np.linalg.lstsq(K, rhs, rcond=None)
+    s, V = p.nuisance_spectrum()
+    sigma2 = p.sigma_scale ** 2
+    deltas, which = np.unique(d, return_inverse=True)
+    w = 1.0 / np.sqrt((deltas[:, None] * s) ** 2 + sigma2)         # (D, L)
+    # the SVD of C' = Q diag(g) P', whose rows come in non-increasing
+    # order of w: the Householder steps from the top keep its small rows
+    # accurate, where an SVD of C loses the small columns (5.7e-13 against
+    # 8.9e-16 relative in y at (-240, 65) dB on a 5-channel, 3-row problem)
+    Q, g, Pt = np.linalg.svd(w[:, :, None] * (V.T @ p.L1.T), full_matrices=False)
+    px1 = (Pt * p.x1).sum(axis=2)                                   # P'x1, (D, k)
+    g, px1, Q, w = g[which], px1[which], Q[which], w[which]
+    coef = px1 * g / (g * g + (a * a)[:, None])
+    y = np.einsum("ij,bj->bi", V, w * (Q * coef[:, None, :]).sum(axis=2))
+
+    R = p.nuisance_factor()
+    l1y = np.einsum("ij,bj->bi", p.L1, y)
+    ry = np.einsum("ij,bj->bi", R, y)
+    normal = (np.einsum("ji,bj->bi", p.L1, l1y)
+              + ((d * a) ** 2)[:, None] * np.einsum("ji,bj->bi", R, ry)
+              + ((a * a) * sigma2)[:, None] * y)
     b = p.target_drive()
-    scale = max(np.linalg.norm(b), sv[0] ** 2 * np.linalg.norm(y), 1e-300)
-    if np.linalg.norm(K.T @ (K @ y) - b) > 1e-10 * scale:
-        raise OptimizerError("least-squares solve fails the normal equations")
-    return y
+    gram_norm = np.maximum(spectral_norm(p.L1.T) ** 2, (a * a) * (d * d * s[-1] ** 2 + sigma2))
+    scale = np.maximum(np.maximum(np.linalg.norm(b), gram_norm * np.linalg.norm(y, axis=1)),
+                       1e-300)
+    if not (np.linalg.norm(normal - b, axis=1) <= 1e-10 * scale).all():
+        raise OptimizerError("TLS solution fails the normal equations")
+    return y if np.ndim(alpha) or np.ndim(delta) else y[0]
 
 
 def solve_tls(p: StimulusProblem, alpha, delta) -> list[CurrentPattern]:
     """One pattern per entry of the equal-length sequences ``alpha`` and
-    ``delta``, in order, each from one ``tls_raw_solution``."""
-    out = []
-    for a, d in zip(alpha, delta):
-        y_raw = tls_raw_solution(p, a, d)
-        raw = float(
-            np.linalg.norm(p.L1 @ y_raw - p.x1) ** 2
-            + (d * a) ** 2 * np.linalg.norm(p.nuisance_factor() @ y_raw) ** 2
-            + (a * p.sigma_scale) ** 2 * np.linalg.norm(y_raw) ** 2
-        )
-        out.append(_finalize(p, y_raw, "optimal", raw))
-    return out
+    ``delta``, in order, all from one ``tls_raw_solution`` call."""
+    a = np.asarray(alpha, dtype=float)
+    d = np.asarray(delta, dtype=float)
+    y = tls_raw_solution(p, a, d)
+    fit = np.einsum("ij,bj->bi", p.L1, y) - p.x1
+    ry = np.einsum("ij,bj->bi", p.nuisance_factor(), y)
+    raw = ((fit * fit).sum(axis=1) + (d * a) ** 2 * (ry * ry).sum(axis=1)
+           + (a * p.sigma_scale) ** 2 * (y * y).sum(axis=1))
+    return [_finalize(p, row, "optimal", float(obj)) for row, obj in zip(y, raw)]

@@ -184,7 +184,7 @@ def _pin_blas(paths) -> None:
 
 
 @contextlib.contextmanager
-def _single_thread_blas():
+def single_thread_blas():
     """Run the bundled OpenBLAS libraries on one thread inside the block,
     as the pool workers do, and restore their thread counts on exit."""
     controls = _blas_thread_controls(_openblas_paths())
@@ -308,7 +308,7 @@ class LatticePool:
         """One finished cell per (alpha_db, weight_db) pair, in order."""
         self._key(p)
         if method != "l1l1" or self.threads <= 1 or len(cells) <= 1:
-            with _single_thread_blas():
+            with single_thread_blas():
                 return _solve_cells(p, method, self.opts, cells)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(

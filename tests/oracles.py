@@ -6,11 +6,13 @@ L1L1 LP, dense grid search on the balanced-current subspace for the
 convex solvers, finite differences for element matrices, scipy's
 ``splu`` for the CEM solves (``cem_reference``, ``forward_reference`` on
 the ``block_matrix``), and an eigendecomposition for the zero-weight
-TLS ridge solution (``ridge_reference``).  ``l1l1_cell``, ``l1l2_cell``
+TLS ridge solution (``ridge_reference``), and exact rational arithmetic
+for the TLS normal equations (``tls_exact``).  ``l1l1_cell``, ``l1l2_cell``
 and ``tls_cell`` are not references: they are the one-cell calls of the
 library's solvers at linear weights, as the tests write them.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -218,6 +220,35 @@ def ridge_reference(p, alpha):
     lam, Q = np.linalg.eigh(p.L1.T @ p.L1)
     Qs = Q / (np.maximum(lam, 0.0) + (alpha * p.sigma_scale) ** 2)
     return Qs @ (Q.T @ p.target_drive()), Qs @ Q.T
+
+
+def tls_exact(p, alpha, delta):
+    """The TLS raw solution from the full normal equations
+    (L1'L1 + (delta alpha)^2 L2'L2 + (alpha sigma)^2 I) y = L1'x1, with L2
+    itself rather than its factor, solved by Gauss-Jordan elimination in
+    exact rational arithmetic on the problem's floats; only the result is
+    rounded."""
+    L1 = [[Fraction(v) for v in row] for row in p.L1.tolist()]
+    L2 = [[Fraction(v) for v in row] for row in p.L2.tolist()]
+    x1 = [Fraction(v) for v in p.x1.tolist()]
+    nuisance = (Fraction(delta) * Fraction(alpha)) ** 2
+    ridge = (Fraction(alpha) * Fraction(p.sigma_scale)) ** 2
+    n = p.n_electrodes
+
+    def gram(rows, i, j):
+        return sum(r[i] * r[j] for r in rows)
+
+    aug = [[gram(L1, i, j) + nuisance * gram(L2, i, j) + (ridge if i == j else 0)
+            for j in range(n)] + [sum(r[i] * x for r, x in zip(L1, x1))]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * c for a, c in zip(aug[r], aug[col])]
+    return np.array([float(aug[i][n] / aug[i][i]) for i in range(n)])
 
 
 def l1l1_cell(p, alpha, eps):

@@ -1,7 +1,12 @@
 import csv
 import json
 import multiprocessing
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +409,26 @@ def tiny_cfg(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_leadfield_bytes_independent_of_blas_threads(tmp_path, tiny_cfg):
+    # the stiffness factor's dense fronts round differently at 1 and 2
+    # OpenBLAS threads; tesopt leadfield runs them on one thread either way
+    out = tmp_path / "mesh"
+    assert cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)]) == 0
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    written = []
+    for threads in (1, 2):
+        run = tmp_path / f"threads{threads}"
+        shutil.copytree(out, run)
+        subprocess.run([sys.executable, "-m", "tesopt.cli", "leadfield", "--config",
+                        str(tiny_cfg), "--out-dir", str(run)],
+                       env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+                       check=True, capture_output=True, timeout=300)
+        written.append((run / "leadfield.bin").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_cli_pipeline_smoke(tmp_path, tiny_cfg):

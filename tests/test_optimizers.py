@@ -12,7 +12,7 @@ from tesopt import fem, lp as lp_module, optimizers
 from tesopt.cli import build_model
 from tesopt.config import RunConfig
 from oracles import (assembled_l1l1_lp, balanced_grid_minimum, l1l1_cell, l1l2_cell,
-                     ridge_reference, tls_cell)
+                     ridge_reference, tls_cell, tls_exact)
 from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
 from tesopt.optimizers import (
     L1L1Constraints,
@@ -637,6 +637,42 @@ def test_tls_matches_full_stack_least_squares(rng):
             ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
             y = tls_raw_solution(p, alpha, delta)
             assert np.linalg.norm(y - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n_electrodes, n_nuisance", [(5, 3), (4, 9), (2, 6)])
+def test_tls_matches_exact_rational_solve(rng, n_electrodes, n_nuisance):
+    # fewer nuisance rows than channels, more, and two channels; the
+    # corner cells leave the normal equations nearly singular
+    p = random_problem(rng, n_electrodes=n_electrodes, n_nuisance=n_nuisance)
+    for alpha_db, weight_db in ((-240.0, -100.0), (-240.0, 65.0), (-60.0, 5.0)):
+        alpha, delta = db_to_linear(alpha_db), db_to_linear(weight_db)
+        exact = tls_exact(p, alpha, delta)
+        y = tls_raw_solution(p, alpha, delta)
+        assert np.linalg.norm(y - exact) <= 1e-12 * np.linalg.norm(exact), (alpha_db, weight_db)
+
+
+def test_tls_lanes_independent_of_split(bench_l1l1_problem):
+    # every cell of a TLS lattice is bytewise its one-cell solve, whatever
+    # cells share the call: on 32, 8 and 2 channels
+    params = _lattice_params(default_lattice_spec("tls", step_db=15.0))
+    full = bench_l1l1_problem
+    for p in (full, full.restrict(full.electrode_ids[:8]), full.restrict((3, 17))):
+        singletons = [tls_cell(p, db_to_linear(c.alpha_db), db_to_linear(c.weight_db))
+                      for c in params]
+        strided = [None] * len(params)
+        for i in range(3):
+            strided[i::3] = solve_tls(p, *_linear(params[i::3]))
+        half = len(params) // 2
+        splits = {
+            "whole": solve_tls(p, *_linear(params)),
+            "reversed": solve_tls(p, *_linear(params[::-1]))[::-1],
+            "halves": solve_tls(p, *_linear(params[:half])) + solve_tls(p, *_linear(params[half:])),
+            "strided": strided,
+        }
+        for name, got in splits.items():
+            assert len(got) == len(params), name
+            for a, b in zip(singletons, got):
+                assert _same_pattern(a, b), (p.n_electrodes, name)
 
 
 def test_tls_requires_positive_alpha(rng):
