@@ -14,8 +14,8 @@ from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec, \
     generate_ball_mesh, place_electrodes, place_target, sample_field_points
 from .metrics import MetricSet, angle_difference, current_ratio, deviation_estimate, \
     focused_density
-from .optimizers import CurrentPattern, MethodParams, StimulusProblem, \
-    build_l1l1_lp, db_to_linear, equalize_dose, solve_l1l1, solve_l1l2, solve_tls
+from .optimizers import CurrentPattern, StimulusProblem, build_l1l1_lp, db_to_linear, \
+    equalize_dose, solve_l1l1, solve_l1l2, solve_tls
 from .search import CandidateGrid, LatticeSpec, SearchOutcome, \
     evaluate_lattice, restrict_montage, select_case_a, select_case_b, two_run_search
 

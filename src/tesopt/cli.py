@@ -62,17 +62,13 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
     _, problem = io.read_lead_field(out_dir / "leadfield.bin")
     opts = cfg.solver_opts()
     pattern = search.solve_single_cell(problem, method, alpha_db, weight_db, opts)
-    m = compute_metrics(problem, pattern)
     result = {
         "method": method,
         "alpha_db": alpha_db,
         "weight_db": weight_db,
         "status": pattern.status,
         "currents_ma": [v * 1e3 for v in pattern.y],
-        "gamma": io._json_num(m.gamma),
-        "theta": io._json_num(m.theta),
-        "ad_deg": io._json_num(m.ad_deg),
-        "max_current_ma": m.max_current * 1e3,
+        **io.metric_fields(compute_metrics(problem, pattern)),
     }
     io._dump_json(result, out_dir / "optimize.json")
     print(json.dumps(result, indent=1, sort_keys=True))
@@ -83,8 +79,8 @@ def run_search_pipeline(problem, cfg: RunConfig):
     """All (method, case, channels) searches with shared lattices.
 
     One lattice pool serves and keeps every lattice of the run; its
-    workers are joined before this returns.  Returns (records, outcomes,
-    timings); timings carries per-method first-run lattice times and
+    workers are joined before this returns.  Returns (outcomes, timings);
+    timings carries per-method first-run lattice times and
     per-combination wall times.
     """
     for k in cfg.channels:
@@ -96,7 +92,7 @@ def run_search_pipeline(problem, cfg: RunConfig):
         for m in cfg.methods
     }
     timings: dict[str, float] = {}
-    records, outcomes = [], []
+    outcomes = []
     with search.LatticePool(problem, search.resolve_threads(cfg.threads),
                             cfg.solver_opts()) as pool:
         for m in cfg.methods:
@@ -114,23 +110,22 @@ def run_search_pipeline(problem, cfg: RunConfig):
                     )
                     timings[f"search_{m}_{case}_{k}_s"] = time.perf_counter() - t0
                     outcomes.append(outcome)
-                    records.append(io.ResultRecord.from_outcome(outcome))
-    return records, outcomes, timings
+    return outcomes, timings
 
 
 def cmd_search(cfg: RunConfig, out_dir: Path) -> int:
     _, problem = io.read_lead_field(out_dir / "leadfield.bin")
-    records, outcomes, timings = run_search_pipeline(problem, cfg)
+    outcomes, timings = run_search_pipeline(problem, cfg)
     for outcome in outcomes:
         stem = f"lattice_{outcome.method}_case{outcome.case}_k{outcome.channels}"
         if outcome.run1_grid is not None:
             io.write_lattice_csv(outcome.run1_grid, out_dir / f"{stem}_run1.csv")
         if outcome.run2_grid is not None:
             io.write_lattice_csv(outcome.run2_grid, out_dir / f"{stem}_run2.csv")
-    io.write_results(records, out_dir / "results.json")
+    io.write_results([io.result_record(o) for o in outcomes], out_dir / "results.json")
     io._dump_json(timings, out_dir / "timings.json")
-    print(f"search: {len(records)} records -> {out_dir / 'results.json'}")
-    if any(r.status != "ok" for r in records):
+    print(f"search: {len(outcomes)} records -> {out_dir / 'results.json'}")
+    if any(o.status != "ok" for o in outcomes):
         return EXIT_NO_CANDIDATE
     return EXIT_OK
 
@@ -181,7 +176,9 @@ def main(argv=None) -> int:
 
     sub = subs.add_parser("optimize", help="single (method, alpha, weight) solve")
     _add_common(sub)
-    sub.add_argument("--method", choices=search.METHODS, required=True)
+    # its own dest: _load_config reads ``method`` as search's list of methods
+    sub.add_argument("--method", dest="solve_method", choices=search.METHODS,
+                     required=True)
     sub.add_argument("--alpha-db", type=float, required=True)
     sub.add_argument("--weight-db", type=float, required=True)
 
@@ -200,13 +197,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.results, args.out_dir)
-        if args.command == "optimize":
-            cfg = RunConfig.load(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
-            return cmd_optimize(cfg, args.out_dir, args.method,
-                                args.alpha_db, args.weight_db)
         cfg = _load_config(args)
+        if args.command == "optimize":
+            return cmd_optimize(cfg, args.out_dir, args.solve_method,
+                                args.alpha_db, args.weight_db)
         if args.command == "mesh":
             return cmd_mesh(cfg, args.out_dir)
         if args.command == "leadfield":

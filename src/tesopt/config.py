@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,8 @@ class RunConfig:
             raise ConfigError("need at least two electrodes")
         if self.mu <= 0.0:
             raise ConfigError("dose cap mu must be positive")
+        if not (math.isfinite(self.lattice_step_db) and self.lattice_step_db > 0.0):
+            raise ConfigError("lattice_step_db must be finite and positive")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")

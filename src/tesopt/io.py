@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .fem import LeadField
 from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec
+from .metrics import MetricSet
 from .optimizers import StimulusProblem
 from .search import CandidateGrid, SearchOutcome
 
@@ -276,77 +276,45 @@ def write_lattice_csv(grid: CandidateGrid, path: str | Path) -> None:
         writer.writerow(LATTICE_HEADERS)
         for row in grid.cells:
             for c in row:
-                status = "ok" if c.valid else (c.reason or "invalid")
                 writer.writerow([
-                    _fmt(c.params.alpha_db),
-                    _fmt(c.params.weight_db),
+                    _fmt(c.alpha_db),
+                    _fmt(c.weight_db),
                     _fmt(c.metrics.gamma),
                     _fmt(c.metrics.theta),
                     _fmt(c.metrics.ad_deg),
                     _fmt(c.metrics.max_current * 1e3),
-                    status,
+                    c.status,
                 ])
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One search outcome in Table-style units (mA for currents)."""
+def metric_fields(metrics: MetricSet) -> dict:
+    """The metrics of one pattern as JSON values, currents in mA."""
+    return {
+        "gamma": _json_num(metrics.gamma),
+        "theta": _json_num(metrics.theta),
+        "ad_deg": _json_num(metrics.ad_deg),
+        "max_current_ma": _json_num(metrics.max_current * 1e3),
+    }
 
-    method: str
-    case: str
-    channels: int
-    status: str
-    max_current_ma: float | None
-    gamma: float | None
-    ad_deg: float | None
-    theta: float | None
-    deviations: dict | None
-    alpha_db: float | None
-    weight_db: float | None
-    montage: tuple[int, ...]
 
-    @classmethod
-    def from_outcome(cls, outcome: SearchOutcome):
-        if outcome.status != "ok":
-            return cls(outcome.method, outcome.case, outcome.channels,
-                       outcome.status, None, None, None, None, None, None,
-                       None, outcome.montage)
-        m = outcome.run2.metrics
-        dev = {name: est.deviation for name, est in outcome.deviations.items()}
-        dev["max_current_ma"] = dev.pop("max_current") * 1e3
-        return cls(
-            method=outcome.method,
-            case=outcome.case,
-            channels=outcome.channels,
-            status="ok",
-            max_current_ma=m.max_current * 1e3,
-            gamma=m.gamma,
-            ad_deg=m.ad_deg,
-            theta=m.theta,
-            deviations=dev,
-            alpha_db=outcome.run2.params.alpha_db,
-            weight_db=outcome.run2.params.weight_db,
-            montage=outcome.montage,
-        )
+def result_record(outcome: SearchOutcome) -> dict:
+    """One search outcome as a results.json record, Table-style units.
 
-    def to_json_dict(self) -> dict:
-        # no wall times: result files must be byte-identical across
-        # reruns (timings go to a sibling file)
-        return {
-            "method": self.method,
-            "case": self.case,
-            "channels": self.channels,
-            "status": self.status,
-            "max_current_ma": _json_num(self.max_current_ma),
-            "gamma": _json_num(self.gamma),
-            "ad_deg": _json_num(self.ad_deg),
-            "theta": _json_num(self.theta),
-            "deviations": {k: _json_num(v) for k, v in self.deviations.items()}
-            if self.deviations is not None else None,
-            "alpha_db": _json_num(self.alpha_db),
-            "weight_db": _json_num(self.weight_db),
-            "montage": list(self.montage),
-        }
+    No wall times: result files must be byte-identical across reruns
+    (timings go to a sibling file).
+    """
+    record = {"method": outcome.method, "case": outcome.case,
+              "channels": outcome.channels, "status": outcome.status,
+              "montage": list(outcome.montage)}
+    if outcome.status != "ok":
+        return {**record, **dict.fromkeys(("gamma", "theta", "ad_deg", "max_current_ma",
+                                           "deviations", "alpha_db", "weight_db"))}
+    dev = {name: est.deviation for name, est in outcome.deviations.items()}
+    dev["max_current_ma"] = dev.pop("max_current") * 1e3
+    cell = outcome.run2
+    return {**record, **metric_fields(cell.metrics),
+            "deviations": {k: _json_num(v) for k, v in dev.items()},
+            "alpha_db": _json_num(cell.alpha_db), "weight_db": _json_num(cell.weight_db)}
 
 
 def _json_num(x):
@@ -366,11 +334,9 @@ def _parse_num(x):
     return float(x)
 
 
-def write_results(records: list[ResultRecord], path: str | Path) -> None:
-    data = {
-        "schema_version": 1,
-        "records": [r.to_json_dict() for r in records],
-    }
+def write_results(records: list[dict], path: str | Path) -> None:
+    """``result_record`` dicts, checked against the schema, as results.json."""
+    data = {"schema_version": 1, "records": records}
     validate_results(data)
     _dump_json(data, Path(path))
 

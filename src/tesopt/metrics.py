@@ -42,11 +42,12 @@ def focused_density(p, y) -> float:
 def current_ratio(p, y) -> float:
     """Focused density over the RMS-style nuisance magnitude.
 
-    A vanishing nuisance field cannot occur on realistic lead fields; it
-    is reported as +inf so callers can flag it.
+    ||L2 y|| comes from ``p.nuisance_norm``.  A vanishing nuisance field
+    cannot occur on realistic lead fields; it is reported as +inf so
+    callers can flag it.
     """
     gamma = focused_density(p, y)
-    nuis = np.linalg.norm(p.L2 @ y)
+    nuis = p.nuisance_norm(y)
     if nuis == 0.0:
         return math.inf
     return float(gamma / (nuis / np.sqrt(p.n_nuisance)))

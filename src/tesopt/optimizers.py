@@ -44,6 +44,8 @@ def spectral_norm(mat: np.ndarray) -> float:
 
 def db_to_linear(d: float) -> float:
     """Amplitude decibel convention: 20 dB per decade."""
+    if not math.isfinite(d):
+        raise OptimizerError("dB parameters must be finite")
     return float(10.0 ** (d / 20.0))
 
 
@@ -128,6 +130,20 @@ class StimulusProblem:
             self._cache["r2"] = R
         return self._cache["r2"]
 
+    def nuisance_norm(self, y: np.ndarray) -> float:
+        """||L2 y||, as ||R y|| over the nuisance factor; 0 for y = 0.
+
+        Below R's roundoff scale, M eps sigma_scale ||y||, ||R y|| carries
+        no digit of ||L2 y||, so the norm is then taken over L2 itself: a
+        pattern that drives no nuisance field reads exactly 0.
+        """
+        if not y.any():
+            return 0.0
+        norm = float(np.linalg.norm(self.nuisance_factor() @ y))
+        if norm <= self.n_nuisance * np.finfo(float).eps * self.sigma_scale * np.linalg.norm(y):
+            return float(np.linalg.norm(self.L2 @ y))
+        return norm
+
     def nuisance_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(s, V) with L2'L2 = V diag(s^2) V' and V orthogonal, from the SVD
         of R: s ascending, led by L - M zeros when M < L."""
@@ -141,18 +157,6 @@ class StimulusProblem:
         if "l1tx" not in self._cache:
             self._cache["l1tx"] = self.L1.T @ self.x1
         return self._cache["l1tx"]
-
-
-@dataclass(frozen=True)
-class MethodParams:
-    """Regularization and nuisance-weight levels, both in dB."""
-
-    alpha_db: float
-    weight_db: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha_db) and math.isfinite(self.weight_db)):
-            raise OptimizerError("dB parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def l1l1_objective(p: StimulusProblem, y: np.ndarray, alpha: float, eps: float) 
 def l1l2_objective(p: StimulusProblem, y: np.ndarray, alpha: float, eps: float) -> float:
     fit = np.linalg.norm(p.L1 @ y - p.x1)
     dead = eps * p.nu * np.sqrt(p.n_nuisance)
-    nuisance = max(np.linalg.norm(p.L2 @ y), dead)
+    nuisance = max(p.nuisance_norm(y), dead)
     return float(fit + nuisance + alpha * p.zeta * np.abs(y).sum())
 
 

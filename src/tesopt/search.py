@@ -22,8 +22,7 @@ import numpy as np
 from . import optimizers
 from .metrics import DeviationEstimate, MetricError, MetricSet, compute_metrics, \
     deviation_estimate
-from .optimizers import CurrentPattern, MethodParams, StimulusProblem
-from .optimizers import db_to_linear
+from .optimizers import CurrentPattern, StimulusProblem, db_to_linear
 
 METHODS = ("l1l1", "l1l2", "tls")
 GAMMA_THRESHOLD = 0.11  # A/m^2
@@ -58,12 +57,15 @@ class LatticeSpec:
     step_db: float = FULL_STEP_DB
 
     def __post_init__(self):
+        bounds = (self.alpha_db_min, self.alpha_db_max,
+                  self.weight_db_min, self.weight_db_max, self.step_db)
+        if not (all(math.isfinite(b) for b in bounds) and self.step_db > 0.0):
+            raise SearchError("lattice bounds must be finite and the step positive")
         for lo, hi in ((self.alpha_db_min, self.alpha_db_max),
                        (self.weight_db_min, self.weight_db_max)):
-            span = hi - lo
-            if span <= 0.0 or self.step_db <= 0.0:
-                raise SearchError("lattice range must be positive")
-            ratio = span / self.step_db
+            ratio = (hi - lo) / self.step_db
+            if round(ratio) < 1:
+                raise SearchError("lattice must hold at least one cell")
             if abs(ratio - round(ratio)) > 1e-9:
                 raise SearchError("lattice span must be a multiple of the step")
 
@@ -89,11 +91,17 @@ def default_lattice_spec(method: str, step_db: float = DESK_STEP_DB) -> LatticeS
 
 @dataclass(frozen=True)
 class CandidateCell:
-    params: MethodParams
+    """One solved lattice cell, as the lattice CSV and results.json write it."""
+
+    alpha_db: float
+    weight_db: float
     pattern: CurrentPattern
     metrics: MetricSet
-    valid: bool
-    reason: str = ""
+    status: str     # "ok", the pattern's status, or "ExcType: message"
+
+    @property
+    def valid(self) -> bool:
+        return self.status == "ok"
 
 
 @dataclass
@@ -110,11 +118,8 @@ class CandidateGrid:
         return self.cells[i][j]
 
     def metric_array(self, name: str) -> np.ndarray:
-        out = np.full(self.dims, math.nan)
-        for i, row in enumerate(self.cells):
-            for j, c in enumerate(row):
-                out[i, j] = getattr(c.metrics, name)
-        return out
+        return np.array([[getattr(c.metrics, name) for c in row] for row in self.cells],
+                        dtype=float)
 
 
 _WORKER_STATE: dict = {}
@@ -207,26 +212,24 @@ def _init_worker(p, blas_paths):
     _WORKER_STATE["pool"] = LatticePool(p)
 
 
-def _candidate(p, params, pattern, reason=None) -> CandidateCell:
-    if reason is None:
-        reason = "" if pattern.status == "optimal" else pattern.status
-    return CandidateCell(params, pattern, compute_metrics(p, pattern),
-                         valid=pattern.status == "optimal", reason=reason)
+def _candidate(p, cell, pattern, status=None) -> CandidateCell:
+    if status is None:
+        status = "ok" if pattern.status == "optimal" else pattern.status
+    return CandidateCell(*cell, pattern, compute_metrics(p, pattern), status)
 
 
 def _solve_cell(p, method, opts, cell) -> CandidateCell:
     """Solve and measure one lattice cell; a solver failure becomes an
     ``error`` cell with a zero pattern instead of aborting the sweep."""
-    params = MethodParams(alpha_db=float(cell[0]), weight_db=float(cell[1]))
     try:
-        pattern = solve_single_cell(p, method, params.alpha_db, params.weight_db, opts)
+        pattern = solve_single_cell(p, method, *cell, opts)
     except Exception as exc:
         pattern = CurrentPattern(
             y=np.zeros(p.n_electrodes), electrode_ids=p.electrode_ids,
             active_ids=(), status="error", raw_objective=math.nan,
         )
-        return _candidate(p, params, pattern, f"{type(exc).__name__}: {exc}")
-    return _candidate(p, params, pattern)
+        return _candidate(p, cell, pattern, f"{type(exc).__name__}: {exc}")
+    return _candidate(p, cell, pattern)
 
 
 def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
@@ -237,14 +240,12 @@ def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
     ``error`` cells and the others keep their patterns.
     """
     solve = _solver(method)
-    params = [MethodParams(alpha_db=float(a), weight_db=float(w)) for a, w in cells]
     try:
-        patterns = solve(p, [db_to_linear(c.alpha_db) for c in params],
-                         [db_to_linear(c.weight_db) for c in params],
-                         **opts.get(method, {}))
+        patterns = solve(p, [db_to_linear(a) for a, _ in cells],
+                         [db_to_linear(w) for _, w in cells], **opts.get(method, {}))
     except Exception:
         return [_solve_cell(p, method, opts, cell) for cell in cells]
-    return [_candidate(p, c, pattern) for c, pattern in zip(params, patterns)]
+    return [_candidate(p, c, pattern) for c, pattern in zip(cells, patterns)]
 
 
 def _worker(task):
@@ -342,10 +343,10 @@ def evaluate_lattice(p: StimulusProblem, method: str, spec: LatticeSpec,
     of (problem, method, cell parameters) and are reassembled in index
     order.
     """
-    weights = spec.weight_values
-    cells_in = [(a, w) for a in spec.alpha_values for w in weights]
+    weights = spec.weight_values.tolist()
+    cells_in = [(a, w) for a in spec.alpha_values.tolist() for w in weights]
     cells = (pool or LatticePool(p)).map(p, method, cells_in)
-    n = weights.size
+    n = len(weights)
     rows = [cells[k:k + n] for k in range(0, len(cells), n)]
     return CandidateGrid(method=method, spec=spec, cells=rows)
 
@@ -394,22 +395,14 @@ def restrict_montage(y: np.ndarray, k: int, electrode_ids=None) -> tuple[int, ..
     return tuple(sorted(int(ids[i]) for i in order[:k]))
 
 
-@dataclass(frozen=True)
-class RunSelection:
-    cell: tuple[int, int]
-    params: MethodParams
-    pattern: CurrentPattern
-    metrics: MetricSet
-
-
 @dataclass
 class SearchOutcome:
     method: str
     case: str
     channels: int
     status: str                                   # ok | no-feasible-candidate
-    run1: RunSelection | None
-    run2: RunSelection | None
+    run1: CandidateCell | None                    # the selected cell of each run
+    run2: CandidateCell | None
     montage: tuple[int, ...]
     deviations: dict[str, DeviationEstimate]
     run1_grid: CandidateGrid | None = None
@@ -483,23 +476,10 @@ def two_run_search(
     grid2 = pool.grid(pool.restrict(montage), method, spec)
     sel2 = _selection(grid2, case, threshold)
     if sel2 is None:
-        return SearchOutcome(method, case, k, "no-feasible-candidate",
-                             RunSelection(sel1, c1.params, c1.pattern, c1.metrics),
-                             None, montage, {}, run1_grid=grid1, run2_grid=grid2)
-    c2 = grid2.cell(*sel2)
-    deviations = _window_deviations(grid2, sel2)
-    return SearchOutcome(
-        method=method,
-        case=case,
-        channels=k,
-        status="ok",
-        run1=RunSelection(sel1, c1.params, c1.pattern, c1.metrics),
-        run2=RunSelection(sel2, c2.params, c2.pattern, c2.metrics),
-        montage=montage,
-        deviations=deviations,
-        run1_grid=grid1,
-        run2_grid=grid2,
-    )
+        return SearchOutcome(method, case, k, "no-feasible-candidate", c1, None,
+                             montage, {}, run1_grid=grid1, run2_grid=grid2)
+    return SearchOutcome(method, case, k, "ok", c1, grid2.cell(*sel2), montage,
+                         _window_deviations(grid2, sel2), run1_grid=grid1, run2_grid=grid2)
 
 
 def resolve_threads(requested: int | None = None) -> int:

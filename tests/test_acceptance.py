@@ -164,9 +164,9 @@ def test_criterion_6_constraint_suite(desk, outcomes):
                 if cell.pattern.degenerate or not np.abs(y).sum():
                     continue
                 n_checked += 1
-                assert abs(y.sum()) <= 1e-9 * mu, (method, cell.params)
-                assert abs(np.abs(y).sum() - mu) <= 1e-9, (method, cell.params)
-                assert np.abs(y).max() <= gamma * (1 + 1e-9), (method, cell.params)
+                assert abs(y.sum()) <= 1e-9 * mu, (method, cell.alpha_db, cell.weight_db)
+                assert abs(np.abs(y).sum() - mu) <= 1e-9, (method, cell.alpha_db, cell.weight_db)
+                assert np.abs(y).max() <= gamma * (1 + 1e-9), (method, cell.alpha_db, cell.weight_db)
     check(6, f"dose constraints hold on all {n_checked} non-degenerate "
              f"candidates of three 12x12 lattices", n_checked > 100)
 
@@ -204,7 +204,7 @@ def test_criterion_7_weighting_expansion(desk):
 def outcomes(desk):
     """Every (method, case, channels) search of the shipped pipeline, the
     three first-run lattices and the pipeline's timings."""
-    _, results, timings = cli.run_search_pipeline(desk["problem"], desk["cfg"])
+    results, timings = cli.run_search_pipeline(desk["problem"], desk["cfg"])
     run1_grids = {out.method: out.run1_grid for out in results}
     return results, run1_grids, timings
 

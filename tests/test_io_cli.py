@@ -17,7 +17,9 @@ from tesopt.config import ConfigError, RunConfig
 from tesopt.fem import LeadField
 from tesopt.meshgen import generate_ball_mesh, place_electrodes, place_target, \
     sample_field_points
-from tesopt.optimizers import StimulusProblem
+from tesopt.metrics import DeviationEstimate, MetricSet
+from tesopt.optimizers import CurrentPattern, StimulusProblem
+from tesopt.search import CandidateCell, SearchOutcome
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +296,7 @@ def test_lattice_csv_reason_with_comma(tmp_path, rng):
     spec = LatticeSpec(-60.0, -30.0, -60.0, -30.0, step_db=30.0)
     grid = evaluate_lattice(p, "tls", spec)
     reason = "LinAlgError: 2-th leading minor, not positive definite"
-    grid.cells[0][0] = dataclasses.replace(grid.cells[0][0], valid=False, reason=reason)
+    grid.cells[0][0] = dataclasses.replace(grid.cells[0][0], status=reason)
     io.write_lattice_csv(grid, tmp_path / "lat.csv")
     text = (tmp_path / "lat.csv").read_text()
     rows = list(csv.reader(text.splitlines()))
@@ -341,14 +343,26 @@ def test_config_lattice_step_resolution():
     cfg = RunConfig()
     assert set(cfg.solver_opts()) == {"l1l2"}
     assert cfg.target_compartment == 3
+    for step in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lattice_step_db"):
+            RunConfig(lattice_step_db=step).validate()
+
+
+def _ok_record(method, case, channels, metrics, deviations):
+    """The results.json record of an ``ok`` search that selects a cell at
+    (-90, -40) dB with ``metrics`` on montage (1, 2); ``deviations`` by
+    metric name, max_current in A."""
+    pattern = CurrentPattern(np.array([1e-3, -1e-3]), (1, 2), (1, 2), "optimal", 0.0)
+    cell = CandidateCell(-90.0, -40.0, pattern, metrics, "ok")
+    est = {name: DeviationEstimate(v, (), imputed=False) for name, v in deviations.items()}
+    return io.result_record(SearchOutcome(method, case, channels, "ok", cell, cell,
+                                          (1, 2), est))
 
 
 def test_results_schema_validation(tmp_path):
-    rec = io.ResultRecord(method="tls", case="A", channels=8, status="ok",
-                          max_current_ma=1.0, gamma=0.12, ad_deg=5.0, theta=3.0,
-                          deviations={"max_current_ma": 0.1, "gamma": 0.01,
-                                      "ad_deg": 0.5, "theta": 0.2},
-                          alpha_db=-90.0, weight_db=-40.0, montage=(1, 2))
+    rec = _ok_record("tls", "A", 8, MetricSet(gamma=0.12, theta=3.0, ad_deg=5.0,
+                                              max_current=1e-3),
+                     {"max_current": 1e-4, "gamma": 0.01, "ad_deg": 0.5, "theta": 0.2})
     io.write_results([rec], tmp_path / "results.json")
     data = io.load_results(tmp_path / "results.json")
     assert data["records"][0]["gamma"] == 0.12
@@ -360,11 +374,9 @@ def test_results_schema_validation(tmp_path):
 
 
 def test_report_formatting(tmp_path):
-    rec = io.ResultRecord(method="l1l1", case="B", channels=20, status="ok",
-                          max_current_ma=2.0, gamma=0.131, ad_deg=7.23, theta=3.52,
-                          deviations={"max_current_ma": 1.9e-2, "gamma": 7.3e-3,
-                                      "ad_deg": 2.9, "theta": 0.41},
-                          alpha_db=-90.0, weight_db=-40.0, montage=(1, 2))
+    rec = _ok_record("l1l1", "B", 20, MetricSet(gamma=0.131, theta=3.52, ad_deg=7.23,
+                                                max_current=2e-3),
+                     {"max_current": 1.9e-5, "gamma": 7.3e-3, "ad_deg": 2.9, "theta": 0.41})
     io.write_results([rec], tmp_path / "results.json")
     text, csv = io.format_report(io.load_results(tmp_path / "results.json"))
     assert "2.00" in text          # mA with two decimals
@@ -379,12 +391,10 @@ def test_report_formatting(tmp_path):
 
 
 def test_no_feasible_record_roundtrip(tmp_path):
-    from tesopt.search import SearchOutcome
-
     outcome = SearchOutcome(method="tls", case="A", channels=8,
                             status="no-feasible-candidate", run1=None, run2=None,
                             montage=(), deviations={})
-    rec = io.ResultRecord.from_outcome(outcome)
+    rec = io.result_record(outcome)
     io.write_results([rec], tmp_path / "results.json")
     data = io.load_results(tmp_path / "results.json")
     assert data["records"][0]["status"] == "no-feasible-candidate"
@@ -552,7 +562,7 @@ def test_search_pipeline_solves_each_lattice_once(tmp_path, tiny_cfg, monkeypatc
     cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
     cli.main(["leadfield", "--config", str(tiny_cfg), "--out-dir", str(out)])
     _, problem = io.read_lead_field(out / "leadfield.bin")
-    _, outcomes, timings = cli.run_search_pipeline(problem, RunConfig.load(tiny_cfg))
+    outcomes, timings = cli.run_search_pipeline(problem, RunConfig.load(tiny_cfg))
     assert len(outcomes) == 12 and all(o.status == "ok" for o in outcomes)
     expected = {(m, problem.electrode_ids) for m in cfg["methods"]}
     expected |= {(o.method, o.montage) for o in outcomes if o.run2_grid is not None}
@@ -663,13 +673,12 @@ def test_json_layouts(tmp_path, tiny_cfg):
     for name in ("results.json", "timings.json"):
         text = (out / name).read_text()
         assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
-    rec = io.ResultRecord(method="tls", case="B", channels=4, status="ok",
-                          max_current_ma=1.5, gamma=0.1 + 0.2, ad_deg=float("nan"),
-                          theta=1 / 3, deviations={"max_current_ma": 0.1, "gamma": 1e-300,
-                                                   "ad_deg": 0.5, "theta": 0.2},
-                          alpha_db=-90.0, weight_db=-40.0, montage=(1, 2))
+    rec = _ok_record("tls", "B", 4, MetricSet(gamma=0.1 + 0.2, theta=1 / 3,
+                                              ad_deg=float("nan"), max_current=1.5e-3),
+                     {"max_current": 1e-4, "gamma": 1e-300, "ad_deg": 0.5, "theta": 0.2})
+    assert rec["ad_deg"] == "nan"
     io.write_results([rec], tmp_path / "results.json")
-    obj = {"schema_version": 1, "records": [rec.to_json_dict()]}
+    obj = {"schema_version": 1, "records": [rec]}
     assert (tmp_path / "results.json").read_text() == \
         json.dumps(obj, indent=1, sort_keys=True) + "\n"
 

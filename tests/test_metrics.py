@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
-from tesopt.optimizers import CurrentPattern
+from tesopt.optimizers import CurrentPattern, StimulusProblem
 from tesopt.metrics import (
     MetricError,
     angle_difference,
@@ -42,12 +42,10 @@ def test_focused_density_zero_target_rejected(rng):
 
 
 def test_current_ratio_arithmetic():
-    class P:
-        L1 = np.array([[0.11, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        L2 = np.array([[0.11, 0.0], [0.0, 0.11], [0.11, 0.0], [0.0, 0.11]])
-        x1 = np.array([1.0, 0.0, 0.0])
-        n_nuisance = 4
-
+    P = StimulusProblem.from_parts(
+        np.array([[0.11, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        np.array([[0.11, 0.0], [0.0, 0.11], [0.11, 0.0], [0.0, 0.11]]),
+        np.array([1.0, 0.0, 0.0]), 4e-3)
     y = np.array([1.0, 1.0])
     # gamma = 0.11, ||L2 y||_2 = 0.22, M = 4 -> theta = 0.11/(0.22/2) = 1
     assert np.isclose(focused_density(P, y), 0.11)

@@ -16,7 +16,6 @@ from oracles import (assembled_l1l1_lp, balanced_grid_minimum, l1l1_cell, l1l2_c
 from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
 from tesopt.optimizers import (
     L1L1Constraints,
-    MethodParams,
     OptimizerError,
     StimulusProblem,
     _finalize,
@@ -182,8 +181,7 @@ def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
     for row in grid.cells:
         for cell in row:
             fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
-            ref = l1l1_cell(fresh, db_to_linear(cell.params.alpha_db),
-                            db_to_linear(cell.params.weight_db))
+            ref = l1l1_cell(fresh, db_to_linear(cell.alpha_db), db_to_linear(cell.weight_db))
             assert np.array_equal(cell.pattern.y, ref.y)
             assert cell.pattern.status == ref.status
 
@@ -255,22 +253,23 @@ def test_l1l1_newton_solve_budget(bench_l1l1_problem, monkeypatch):
 
 
 def _lattice_params(spec):
-    return [MethodParams(alpha_db=float(a), weight_db=float(w))
-            for a in spec.alpha_values for w in spec.weight_values]
+    """The (alpha_db, weight_db) cells of a lattice, in lattice order."""
+    return [(a, w) for a in spec.alpha_values.tolist() for w in spec.weight_values.tolist()]
 
 
 def _linear(params):
-    """The linear (alpha, eps) sequences of a list of MethodParams."""
-    return ([db_to_linear(c.alpha_db) for c in params],
-            [db_to_linear(c.weight_db) for c in params])
+    """The linear (alpha, eps) sequences of a list of (alpha_db, weight_db) cells."""
+    return [db_to_linear(a) for a, _ in params], [db_to_linear(w) for _, w in params]
 
 
-def _one_lane(p, params):
-    return l1l1_cell(p, db_to_linear(params.alpha_db), db_to_linear(params.weight_db))
+def _one_lane(p, cell):
+    return l1l1_cell(p, db_to_linear(cell[0]), db_to_linear(cell[1]))
 
 
 def _same_pattern(a, b):
+    """Lane results agree bitwise: y and raw_objective by their bytes."""
     return (a.y.tobytes() == b.y.tobytes() and a.status == b.status
+            and a.active_ids == b.active_ids
             and np.float64(a.raw_objective).tobytes() == np.float64(b.raw_objective).tobytes())
 
 
@@ -425,11 +424,6 @@ def test_l1l2_compressed_matches_full(rng):
         assert abs(got.raw_objective - ref.raw_objective) <= 1e-10 * ref.raw_objective
 
 
-def _same_pattern(a, b):
-    return (a.y.tobytes() == b.y.tobytes() and a.status == b.status
-            and a.active_ids == b.active_ids and a.raw_objective == b.raw_objective)
-
-
 def test_l1l2_lattice_cells_match_one_lane(rng):
     # a lattice is solved as the lanes of one PDHG loop; each cell is
     # bitwise its own one-lane solve, for certified lanes, lanes that
@@ -444,8 +438,8 @@ def test_l1l2_lattice_cells_match_one_lane(rng):
     for row in grid.cells:
         for cell in row:
             fresh = StimulusProblem.from_parts(p.L1, p.L2, p.x1, p.mu)
-            ref = l1l2_cell(fresh, db_to_linear(cell.params.alpha_db),
-                                    db_to_linear(cell.params.weight_db), max_iter=60)
+            ref = l1l2_cell(fresh, db_to_linear(cell.alpha_db),
+                            db_to_linear(cell.weight_db), max_iter=60)
             assert _same_pattern(cell.pattern, ref)
 
 
@@ -453,7 +447,7 @@ def test_l1l2_lanes_independent_of_neighbours(rng):
     # reversing the lanes or splitting them in two calls changes no byte
     p = random_problem(rng, n_electrodes=12, n_nuisance=60)
     spec = LatticeSpec(-140.0, 40.0, -140.0, 40.0, 20.0)
-    params = [MethodParams(a, w) for a in spec.alpha_values for w in spec.weight_values]
+    params = _lattice_params(spec)
     lanes = solve_l1l2(p, *_linear(params), max_iter=300)
     reverse = solve_l1l2(p, *_linear(params[::-1]), max_iter=300)[::-1]
     half = len(params) // 2
@@ -506,6 +500,7 @@ def test_nuisance_factor_keeps_norms(rng):
             y -= y.mean()
             ref = np.linalg.norm(L2 @ y)
             assert abs(np.linalg.norm(R @ y) - ref) <= 1e-13 * ref
+            assert abs(p.nuisance_norm(y) - ref) <= 1e-13 * ref
 
 
 def test_l1l2_zero_target(rng):
@@ -657,8 +652,7 @@ def test_tls_lanes_independent_of_split(bench_l1l1_problem):
     params = _lattice_params(default_lattice_spec("tls", step_db=15.0))
     full = bench_l1l1_problem
     for p in (full, full.restrict(full.electrode_ids[:8]), full.restrict((3, 17))):
-        singletons = [tls_cell(p, db_to_linear(c.alpha_db), db_to_linear(c.weight_db))
-                      for c in params]
+        singletons = [tls_cell(p, db_to_linear(a), db_to_linear(w)) for a, w in params]
         strided = [None] * len(params)
         for i in range(3):
             strided[i::3] = solve_tls(p, *_linear(params[i::3]))
@@ -745,9 +739,12 @@ def test_single_cell_is_one_solver_call(rng):
         assert a.y.tobytes() == b.y.tobytes() and a.status == b.status
 
 
-def test_method_params_validation():
+def test_method_params_validation(rng):
+    # a non-finite dB level is rejected before any solver sees it
     with pytest.raises(OptimizerError):
-        MethodParams(alpha_db=float("nan"), weight_db=0.0)
+        db_to_linear(float("nan"))
+    with pytest.raises(OptimizerError):
+        solve_single_cell(random_problem(rng), "l1l1", float("nan"), 0.0, {})
 
 
 def test_restrict_maps_columns(rng):

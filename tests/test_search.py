@@ -15,7 +15,7 @@ import pytest
 from conftest import random_problem
 from tesopt import search
 from tesopt.metrics import MetricSet, compute_metrics
-from tesopt.optimizers import CurrentPattern, MethodParams, StimulusProblem
+from tesopt.optimizers import CurrentPattern, StimulusProblem
 from tesopt.search import (
     CandidateCell,
     CandidateGrid,
@@ -58,6 +58,16 @@ def test_lattice_spec_validation():
         LatticeSpec(0.0, 10.0, 0.0, 10.0, step_db=3.0)
     with pytest.raises(SearchError):
         LatticeSpec(10.0, 0.0, 0.0, 10.0, step_db=5.0)
+    # non-finite bounds and steps, and a lattice without a cell
+    nan, inf = float("nan"), float("inf")
+    for bounds, step in (((nan, 0.0, 0.0, 10.0), 5.0), ((0.0, 10.0, -inf, 10.0), 5.0),
+                         ((0.0, 10.0, 0.0, inf), 5.0), ((0.0, 10.0, 0.0, 10.0), nan),
+                         ((0.0, 1e-12, 0.0, 10.0), 5.0)):
+        with pytest.raises(SearchError):
+            LatticeSpec(*bounds, step_db=step)
+    for step in (inf, nan):
+        with pytest.raises(SearchError):
+            default_lattice_spec("tls", step_db=step)
 
 
 def _grid_from_metrics(gammas, thetas):
@@ -65,12 +75,11 @@ def _grid_from_metrics(gammas, thetas):
     for i, row in enumerate(gammas):
         out = []
         for j, g in enumerate(row):
-            params = MethodParams(alpha_db=float(i), weight_db=float(j))
             pat = CurrentPattern(y=np.array([1e-3, -1e-3]), electrode_ids=(1, 2),
                                  active_ids=(1, 2), status="optimal",
                                  raw_objective=0.0)
             m = MetricSet(gamma=g, theta=thetas[i][j], ad_deg=10.0, max_current=1e-3)
-            out.append(CandidateCell(params, pat, m, valid=True))
+            out.append(CandidateCell(float(i), float(j), pat, m, "ok"))
         cells.append(out)
     spec = LatticeSpec(0.0, 5.0 * len(gammas), 0.0, 5.0 * len(gammas[0]), 5.0)
     return CandidateGrid(method="tls", spec=spec, cells=cells)
@@ -95,10 +104,8 @@ def test_select_case_b_enumeration():
 
 def test_select_case_b_all_invalid():
     grid = _grid_from_metrics([[0.1]], [[1.0]])
-    grid.cells[0][0] = CandidateCell(grid.cells[0][0].params,
-                                     grid.cells[0][0].pattern,
-                                     grid.cells[0][0].metrics,
-                                     valid=False, reason="degenerate")
+    grid.cells[0][0] = replace(grid.cells[0][0], status="degenerate")
+    assert not grid.cells[0][0].valid
     with pytest.raises(SearchError):
         select_case_b(grid)
     assert select_case_a(grid, 0.0) is None
@@ -130,7 +137,7 @@ def test_lattice_failures_recorded_not_raised(rng):
     # huge alpha drives the pattern to zero: degenerate cells, never raises
     spec = LatticeSpec(100.0, 130.0, -30.0, 0.0, step_db=15.0)
     grid = evaluate_lattice(p, "l1l2", spec)
-    assert any(not c.valid and c.reason == "degenerate"
+    assert any(not c.valid and c.status == "degenerate"
                for row in grid.cells for c in row)
 
 
@@ -192,8 +199,8 @@ def test_lattice_workers_pin_blas(rng):
     for r1, r2 in zip(g1.cells, g2.cells):
         for c1, c2 in zip(r1, r2):
             assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
-            assert (c1.pattern.status, c1.valid, c1.reason) == \
-                (c2.pattern.status, c2.valid, c2.reason)
+            assert (c1.pattern.status, c1.valid, c1.status) == \
+                (c2.pattern.status, c2.valid, c2.status)
             assert repr(c1.metrics) == repr(c2.metrics)
 
 
@@ -202,8 +209,8 @@ def _assert_same_cells(g1, g2):
     for r1, r2 in zip(g1.cells, g2.cells):
         for c1, c2 in zip(r1, r2):
             assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
-            assert (c1.params, c1.pattern.status, c1.valid, c1.reason) == \
-                (c2.params, c2.pattern.status, c2.valid, c2.reason)
+            assert (c1.alpha_db, c1.weight_db, c1.pattern.status, c1.valid, c1.status) == \
+                (c2.alpha_db, c2.weight_db, c2.pattern.status, c2.valid, c2.status)
             assert repr(c1.metrics) == repr(c2.metrics)
 
 
@@ -220,7 +227,7 @@ def test_lattice_error_cells_independent_of_threads(rng):
             assert not c1.valid
             assert c1.pattern.status == "error"
             assert np.array_equal(c1.pattern.y, np.zeros(4))
-            assert c1.reason.startswith("TypeError:")
+            assert c1.status.startswith("TypeError:")
     _assert_same_cells(g1, g2)
 
     # a run-2 lattice whose sub-problem the workers restrict themselves,
@@ -259,13 +266,13 @@ def test_lattice_error_stays_on_its_cell(rng, monkeypatch, method):
     grid = evaluate_lattice(p, method, spec)
     for r1, r2 in zip(lanes.cells, grid.cells):
         for c1, c2 in zip(r1, r2):
-            if c2.params == MethodParams(-60.0, -90.0):
+            if (c2.alpha_db, c2.weight_db) == (-60.0, -90.0):
                 assert c2.pattern.status == "error" and not c2.valid
-                assert c2.reason == "FloatingPointError: bad lane"
+                assert c2.status == "FloatingPointError: bad lane"
             else:
                 assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
-                assert (c1.pattern.status, c1.valid, c1.reason) == \
-                    (c2.pattern.status, c2.valid, c2.reason)
+                assert (c1.pattern.status, c1.valid, c1.status) == \
+                    (c2.pattern.status, c2.valid, c2.status)
 
 
 def test_l1l1_lattice_error_stays_on_its_cell(rng, monkeypatch):
@@ -275,12 +282,13 @@ def test_l1l1_lattice_error_stays_on_its_cell(rng, monkeypatch):
     p = random_problem(rng, n_electrodes=8, n_nuisance=40)
     spec = LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0)
     lanes = evaluate_lattice(p, "l1l1", spec)
-    bad = MethodParams(-90.0, -30.0)
-    assert lanes.cell(1, 1).params == bad and lanes.cell(1, 1).valid
+    bad = (-90.0, -30.0)
+    assert (lanes.cell(1, 1).alpha_db, lanes.cell(1, 1).weight_db) == bad
+    assert lanes.cell(1, 1).valid
     build = search.optimizers.build_l1l1_lp
 
     def failing(p, alpha, eps):
-        if (alpha, eps) == (db_to_linear(bad.alpha_db), db_to_linear(bad.weight_db)):
+        if (alpha, eps) == (db_to_linear(bad[0]), db_to_linear(bad[1])):
             raise FloatingPointError("bad lane")
         return build(p, alpha, eps)
 
@@ -289,14 +297,14 @@ def test_l1l1_lattice_error_stays_on_its_cell(rng, monkeypatch):
         grid = _pooled_lattice(p, "l1l1", spec, threads)
         for r1, r2 in zip(lanes.cells, grid.cells):
             for c1, c2 in zip(r1, r2):
-                assert c1.params == c2.params
-                if c2.params == bad:
+                assert (c1.alpha_db, c1.weight_db) == (c2.alpha_db, c2.weight_db)
+                if (c2.alpha_db, c2.weight_db) == bad:
                     assert c2.pattern.status == "error" and not c2.valid
-                    assert c2.reason == "FloatingPointError: bad lane"
+                    assert c2.status == "FloatingPointError: bad lane"
                 else:
                     assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
-                    assert (c1.pattern.status, c1.valid, c1.reason) == \
-                        (c2.pattern.status, c2.valid, c2.reason)
+                    assert (c1.pattern.status, c1.valid, c1.status) == \
+                        (c2.pattern.status, c2.valid, c2.status)
 
 
 # Solves one L1L1 lattice at 1000 field points (K is 3003 x 32, large
@@ -416,8 +424,8 @@ def test_pooled_lattice_measures_cells_in_workers(rng, monkeypatch):
     for r1, r2 in zip(g1.cells, g2.cells):
         for c1, c2 in zip(r1, r2):
             assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
-            assert (c1.params, c1.pattern.status, c1.valid, c1.reason) == \
-                (c2.params, c2.pattern.status, c2.valid, c2.reason)
+            assert (c1.alpha_db, c1.weight_db, c1.pattern.status, c1.valid, c1.status) == \
+                (c2.alpha_db, c2.weight_db, c2.pattern.status, c2.valid, c2.status)
             assert repr(c1.metrics) == repr(c2.metrics)
 
 
@@ -427,7 +435,7 @@ def test_two_run_search_full_montage_idempotent(rng):
     out = two_run_search(p, "tls", "B", 4, spec)
     assert out.status == "ok"
     assert out.montage == (1, 2, 3, 4)
-    assert out.run1.cell == out.run2.cell
+    assert (out.run1.alpha_db, out.run1.weight_db) == (out.run2.alpha_db, out.run2.weight_db)
     assert np.array_equal(out.run1.pattern.y, out.run2.pattern.y)
 
 
@@ -436,7 +444,7 @@ def test_two_run_search_single_cell(rng):
     spec = LatticeSpec(-60.0, -45.0, -60.0, -45.0, step_db=15.0)
     out = two_run_search(p, "tls", "B", 2, spec)
     assert out.status == "ok"
-    assert out.run1.cell == (0, 0) and out.run2.cell == (0, 0)
+    assert out.run1 is out.run1_grid.cell(0, 0) and out.run2 is out.run2_grid.cell(0, 0)
 
 
 def test_two_run_dominant_column(rng):
