@@ -60,10 +60,16 @@ class RunConfig:
             raise ConfigError("radii and conductivities must pair up")
         if self.electrode_count < 2:
             raise ConfigError("need at least two electrodes")
-        if self.mu <= 0.0:
-            raise ConfigError("dose cap mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ConfigError("dose cap mu must be finite and positive")
         if not (math.isfinite(self.lattice_step_db) and self.lattice_step_db > 0.0):
             raise ConfigError("lattice_step_db must be finite and positive")
+        if not math.isfinite(self.gamma_threshold):
+            raise ConfigError("gamma_threshold must be finite")
+        if not (math.isfinite(self.l1l2_tol) and self.l1l2_tol > 0.0):
+            raise ConfigError("l1l2_tol must be finite and positive")
+        if type(self.l1l2_max_iter) is not int or self.l1l2_max_iter < 1:
+            raise ConfigError("l1l2_max_iter must be a positive integer")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")

@@ -241,9 +241,13 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         raise IoError("sidecar field 'rows'/'cols' disagrees with the binary header")
     if rows % 3 != 0:
         raise IoError("lead-field rows must be a multiple of 3")
-    x1, ids = sidecar["x1"], sidecar["electrode_ids"]
-    if not isinstance(x1, list) or len(x1) != 3:
-        raise IoError("sidecar field 'x1' must hold 3 entries")
+    x1, ids, mu = sidecar["x1"], sidecar["electrode_ids"], sidecar["mu"]
+    # a JSON number is an int or a float, never a bool
+    if not (isinstance(x1, list) and len(x1) == 3
+            and all(type(v) in (int, float) and math.isfinite(v) for v in x1)):
+        raise IoError("sidecar field 'x1' must hold 3 finite numbers")
+    if not (type(mu) in (int, float) and math.isfinite(mu) and mu > 0):
+        raise IoError("sidecar field 'mu' must be a finite positive number")
     if not isinstance(ids, list) or len(ids) != cols:
         raise IoError("sidecar field 'electrode_ids' count does not match matrix columns")
     target_point = sidecar["target_point"]
@@ -255,9 +259,7 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         target_point=target_point,
     )
     L1, L2 = lf.split_rows()
-    problem = StimulusProblem.from_parts(
-        L1, L2, x1, sidecar["mu"], electrode_ids=lf.electrode_ids
-    )
+    problem = StimulusProblem.from_parts(L1, L2, x1, mu, electrode_ids=lf.electrode_ids)
     return lf, problem
 
 

@@ -20,8 +20,9 @@ it elementwise to original units.  A solve ends as ``infeasible`` or
 ``unbounded`` only on a Farkas certificate; one that neither converges
 nor certifies ends as ``max_iter``.
 
-``solve_lp_lanes`` runs one loop over a stack of B programs, the lanes,
-that share one constraint operator and differ only in c, h and f.  Every
+``solve_lp_lanes`` solves programs, the lanes, that share one constraint
+operator and differ only in c, h and f.  It runs one loop per stack of
+at most LANE_ENTRIES iterate entries (lanes x inequality rows).  Every
 iterate is a (B, .) array with one row per lane, and every decision is
 taken per lane: the residual test, the 15-iteration stall rule, both
 certificates, the at-most-one correction and a failed factorization.  A
@@ -72,6 +73,7 @@ LP_TOL = 1e-10           # default relative stopping tolerance
 LP_MAX_ITER = 200        # default iteration cap
 RUIZ_ITERS = 10          # Ruiz equilibration sweeps
 STALL_ITERS = 15         # iterations without measurable progress that end a lane
+LANE_ENTRIES = 1 << 16   # lanes x inequality rows per stack; ~14 MB of L1L1 arrays
 
 
 @dataclass(frozen=True)
@@ -299,6 +301,10 @@ def solve_lp_lanes(
         lp.validate()
         if lp.ops is not ops:
             raise ValueError("lanes must share one constraint operator")
+    per_stack = max(1, LANE_ENTRIES // ops.m)
+    if len(lps) > per_stack:
+        return [sol for start in range(0, len(lps), per_stack)
+                for sol in solve_lp_lanes(lps[start:start + per_stack], tol, max_iter)]
 
     dr_g, dr_e, dc = ops.dr_g, ops.dr_e, ops.dc
     c = np.array([lp.c for lp in lps])

@@ -22,10 +22,6 @@ DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
 NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.nuisance_factor
 
-# iterate entries (lanes x inequality rows) of one L1L1 lane solve; its
-# working arrays peak at about 26 doubles per entry, about 14 MB in all
-L1L1_LANE_ENTRIES = 1 << 16
-
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
 
@@ -200,9 +196,11 @@ def _finalize(p: StimulusProblem, y_raw: np.ndarray, status: str,
               raw_objective: float) -> CurrentPattern:
     y = y_raw - y_raw.mean()
     if np.abs(y).sum() < DEGENERATE_FRACTION * p.mu:
+        # no pattern: degenerate where it is a proved optimum, else the status stands
         return CurrentPattern(
             y=np.zeros_like(y), electrode_ids=p.electrode_ids, active_ids=(),
-            status="degenerate", raw_objective=raw_objective,
+            status="degenerate" if status == "optimal" else status,
+            raw_objective=raw_objective,
         )
     y = equalize_dose(y, p.mu)
     active = tuple(p.electrode_ids[i]
@@ -461,46 +459,37 @@ class L1L1Constraints:
         return self.dc * np.concatenate([x, t], axis=1), self.dr_e * lam[:, None]
 
 
-def _l1l1_zero(p: StimulusProblem, alpha: float, eps: float) -> CurrentPattern | None:
-    """The exact y = 0 certificate: its pattern, or None when it fails.
+def _zero_optimal(p: StimulusProblem, g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The exact y = 0 certificate of L1L1 and L1L2, one flag per alpha.
 
-    y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
-    with g = L1' sign(x1): -g is a subgradient of the fit at 0, the
-    nuisance term has 0 in its subdifferential there, the dose rows are
-    slack and nu is the balance multiplier.  The test is exact when
-    eps*nu > 0 and no x1_i is 0.  |g_i| <= zeta, so every alpha >= 1
-    passes.
+    -g is the data fit's subgradient at y = 0.  y = 0 is optimal when
+    some nu has |g_i - nu| <= alpha*zeta for all i, that is when
+    (max g - min g)/2 <= alpha*zeta: the nuisance term has 0 in its
+    subdifferential there, the dose rows are slack and nu is the balance
+    multiplier.  The test is exact when eps*nu > 0 and g is the fit's
+    only subgradient at 0.  |g_i| <= zeta, so every alpha >= 1 passes.
     """
-    g = p.L1.T @ np.sign(p.x1)
-    if 0.5 * (g.max() - g.min()) > alpha * p.zeta:
-        return None
-    zero = np.zeros(p.n_electrodes)
-    return _finalize(p, zero, "optimal", l1l1_objective(p, zero, alpha, eps))
-
-
-def _l1l1_pattern(p: StimulusProblem, sol, alpha: float, eps: float) -> CurrentPattern:
-    y = sol.v[: p.n_electrodes]
-    return _finalize(p, y, sol.status, l1l1_objective(p, y, alpha, eps))
+    return 0.5 * (g.max() - g.min()) <= alpha * p.zeta
 
 
 def solve_l1l1(p: StimulusProblem, alpha, eps) -> list[CurrentPattern]:
     """One pattern per entry of the equal-length sequences ``alpha`` and
     ``eps``, in order.
 
-    Cells that pass the y = 0 certificate are settled by it; the others
-    are the lanes of ``solve_lp_lanes`` calls of at most
-    L1L1_LANE_ENTRIES iterate entries each, and each lane is bitwise
-    equal to its one-lane solve.
+    Cells that pass the y = 0 certificate, with g = L1' sign(x1), are
+    settled by it, exactly when no x1_i is 0; the others are the lanes
+    of one ``solve_lp_lanes`` call, each bitwise its one-lane solve.
     """
-    out = [_l1l1_zero(p, a, e) for a, e in zip(alpha, eps)]
-    lanes = [b for b, pattern in enumerate(out) if pattern is None]
-    lps = [build_l1l1_lp(p, alpha[b], eps[b]) for b in lanes]
-    per_solve = max(1, L1L1_LANE_ENTRIES // lps[0].ops.m) if lps else 1
-    for start in range(0, len(lps), per_solve):
-        sols = solve_lp_lanes(lps[start:start + per_solve])
-        for b, sol in zip(lanes[start:start + per_solve], sols):
-            out[b] = _l1l1_pattern(p, sol, alpha[b], eps[b])
-    return out
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    y = np.zeros((alpha.size, p.n_electrodes))
+    status = np.full(alpha.size, "optimal", dtype=object)
+    lanes = np.flatnonzero(~_zero_optimal(p, p.L1.T @ np.sign(p.x1), alpha))
+    sols = solve_lp_lanes([build_l1l1_lp(p, alpha[b], eps[b]) for b in lanes])
+    for b, sol in zip(lanes, sols):
+        y[b], status[b] = sol.v[:p.n_electrodes], sol.status
+    return [_finalize(p, y[b], status[b], l1l1_objective(p, y[b], alpha[b], eps[b]))
+            for b in range(alpha.size)]
 
 
 def _simplex_thresholds(w: np.ndarray, r: float) -> np.ndarray:
@@ -609,26 +598,21 @@ def solve_l1l2(
     with the rows beside them.  A lane therefore ends bitwise as it
     would alone, whatever the other lanes, and it leaves the loop once
     it passes the residual test or reaches ``max_iter``.
+
+    Cells that pass the y = 0 certificate, with g = L1'x1/||x1|| (0 when
+    x1 = 0), are settled by it, exactly when x1 != 0, and run no lane.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    L = p.n_electrodes
-    thr = alpha * p.zeta
-    # y = 0 is optimal when some nu has |g_i - nu| <= alpha*zeta for all i,
-    # with g = L1' x1 / ||x1|| (g = 0 when x1 = 0): -g is the fit gradient
-    # at 0, the nuisance term has 0 in its subdifferential there, the dose
-    # constraint is slack and nu is the balance multiplier.  The test is
-    # exact when eps*nu > 0 and x1 != 0.
     x1_norm = np.linalg.norm(p.x1)
-    g = p.target_drive() / x1_norm if x1_norm > 0 else np.zeros(L)
-    certified = 0.5 * (g.max() - g.min()) <= thr
-    y = np.zeros((alpha.size, L))
-    converged = certified.copy()
-    lanes = np.flatnonzero(~certified)
+    g = p.target_drive() / x1_norm if x1_norm > 0 else np.zeros(p.n_electrodes)
+    y = np.zeros((alpha.size, p.n_electrodes))
+    status = np.full(alpha.size, "optimal", dtype=object)
+    lanes = np.flatnonzero(~_zero_optimal(p, g, alpha))
     if lanes.size:
-        y[lanes], converged[lanes] = _pdhg_lanes(p, thr[lanes], eps[lanes], tol, max_iter)
-    return [_finalize(p, y[b], "optimal" if converged[b] else "max_iter",
-                      l1l2_objective(p, y[b], alpha[b], eps[b]))
+        y[lanes], status[lanes] = _pdhg_lanes(p, alpha[lanes] * p.zeta, eps[lanes],
+                                              tol, max_iter)
+    return [_finalize(p, y[b], status[b], l1l2_objective(p, y[b], alpha[b], eps[b]))
             for b in range(alpha.size)]
 
 
@@ -636,8 +620,8 @@ def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
                 tol: float, max_iter: int):
     """The PDHG loop of ``solve_l1l2`` on its uncertified lanes.
 
-    Returns the final y, one row per lane, and whether each lane passed
-    the residual test.
+    Returns the final y, one row per lane, and each lane's status:
+    ``optimal`` where it passed the residual test, else ``max_iter``.
     """
     K = np.vstack([p.L1, p.nuisance_factor()])
     KT = np.ascontiguousarray(K.T)
@@ -650,7 +634,7 @@ def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
     lam = tau * thr                                     # prox weights
     shrink = sigma * (eps * p.nu * np.sqrt(p.n_nuisance))
     y_out = np.zeros((thr.size, p.n_electrodes))
-    converged = np.zeros(thr.size, dtype=bool)
+    status = np.full(thr.size, "max_iter", dtype=object)
     run = np.arange(thr.size)                           # lanes still iterating
     y = y_out.copy()
     ybar = y.copy()
@@ -676,17 +660,17 @@ def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
                     & (np.sqrt((rd * rd).sum(axis=1)) <= d_tol))
             if done.any():
                 y_out[run[done]] = y_new[done]
-                converged[run[done]] = True
+                status[run[done]] = "optimal"
                 live = ~done
                 if not live.any():
-                    return y_out, converged
+                    return y_out, status
                 run, lam, shrink = run[live], lam[live], shrink[live]
                 y, y_new, qn = y[live], y_new[live], qn[live]
         ybar = 2.0 * y_new - y
         q = qn
         y = y_new
     y_out[run] = y
-    return y_out, converged
+    return y_out, status
 
 
 def tls_raw_solution(p: StimulusProblem, alpha, delta) -> np.ndarray:

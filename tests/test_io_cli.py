@@ -202,6 +202,12 @@ def test_lead_field_short_header_rejected(tmp_path):
     ("target_point", True, "target_point"),
     ("target_point", -1, "target_point"),
     ("target_point", 12, "target_point"),
+    ("x1", [0.2, float("nan"), 0.0], "x1"),
+    ("x1", [0.2, 0.0, float("inf")], "x1"),
+    ("mu", 0, "mu"),
+    ("mu", -0.004, "mu"),
+    ("mu", float("nan"), "mu"),
+    ("mu", "4e-3", "mu"),
 ])
 def test_lead_field_sidecar_values_checked(tmp_path, rng, field, value, match):
     # the synthetic lead field has 12 points and 6 electrodes
@@ -336,6 +342,36 @@ def test_config_rejects_removed_lp_keys(tmp_path):
         path.write_text(json.dumps({key: value}))
         with pytest.raises(ConfigError, match=key):
             RunConfig.load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("l1l2_max_iter", 0),
+    ("l1l2_max_iter", -5),
+    ("l1l2_max_iter", 2.5),
+    ("l1l2_tol", -1.0),
+    ("l1l2_tol", 0.0),
+    ("l1l2_tol", float("nan")),
+    ("gamma_threshold", float("nan")),
+    ("gamma_threshold", float("inf")),
+    ("mu", float("nan")),
+    ("mu", float("inf")),
+])
+def test_config_rejects_bad_numbers(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.load(path)
+
+
+def test_cli_optimize_rejects_zero_l1l2_iterations(tmp_path, capsys):
+    # the config fails before the lead field is read: no pattern is written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"l1l2_max_iter": 0}))
+    code = cli.main(["optimize", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--method", "l1l2", "--alpha-db", "-125", "--weight-db", "-20"])
+    assert code == 1
+    assert "l1l2_max_iter" in capsys.readouterr().err
+    assert not (tmp_path / "optimize.json").exists()
 
 
 def test_config_lattice_step_resolution():

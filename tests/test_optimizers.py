@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -515,6 +516,98 @@ def test_l1l2_huge_penalty_degenerate(rng):
     p = random_problem(rng)
     pat = l1l2_cell(p, 1e6, 1e-3)
     assert pat.status == "degenerate"
+
+
+def _first_certified_alpha(spread, zeta):
+    """The least double a with spread <= a * zeta."""
+    a = spread / zeta
+    while not spread <= a * zeta:
+        a = np.nextafter(a, np.inf)
+    while spread <= np.nextafter(a, 0.0) * zeta:
+        a = np.nextafter(a, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("method", ["l1l1", "l1l2"])
+def test_zero_certificate_boundary(rng, monkeypatch, method):
+    # at the first alpha where (max g - min g)/2 <= alpha*zeta holds, and
+    # at the double just below it, exactly the cells where the rule holds
+    # are settled without a lane; a lane's alpha*zeta is the last entry of
+    # its LP cost, or the PDHG prox weight it receives
+    lanes = []
+
+    def recording_lp(lps, **kwargs):
+        lanes.extend(lp.c[-1] for lp in lps)
+        return solve_lp_lanes(lps, **kwargs)
+
+    def recording_pdhg(p, thr, *args):
+        lanes.extend(thr)
+        return pdhg_lanes(p, thr, *args)
+
+    pdhg_lanes = optimizers._pdhg_lanes
+    monkeypatch.setattr(optimizers, "solve_lp_lanes", recording_lp)
+    monkeypatch.setattr(optimizers, "_pdhg_lanes", recording_pdhg)
+    for k in range(6):
+        p = random_problem(rng, n_electrodes=3 + 5 * (k % 3), n_nuisance=8)
+        if method == "l1l1":
+            g = p.L1.T @ np.sign(p.x1)
+            solve = solve_l1l1
+        else:
+            g = p.L1.T @ p.x1 / np.linalg.norm(p.x1)
+            solve = functools.partial(solve_l1l2, max_iter=50)
+        spread = 0.5 * (g.max() - g.min())
+        first = _first_certified_alpha(spread, p.zeta)
+        assert first < 1.0
+        alpha = np.array([first, np.nextafter(first, 0.0), 4.0 * first, 0.25 * first])
+        rule = spread <= alpha * p.zeta
+        assert rule.tolist() == [True, False, True, False]
+        lanes.clear()
+        patterns = solve(p, alpha, 10 ** rng.uniform(-3, -0.5, alpha.size))
+        settled = ~np.isin(alpha * p.zeta, lanes)
+        assert settled.tolist() == rule.tolist()
+        assert len(lanes) == (~rule).sum()
+        assert all(pat.status == "degenerate" for pat, r in zip(patterns, rule) if r)
+
+
+@pytest.mark.parametrize("status", ["max_iter", "infeasible", "unbounded"])
+def test_finalize_keeps_unproved_status_on_zero_pattern(rng, status):
+    # only a proved optimum at y = 0 is degenerate; a zero or negligible
+    # raw pattern under any other status keeps it, with no currents
+    p = random_problem(rng, n_electrodes=5)
+    tiny = np.full(5, 0.1 * optimizers.DEGENERATE_FRACTION * p.mu / 5)
+    tiny[0] = 0.0
+    for y_raw in (np.zeros(5), tiny):
+        pattern = _finalize(p, y_raw, status, 1.0)
+        assert pattern.status == status
+        assert not pattern.y.any() and pattern.active_ids == ()
+        pattern.validate(p.mu, p.gamma)
+        assert _finalize(p, y_raw, "optimal", 1.0).status == "degenerate"
+
+
+def test_lp_lanes_split_into_stacks(rng, monkeypatch):
+    # solve_lp_lanes solves a stack of more than LANE_ENTRIES iterate
+    # entries as consecutive stacks, and every lane ends bitwise as in one
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    lps = [build_l1l1_lp(p, a * zero_alpha(p), e)
+           for a, e in zip((0.1, 0.3, 0.5, 0.7, 0.9), (1e-3, 1e-2, 3e-2, 1e-1, 3e-1))]
+    whole = solve_lp_lanes(lps)
+    calls = []
+
+    def recording(stack, *args):
+        calls.append(len(stack))
+        return solve(stack, *args)
+
+    solve = lp_module.solve_lp_lanes
+    monkeypatch.setattr(lp_module, "solve_lp_lanes", recording)
+    monkeypatch.setattr(lp_module, "LANE_ENTRIES", 2 * lps[0].ops.m + 1)
+    split = lp_module.solve_lp_lanes(lps)
+    assert calls == [5, 2, 2, 1]
+    for a, b in zip(whole, split):
+        assert a.status == b.status and np.array_equal(a.v, b.v)
+    monkeypatch.setattr(lp_module, "LANE_ENTRIES", 1)
+    calls.clear()
+    assert [s.status for s in lp_module.solve_lp_lanes(lps)] == [s.status for s in whole]
+    assert calls == [5, 1, 1, 1, 1, 1]
 
 
 def test_dose_equalization_examples():
