@@ -15,6 +15,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0.0
+
+
 @dataclass
 class RunConfig:
     # geometry (meters, S/m)
@@ -58,18 +66,22 @@ class RunConfig:
     def validate(self) -> None:
         if len(self.radii) != len(self.conductivities):
             raise ConfigError("radii and conductivities must pair up")
-        if self.electrode_count < 2:
-            raise ConfigError("need at least two electrodes")
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ConfigError("dose cap mu must be finite and positive")
-        if not (math.isfinite(self.lattice_step_db) and self.lattice_step_db > 0.0):
-            raise ConfigError("lattice_step_db must be finite and positive")
-        if not math.isfinite(self.gamma_threshold):
+        for name in ("radii", "conductivities"):
+            if not all(_positive(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be finite and positive")
+        for name in ("cell_size", "impedance_ohm", "d_target", "mu",
+                     "lattice_step_db", "l1l2_tol"):
+            if not _positive(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite and positive")
+        if not (all(_finite(v) for v in self.target_hint) and any(self.target_hint)):
+            raise ConfigError("target_hint must be finite and not all zero")
+        for name, least in (("electrode_count", 2), ("field_point_count", 1),
+                            ("l1l2_max_iter", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}")
+        if not _finite(self.gamma_threshold):
             raise ConfigError("gamma_threshold must be finite")
-        if not (math.isfinite(self.l1l2_tol) and self.l1l2_tol > 0.0):
-            raise ConfigError("l1l2_tol must be finite and positive")
-        if type(self.l1l2_max_iter) is not int or self.l1l2_max_iter < 1:
-            raise ConfigError("l1l2_max_iter must be a positive integer")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")

@@ -121,11 +121,6 @@ class TargetSpec:
     d_target: float          # A/m^2
     point_index: int         # index into the FieldPointSet
 
-    def validate(self) -> None:
-        n = np.linalg.norm(self.orientation)
-        if abs(n - 1.0) > 1e-12:
-            raise MeshError("orientation must be a unit vector")
-
 
 def _unit_cube_tets() -> np.ndarray:
     """Vertex offsets (6, 4, 3) of the Kuhn split, positively oriented."""

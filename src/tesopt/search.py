@@ -122,9 +122,6 @@ class CandidateGrid:
                         dtype=float)
 
 
-_WORKER_STATE: dict = {}
-
-
 def _solver(method: str):
     """The method's lattice solver, looked up at call time, so that a
     patched ``optimizers`` attribute is the one called."""
@@ -144,8 +141,9 @@ def solve_single_cell(p: StimulusProblem, method: str, alpha_db: float,
 def _openblas_paths() -> tuple[str, ...]:
     """Paths of the OpenBLAS libraries mapped into this process.
 
-    Read once from /proc/self/maps (about 1 ms); numpy and scipy each
-    bundle their own copy, and both are loaded by this module's imports.
+    Read once from /proc/self/maps (about 1 ms), or inherited by a forked
+    worker; numpy and scipy each bundle their own copy, and both are
+    loaded by this module's imports.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -157,13 +155,14 @@ def _openblas_paths() -> tuple[str, ...]:
 
 
 @functools.cache
-def _blas_thread_controls(paths) -> tuple:
-    """(getter, setter) of the thread count of each listed OpenBLAS.
+def _blas_thread_controls() -> tuple:
+    """(getter, setter) of the thread count of each OpenBLAS mapped into
+    this process.
 
     A library that cannot be opened or lacks a known pair is left out.
     """
     controls = []
-    for path in paths:
+    for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -178,13 +177,13 @@ def _blas_thread_controls(paths) -> tuple:
     return tuple(controls)
 
 
-def _pin_blas(paths) -> None:
-    """Run each listed OpenBLAS library on one thread.
+def _pin_blas() -> None:
+    """Run the bundled OpenBLAS libraries on one thread.
 
-    Pool workers would otherwise each start the default number of BLAS
-    threads and oversubscribe the cores.
+    The initializer of the pool workers, which would otherwise each start
+    the default number of BLAS threads and oversubscribe the cores.
     """
-    for _, setter in _blas_thread_controls(tuple(paths)):
+    for _, setter in _blas_thread_controls():
         setter(1)
 
 
@@ -192,7 +191,7 @@ def _pin_blas(paths) -> None:
 def single_thread_blas():
     """Run the bundled OpenBLAS libraries on one thread inside the block,
     as the pool workers do, and restore their thread counts on exit."""
-    controls = _blas_thread_controls(_openblas_paths())
+    controls = _blas_thread_controls()
     saved = [getter() for getter, _ in controls]
     try:
         for _, setter in controls:
@@ -201,15 +200,6 @@ def single_thread_blas():
     finally:
         for (_, setter), count in zip(controls, saved):
             setter(count)
-
-
-# Forked workers get initargs without pickling; a functools.partial over
-# _solve_cells would pickle the problem into every task instead.
-def _init_worker(p, blas_paths):
-    _pin_blas(blas_paths)
-    # the worker's own serial view of the pool: sub-problems it restricts,
-    # with their caches, live as long as the worker
-    _WORKER_STATE["pool"] = LatticePool(p)
 
 
 def _candidate(p, cell, pattern, status=None) -> CandidateCell:
@@ -248,30 +238,22 @@ def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
     return [_candidate(p, c, pattern) for c, pattern in zip(cells, patterns)]
 
 
-def _worker(task):
-    method, ids, cells = task
-    local = _WORKER_STATE["pool"]
-    return _solve_cells(local.restrict(ids), method, local.opts, cells)
-
-
 class LatticePool:
     """Workers, solver options and solved grids of one search.
 
-    A pool is made for one problem and evaluates that problem and the
-    sub-problems its ``restrict`` made.  A lattice, or a worker's share
-    of one, is one call of ``optimizers.solve_<method>`` over its cells.
-    An L1L1 lattice with more than one cell, on more than one worker,
-    goes to the workers as one task each, the strided share
-    ``cells[i::threads]``: at 1000 field points its LP is compute-bound,
-    so the split pays.  Every other lattice is solved in this process,
-    with the bundled OpenBLAS on one thread as in the workers, so the
-    cells do not depend on the worker count.  The workers start at the
-    first L1L1 lattice that needs them and get the problem once; a task
-    names its sub-problem by electrode ids, and each worker restricts it
-    once.  ``grid`` keeps every lattice it solved, so the searches of one
-    method share their first run and the second runs that land on one
-    montage.  Leaving the ``with`` block shuts the workers down and
-    joins them.
+    A pool is made for one problem; ``restrict`` makes each of its
+    sub-problems once, and ``grid`` keeps every lattice it solved for
+    them, so the searches of one method share their first run and the
+    second runs that land on one montage.  A lattice, or a worker's share
+    of one, is one ``_solve_cells`` call over its cells.  An L1L1 lattice
+    with more than one cell, on more than one worker, goes to the workers
+    as one task each, the strided share ``cells[i::threads]`` with the
+    (sub-)problem it belongs to: at 1000 field points its LP is
+    compute-bound, so the split pays.  Every other lattice is solved in
+    this process, with the bundled OpenBLAS on one thread as in the
+    workers, so the cells do not depend on the worker count.  The workers
+    start at the first L1L1 lattice that needs them.  Leaving the
+    ``with`` block shuts the workers down and joins them.
     """
 
     def __init__(self, p: StimulusProblem, threads: int = 1,
@@ -306,20 +288,22 @@ class LatticePool:
         return self._grids[key]
 
     def map(self, p: StimulusProblem, method: str, cells) -> list[CandidateCell]:
-        """One finished cell per (alpha_db, weight_db) pair, in order."""
-        self._key(p)
+        """One finished cell of ``p`` per (alpha_db, weight_db) pair, in order.
+
+        Each worker's task carries ``p``, the method, the solver options
+        and its share of the cells, and runs ``_solve_cells`` on them.
+        """
         if method != "l1l1" or self.threads <= 1 or len(cells) <= 1:
             with single_thread_blas():
                 return _solve_cells(p, method, self.opts, cells)
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.threads, initializer=_init_worker,
-                initargs=(self.problem, _openblas_paths()),
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.threads,
+                                                 initializer=_pin_blas)
         n = min(self.threads, len(cells))
-        tasks = [(method, p.electrode_ids, cells[i::n]) for i in range(n)]
+        shares = self._executor.map(_solve_cells, [p] * n, [method] * n,
+                                    [self.opts] * n, [cells[i::n] for i in range(n)])
         out = [None] * len(cells)
-        for i, solved in enumerate(self._executor.map(_worker, tasks)):
+        for i, solved in enumerate(shares):
             out[i::n] = solved
         return out
 
@@ -336,12 +320,11 @@ def evaluate_lattice(p: StimulusProblem, method: str, spec: LatticeSpec,
                      pool: LatticePool | None = None) -> CandidateGrid:
     """Solve one candidate per lattice cell; failures are recorded, not raised.
 
-    ``pool`` serves the lattice with its workers and solver options; ``p``
-    is then the pool's problem or a sub-problem it restricted.  Without
-    one the cells are solved in this process with default options.  The
-    result is independent of the worker count: cells are pure functions
-    of (problem, method, cell parameters) and are reassembled in index
-    order.
+    ``pool`` serves the lattice with its workers and solver options.
+    Without one the cells are solved in this process with default
+    options.  The result is independent of the worker count: cells are
+    pure functions of (problem, method, cell parameters) and are
+    reassembled in index order.
     """
     weights = spec.weight_values.tolist()
     cells_in = [(a, w) for a in spec.alpha_values.tolist() for w in weights]
@@ -459,8 +442,8 @@ def two_run_search(
     """Full-montage sweep, channel restriction, restricted re-sweep.
 
     Both lattices come from ``pool.grid``, so searches on one pool share
-    each lattice they have in common; ``p`` is then a problem the pool
-    serves, as in ``evaluate_lattice``.  Without a pool the search runs
+    each lattice they have in common; ``p`` is then the pool's problem or
+    a sub-problem its ``restrict`` made.  Without a pool the search runs
     on a serial pool of its own.
     """
     if k > p.n_electrodes:

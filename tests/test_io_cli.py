@@ -355,12 +355,42 @@ def test_config_rejects_removed_lp_keys(tmp_path):
     ("gamma_threshold", float("inf")),
     ("mu", float("nan")),
     ("mu", float("inf")),
+    ("cell_size", float("nan")),
+    ("cell_size", 0.0),
+    ("impedance_ohm", float("nan")),
+    ("impedance_ohm", -2000.0),
+    ("d_target", float("nan")),
+    ("d_target", float("inf")),
+    ("d_target", 0.0),
+    ("radii", [0.09, float("nan"), 0.078]),
+    ("radii", [0.09, 0.085, -0.078]),
+    ("conductivities", [0.33, float("nan"), 0.33]),
+    ("conductivities", [0.33, -0.0042, 0.33]),
+    ("conductivities", [0.33, 0.0, 0.33]),
+    ("target_hint", [float("nan"), 0.0, 1.0]),
+    ("target_hint", [0.0, float("inf"), 1.0]),
+    ("target_hint", [0.0, 0.0, 0.0]),
+    ("electrode_count", 1),
+    ("electrode_count", 8.0),
+    ("field_point_count", 0),
+    ("field_point_count", 100.5),
 ])
 def test_config_rejects_bad_numbers(tmp_path, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=key):
         RunConfig.load(path)
+
+
+def test_cli_mesh_rejects_bad_config(tmp_path, capsys):
+    # a NaN target hint would otherwise put the target at field point 0
+    # and pass every stage: the config fails before any file is written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"target_hint": [float("nan"), 0.0, 1.0]}))
+    out = tmp_path / "run"
+    assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert "target_hint" in capsys.readouterr().err
+    assert not (out / "mesh.bin").exists()
 
 
 def test_cli_optimize_rejects_zero_l1l2_iterations(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -184,8 +185,7 @@ def test_lattice_workers_pin_blas(rng):
     try:
         _blas_calls(paths, "set", 2)
         parent = _blas_calls(paths, "get")
-        with ProcessPoolExecutor(max_workers=1, initializer=search._init_worker,
-                                 initargs=(p, paths)) as pool:
+        with ProcessPoolExecutor(max_workers=1, initializer=search._pin_blas) as pool:
             worker = pool.submit(_blas_calls, paths, "get").result(timeout=60)
         assert worker == [1] * known
         assert _blas_calls(paths, "get") == parent
@@ -230,7 +230,7 @@ def test_lattice_error_cells_independent_of_threads(rng):
             assert c1.status.startswith("TypeError:")
     _assert_same_cells(g1, g2)
 
-    # a run-2 lattice whose sub-problem the workers restrict themselves,
+    # a run-2 lattice whose sub-problem the tasks carry to the workers,
     # next to an erroring one, on the pool of the full problem
     ids = (1, 3, 4)
     serial = evaluate_lattice(p.restrict(ids), "l1l1", spec)
@@ -367,12 +367,62 @@ def test_lattice_pool_starts_once_and_joins(rng, monkeypatch):
             assert starts == [2]
             raise RuntimeError("stop")
     assert multiprocessing.active_children() == []
-    # a pool serves only its own problem and the sub-problems it made
+    # a pool solves a foreign problem's own lattice, but its grid memo and
+    # searches serve only its own problem and the sub-problems it made
     with search.LatticePool(p) as pool:
+        foreign = p.restrict((1, 2))
+        _assert_same_cells(evaluate_lattice(foreign, "tls", spec, pool=pool),
+                           evaluate_lattice(foreign, "tls", spec))
         with pytest.raises(SearchError, match="pool"):
-            evaluate_lattice(p.restrict((1, 2)), "tls", spec, pool=pool)
+            pool.grid(foreign, "tls", spec)
         with pytest.raises(SearchError, match="pool"):
             two_run_search(p.restrict((1, 2, 3)), "tls", "B", 2, spec, pool=pool)
+
+
+def _pool_start_method(monkeypatch, method):
+    """Make the lattice pools start their workers by ``method``."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setattr(search, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_lattice_pool_independent_of_start_method(rng, monkeypatch, method):
+    # a task carries its problem, so workers that share no memory with
+    # the search process solve the full lattice and a restricted
+    # re-sweep to the bytes of the serial lattices
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    spec = LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0)
+    ids = (2, 3, 5, 8)
+    serial = evaluate_lattice(p, "l1l1", spec)
+    serial_sub = evaluate_lattice(p.restrict(ids), "l1l1", spec)
+    _pool_start_method(monkeypatch, method)
+    with search.LatticePool(p, 2) as pool:
+        pooled = evaluate_lattice(p, "l1l1", spec, pool=pool)
+        pooled_sub = evaluate_lattice(pool.restrict(ids), "l1l1", spec, pool=pool)
+        assert pool._executor is not None
+    _assert_same_cells(serial, pooled)
+    _assert_same_cells(serial_sub, pooled_sub)
+
+
+def test_pooled_lattice_passes_solver_options(rng, monkeypatch):
+    # the workers solve with the pool's solver options: an L1L1 solver
+    # that needs an option would fail every cell solved without it
+    p = random_problem(rng, n_electrodes=4, n_nuisance=6)
+    spec = LatticeSpec(-90.0, -30.0, -90.0, -30.0, step_db=30.0)
+    serial = evaluate_lattice(p, "l1l1", spec)
+    solve = search.optimizers.solve_l1l1
+
+    def probed(p, alpha, eps, *, probe):
+        return solve(p, alpha, eps)
+
+    monkeypatch.setattr(search.optimizers, "solve_l1l1", probed)
+    # forked workers see the patched solver
+    _pool_start_method(monkeypatch, "fork")
+    pooled = _pooled_lattice(p, "l1l1", spec, 2, {"l1l1": {"probe": 1}})
+    assert all(c.pattern.status != "error" for row in pooled.cells for c in row)
+    _assert_same_cells(serial, pooled)
 
 
 def test_pool_grid_memo_serves_repeat_searches(rng, monkeypatch):
