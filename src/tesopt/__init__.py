@@ -9,7 +9,7 @@ the focused-to-nuisance ratio under dose constraints.
 from .config import RunConfig
 from .fem import CemSystem, LeadField, assemble, lead_field, resistivity_matrix, \
     split_problem
-from .lp import LinearProgram, LpSolution, make_program, solve_lp
+from .lp import LinearProgram, LpSolution
 from .meshgen import ElectrodeLayout, FieldPointSet, HeadMesh, TargetSpec, \
     generate_ball_mesh, place_electrodes, place_target, sample_field_points
 from .metrics import MetricSet, angle_difference, current_ratio, deviation_estimate, \

@@ -60,15 +60,19 @@ def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
                  alpha_db: float, weight_db: float) -> int:
     _, problem = io.read_lead_field(out_dir / "leadfield.bin")
-    opts = cfg.solver_opts()
-    pattern = search.solve_single_cell(problem, method, alpha_db, weight_db, opts)
+    # on one BLAS thread, as a lattice solves its cells, so that the cell
+    # rounds as it does in the lattice CSV
+    with search.single_thread_blas():
+        pattern = search.solve_single_cell(problem, method, alpha_db, weight_db,
+                                           cfg.solver_opts())
+        metrics = compute_metrics(problem, pattern)
     result = {
         "method": method,
         "alpha_db": alpha_db,
         "weight_db": weight_db,
         "status": pattern.status,
         "currents_ma": [v * 1e3 for v in pattern.y],
-        **io.metric_fields(compute_metrics(problem, pattern)),
+        **io.metric_fields(metrics),
     }
     io._dump_json(result, out_dir / "optimize.json")
     print(json.dumps(result, indent=1, sort_keys=True))
@@ -83,10 +87,10 @@ def run_search_pipeline(problem, cfg: RunConfig):
     timings carries per-method first-run lattice times and
     per-combination wall times.
     """
-    for k in cfg.channels:
-        if not 2 <= k <= problem.n_electrodes:
-            raise search.SearchError(f"channel count {k} must be between 2 "
-                                     f"and the {problem.n_electrodes} electrodes")
+    for k in cfg.channels:   # validate has checked k >= 2
+        if k > problem.n_electrodes:
+            raise search.SearchError(f"channel count {k} exceeds the "
+                                     f"{problem.n_electrodes} electrodes")
     spec_by_method = {
         m: search.default_lattice_spec(m, step_db=cfg.lattice_step_db)
         for m in cfg.methods

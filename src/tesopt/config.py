@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .optimizers import L1L2_MAX_ITER, L1L2_TOL
-from .search import DESK_STEP_DB, GAMMA_THRESHOLD, METHODS
+from .search import DESK_STEP_DB, GAMMA_THRESHOLD, METHODS, SearchError, \
+    default_lattice_spec
 
 
 class ConfigError(ValueError):
@@ -21,6 +22,10 @@ def _finite(value) -> bool:
 
 def _positive(value) -> bool:
     return _finite(value) and value > 0.0
+
+
+def _integer_at_least(value, least: int) -> bool:
+    return type(value) is int and value >= least
 
 
 @dataclass
@@ -77,17 +82,30 @@ class RunConfig:
             raise ConfigError("target_hint must be finite and not all zero")
         for name, least in (("electrode_count", 2), ("field_point_count", 1),
                             ("l1l2_max_iter", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
+            if not _integer_at_least(getattr(self, name), least):
                 raise ConfigError(f"{name} must be an integer of at least {least}")
+        if not (self.threads is None or _integer_at_least(self.threads, 1)):
+            raise ConfigError("threads must be null or an integer of at least 1")
         if not _finite(self.gamma_threshold):
             raise ConfigError("gamma_threshold must be finite")
+        for name in ("methods", "cases", "channels"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+            try:
+                default_lattice_spec(m, step_db=self.lattice_step_db)
+            except SearchError as exc:
+                raise ConfigError(f"lattice_step_db {self.lattice_step_db!r} "
+                                  f"does not fit the {m} lattice: {exc}") from exc
         for c in self.cases:
             if c not in ("A", "B"):
                 raise ConfigError(f"unknown case {c!r}")
+        for k in self.channels:
+            if not _integer_at_least(k, 2):
+                raise ConfigError(f"channels: channel count {k!r} must be an "
+                                  "integer of at least 2")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -52,9 +52,9 @@ and ``p`` and supplies
   Gs'WGs dv + Es'dy = r1 and Es dv = r2 in each row, up to the error the
   one correction removes.
 
-``SparseConstraints`` is the generic operator over CSR matrices, which
-``make_program`` builds; a caller that knows the structure of its LP
-may supply a faster one.
+The package's one operator is ``optimizers.L1L1Constraints``, for the
+LP of ``build_l1l1_lp``; the test suite drives the same loop through a
+generic operator over CSR matrices, which is its reference.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 REGULARIZATION = 1e-15   # relative diagonal shift, at roundoff scale
 REFINE_TOL = 1e-14       # relative residual below which no correction is made
@@ -107,24 +105,6 @@ class LpSolution:
     mu_history: tuple[float, ...] = ()
 
 
-def make_program(c, G, h, E=None, f=None) -> LinearProgram:
-    """Assemble a LinearProgram from array-likes, densifying nothing."""
-    c = np.asarray(c, dtype=float).ravel()
-    G = sp.csr_matrix(G, dtype=float)
-    h = np.asarray(h, dtype=float).ravel()
-    if E is None:
-        E = sp.csr_matrix((0, c.size))
-        f = np.zeros(0)
-    else:
-        E = sp.csr_matrix(E, dtype=float)
-        f = np.asarray(f, dtype=float).ravel()
-    if E.shape[0] and E.shape[1] != G.shape[1]:
-        raise ValueError("inconsistent equality dimensions")
-    lp = LinearProgram(c=c, h=h, f=f, ops=SparseConstraints(G, E))
-    lp.validate()
-    return lp
-
-
 def _scale_factors(maxima: np.ndarray) -> np.ndarray:
     """Square roots of positive maxima; empty rows or columns keep 1."""
     return np.where(maxima > 0, np.sqrt(np.where(maxima > 0, maxima, 1.0)), 1.0)
@@ -147,92 +127,6 @@ def ruiz_scalings(work):
         dr_e *= re
         dc *= cc
     return dr_g, dr_e, dc
-
-
-def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
-    out = np.zeros(A.shape[0])
-    filled = np.diff(A.indptr) > 0
-    if A.nnz:
-        out[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
-    return out
-
-
-def _lanes_product(A: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
-    """A applied to each row of the stack X, as a C-ordered stack."""
-    return np.ascontiguousarray((A @ X.T).T)
-
-
-class SparseConstraints:
-    """The generic constraint operator: CSR G and E, and a sparse KKT LU.
-
-    Equilibrates copies Gs, Es of G and E when built: row maxima come
-    from segment reductions over ``indptr``, column maxima from a
-    scatter-max over ``indices``.  ``factor(W)`` forms Gs'WGs and factors
-    [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU, one per lane;
-    ``solve(r1, r2)`` returns (dv, dy) for it.  The primal regularization
-    d is relative to the largest diagonal entry, so it stays at roundoff
-    scale next to it when active-set weights blow up, and only keeps the
-    factorization defined; the equality block is O(1) after
-    equilibration and keeps the absolute value.  This is the reference
-    for structured operators.
-    """
-
-    def __init__(self, G: sp.csr_matrix, E: sp.csr_matrix):
-        (self.m, self.n), self.p = G.shape, E.shape[0]
-        self.Gs, self.Es = G.tocsr(copy=True), E.tocsr(copy=True)
-        self.dr_g, self.dr_e, self.dc = ruiz_scalings(self)
-        self.GsT, self.EsT = self.Gs.T.tocsr(), self.Es.T.tocsr()
-        self._lu = []
-
-    def row_maxima(self):
-        return _row_maxima(self.Gs), _row_maxima(self.Es)
-
-    def scale_rows(self, rg, re):
-        self.Gs.data *= np.repeat(rg, np.diff(self.Gs.indptr))
-        self.Es.data *= np.repeat(re, np.diff(self.Es.indptr))
-
-    def col_maxima(self):
-        col = np.zeros(self.n)
-        np.maximum.at(col, self.Gs.indices, np.abs(self.Gs.data))
-        np.maximum.at(col, self.Es.indices, np.abs(self.Es.data))
-        return col
-
-    def scale_cols(self, cc):
-        self.Gs.data *= cc[self.Gs.indices]
-        self.Es.data *= cc[self.Es.indices]
-
-    def G(self, v):
-        return _lanes_product(self.Gs, v)
-
-    def GT(self, z):
-        return _lanes_product(self.GsT, z)
-
-    def E(self, v):
-        return _lanes_product(self.Es, v)
-
-    def ET(self, y):
-        return _lanes_product(self.EsT, y)
-
-    def factor(self, W: np.ndarray) -> np.ndarray:
-        self._lu = []
-        ok = np.ones(len(W), dtype=bool)
-        for b, w in enumerate(W):
-            H = self.Gs.T @ sp.diags(w) @ self.Gs
-            delta_p = REGULARIZATION * max(1.0, abs(H.diagonal()).max())
-            K = H + delta_p * sp.identity(self.n)
-            if self.p:
-                K = sp.bmat([[K, self.EsT],
-                             [self.Es, -REGULARIZATION * sp.identity(self.p)]])
-            try:
-                self._lu.append(spla.splu(K.tocsc()))
-            except RuntimeError:  # exactly singular
-                ok[b] = False
-        return ok
-
-    def solve(self, r1: np.ndarray, r2: np.ndarray):
-        x = np.array([lu.solve(np.concatenate([a, b]))
-                      for lu, a, b in zip(self._lu, r1, r2)])
-        return x[:, : self.n], x[:, self.n :]
 
 
 def _row_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -351,9 +351,10 @@ class L1L1Constraints:
     after Sherman-Morrison.  Each lane's S is factored by LAPACK
     ``potrf``, and the balance row is then one scalar Schur complement,
     1'S^-1 1.  S gets the same roundoff-scale relative diagonal shift as
-    ``SparseConstraints``.  It keeps the Cholesky defined when the weight
-    spread leaves S numerically singular, and its error is small enough
-    for the one correction ``solve_lp`` may apply.  References:
+    the test suite's reference operator over CSR matrices.  It keeps the
+    Cholesky defined when the weight spread leaves S numerically
+    singular, and its error is small enough for the one correction
+    ``solve_lp`` may apply.  References:
     Mehrotra, SIAM J. Optim. 2 (1992); Wright, Primal-Dual Interior-Point
     Methods (SIAM 1997), ch. 11.
     """

@@ -1,15 +1,18 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately avoid the library's own code paths: vertex
-enumeration for LPs, the assembled sparse constraint matrix of the
-L1L1 LP, dense grid search on the balanced-current subspace for the
-convex solvers, finite differences for element matrices, scipy's
-``splu`` for the CEM solves (``cem_reference``, ``forward_reference`` on
-the ``block_matrix``), and an eigendecomposition for the zero-weight
-TLS ridge solution (``ridge_reference``), and exact rational arithmetic
-for the TLS normal equations (``tls_exact``).  ``l1l1_cell``, ``l1l2_cell``
-and ``tls_cell`` are not references: they are the one-cell calls of the
-library's solvers at linear weights, as the tests write them.
+enumeration for LPs, a generic constraint operator over CSR matrices
+(``SparseConstraints``, which ``make_program`` builds, with a sparse-LU
+Newton step) through which the tests drive the library's interior-point
+loop, the assembled sparse constraint matrix of the L1L1 LP, dense grid
+search on the balanced-current subspace for the convex solvers, finite
+differences for element matrices, scipy's ``splu`` for the CEM solves
+(``cem_reference``, ``forward_reference`` on the ``block_matrix``), and
+an eigendecomposition for the zero-weight TLS ridge solution
+(``ridge_reference``), and exact rational arithmetic for the TLS normal
+equations (``tls_exact``).  ``l1l1_cell``, ``l1l2_cell`` and ``tls_cell``
+are not references: they are the one-cell calls of the library's
+solvers at linear weights, as the tests write them.
 """
 
 from fractions import Fraction
@@ -19,8 +22,112 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from tesopt.lp import make_program
+from tesopt.lp import REGULARIZATION, LinearProgram, ruiz_scalings
 from tesopt.optimizers import build_l1l1_lp, solve_l1l1, solve_l1l2, solve_tls
+
+
+def make_program(c, G, h, E=None, f=None) -> LinearProgram:
+    """Assemble a LinearProgram from array-likes, densifying nothing."""
+    c = np.asarray(c, dtype=float).ravel()
+    G = sp.csr_matrix(G, dtype=float)
+    h = np.asarray(h, dtype=float).ravel()
+    if E is None:
+        E = sp.csr_matrix((0, c.size))
+        f = np.zeros(0)
+    else:
+        E = sp.csr_matrix(E, dtype=float)
+        f = np.asarray(f, dtype=float).ravel()
+    if E.shape[0] and E.shape[1] != G.shape[1]:
+        raise ValueError("inconsistent equality dimensions")
+    lp = LinearProgram(c=c, h=h, f=f, ops=SparseConstraints(G, E))
+    lp.validate()
+    return lp
+
+
+def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
+    out = np.zeros(A.shape[0])
+    filled = np.diff(A.indptr) > 0
+    if A.nnz:
+        out[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
+    return out
+
+
+def _lanes_product(A: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+    """A applied to each row of the stack X, as a C-ordered stack."""
+    return np.ascontiguousarray((A @ X.T).T)
+
+
+class SparseConstraints:
+    """The generic constraint operator: CSR G and E, and a sparse KKT LU.
+
+    Equilibrates copies Gs, Es of G and E when built: row maxima come
+    from segment reductions over ``indptr``, column maxima from a
+    scatter-max over ``indices``.  ``factor(W)`` forms Gs'WGs and factors
+    [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU, one per lane;
+    ``solve(r1, r2)`` returns (dv, dy) for it.  The primal regularization
+    d is relative to the largest diagonal entry, so it stays at roundoff
+    scale next to it when active-set weights blow up, and only keeps the
+    factorization defined; the equality block is O(1) after
+    equilibration and keeps the absolute value.  This is the reference
+    for structured operators.
+    """
+
+    def __init__(self, G: sp.csr_matrix, E: sp.csr_matrix):
+        (self.m, self.n), self.p = G.shape, E.shape[0]
+        self.Gs, self.Es = G.tocsr(copy=True), E.tocsr(copy=True)
+        self.dr_g, self.dr_e, self.dc = ruiz_scalings(self)
+        self.GsT, self.EsT = self.Gs.T.tocsr(), self.Es.T.tocsr()
+        self._lu = []
+
+    def row_maxima(self):
+        return _row_maxima(self.Gs), _row_maxima(self.Es)
+
+    def scale_rows(self, rg, re):
+        self.Gs.data *= np.repeat(rg, np.diff(self.Gs.indptr))
+        self.Es.data *= np.repeat(re, np.diff(self.Es.indptr))
+
+    def col_maxima(self):
+        col = np.zeros(self.n)
+        np.maximum.at(col, self.Gs.indices, np.abs(self.Gs.data))
+        np.maximum.at(col, self.Es.indices, np.abs(self.Es.data))
+        return col
+
+    def scale_cols(self, cc):
+        self.Gs.data *= cc[self.Gs.indices]
+        self.Es.data *= cc[self.Es.indices]
+
+    def G(self, v):
+        return _lanes_product(self.Gs, v)
+
+    def GT(self, z):
+        return _lanes_product(self.GsT, z)
+
+    def E(self, v):
+        return _lanes_product(self.Es, v)
+
+    def ET(self, y):
+        return _lanes_product(self.EsT, y)
+
+    def factor(self, W: np.ndarray) -> np.ndarray:
+        self._lu = []
+        ok = np.ones(len(W), dtype=bool)
+        for b, w in enumerate(W):
+            H = self.Gs.T @ sp.diags(w) @ self.Gs
+            delta_p = REGULARIZATION * max(1.0, abs(H.diagonal()).max())
+            K = H + delta_p * sp.identity(self.n)
+            if self.p:
+                K = sp.bmat([[K, self.EsT],
+                             [self.Es, -REGULARIZATION * sp.identity(self.p)]])
+            try:
+                self._lu.append(spla.splu(K.tocsc()))
+            except RuntimeError:  # exactly singular
+                ok[b] = False
+        return ok
+
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
+        x = np.array([lu.solve(np.concatenate([a, b]))
+                      for lu, a, b in zip(self._lu, r1, r2)])
+        return x[:, : self.n], x[:, self.n :]
 
 
 def lp_vertex_minimum(c, G, h, E=None, f=None, feas_tol=1e-9):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from oracles import (balanced_grid_minimum, block_matrix, forward_reference, l1l1_cell,
-                     l1l2_cell, lp_vertex_minimum, random_bounded_lp, ridge_reference)
+                     l1l2_cell, lp_vertex_minimum, make_program, random_bounded_lp,
+                     ridge_reference)
 from tesopt import cli, fem, meshgen
 from tesopt.config import RunConfig
-from tesopt.lp import make_program, solve_lp
+from tesopt.lp import solve_lp
 from tesopt.metrics import current_ratio, deviation_estimate, focused_density
 from tesopt.optimizers import tls_raw_solution
 from tesopt.search import (

@@ -42,7 +42,6 @@ def test_no_deferred_package_imports():
 UNREFERENCED_ALLOWED = {
     "generate_box_mesh",            # model builder for box and bar geometries
     "electrodes_from_face_sets",    # model builder for electrodes on given faces
-    "make_program",                 # the generic LP entry point of lp
     "solve_lp",                     # the one-LP entry point of lp, wrapped by bench/tracer.py
     # the lattice solvers, which search looks up as getattr(optimizers, "solve_" + method)
     "solve_l1l1",

@@ -374,6 +374,18 @@ def test_config_rejects_removed_lp_keys(tmp_path):
     ("electrode_count", 8.0),
     ("field_point_count", 0),
     ("field_point_count", 100.5),
+    ("threads", 0),
+    ("threads", -3),
+    ("threads", float("nan")),
+    ("threads", True),
+    ("threads", 2.5),
+    ("threads", "2"),
+    ("channels", [2.5]),
+    ("channels", [1, 4]),
+    ("channels", []),
+    ("methods", []),
+    ("cases", []),
+    ("lattice_step_db", 7.0),
 ])
 def test_config_rejects_bad_numbers(tmp_path, key, value):
     path = tmp_path / "cfg.json"
@@ -390,6 +402,17 @@ def test_cli_mesh_rejects_bad_config(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
     assert "target_hint" in capsys.readouterr().err
+    assert not (out / "mesh.bin").exists()
+
+
+def test_cli_mesh_rejects_bad_lattice_step(tmp_path, capsys):
+    # 7 dB does not divide the 180 dB lattice spans: the config fails at
+    # mesh, not two commands later at search
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lattice_step_db": 7}))
+    out = tmp_path / "run"
+    assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert "lattice_step_db" in capsys.readouterr().err
     assert not (out / "mesh.bin").exists()
 
 
@@ -504,6 +527,29 @@ def test_leadfield_bytes_independent_of_blas_threads(tmp_path, tiny_cfg):
                        env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
                        check=True, capture_output=True, timeout=300)
         written.append((run / "leadfield.bin").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_optimize_bytes_independent_of_blas_threads(tmp_path):
+    # an L1L1 cell rounds differently at 1 and 2 OpenBLAS threads on this
+    # model; tesopt optimize solves it on one thread, as its lattice does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"radii": [0.09, 0.08, 0.07], "cell_size": 0.01,
+                                "seed": 1}))
+    out = tmp_path / "run"
+    for command in ("mesh", "leadfield"):
+        assert cli.main([command, "--config", str(path), "--out-dir", str(out)]) == 0
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    written = []
+    for threads in (1, 2):
+        subprocess.run([sys.executable, "-m", "tesopt.cli", "optimize", "--config",
+                        str(path), "--out-dir", str(out), "--method", "l1l1",
+                        "--alpha-db", "-100", "--weight-db", "-40"],
+                       env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+                       check=True, capture_output=True, timeout=300)
+        written.append((out / "optimize.json").read_bytes())
     assert written[0] == written[1]
 
 

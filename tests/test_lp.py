@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_problem
-from oracles import assembled_l1l1_lp, lp_vertex_minimum, random_bounded_lp
-from tesopt.lp import SparseConstraints, _max_step, make_program, solve_lp
+from oracles import (SparseConstraints, assembled_l1l1_lp, lp_vertex_minimum, make_program,
+                     random_bounded_lp)
+from tesopt.lp import _max_step, solve_lp
 
 
 def test_lower_bound_vertex():

@@ -12,9 +12,9 @@ from conftest import random_problem
 from tesopt import fem, lp as lp_module, optimizers
 from tesopt.cli import build_model
 from tesopt.config import RunConfig
-from oracles import (assembled_l1l1_lp, balanced_grid_minimum, l1l1_cell, l1l2_cell,
-                     ridge_reference, tls_cell, tls_exact)
-from tesopt.lp import SparseConstraints, _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
+from oracles import (SparseConstraints, assembled_l1l1_lp, balanced_grid_minimum, l1l1_cell,
+                     l1l2_cell, ridge_reference, tls_cell, tls_exact)
+from tesopt.lp import _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
 from tesopt.optimizers import (
     L1L1Constraints,
     OptimizerError,
