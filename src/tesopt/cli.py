@@ -87,7 +87,9 @@ def run_search_pipeline(problem, cfg: RunConfig):
     timings carries per-method first-run lattice times and
     per-combination wall times.
     """
-    for k in cfg.channels:   # validate has checked k >= 2
+    # validate has checked 2 <= k <= electrode_count, but the lead field
+    # may have been built from another config
+    for k in cfg.channels:
         if k > problem.n_electrodes:
             raise search.SearchError(f"channel count {k} exceeds the "
                                      f"{problem.n_electrodes} electrodes")

@@ -106,6 +106,9 @@ class RunConfig:
             if not _integer_at_least(k, 2):
                 raise ConfigError(f"channels: channel count {k!r} must be an "
                                   "integer of at least 2")
+            if k > self.electrode_count:
+                raise ConfigError(f"channels: channel count {k} exceeds the "
+                                  f"{self.electrode_count} electrodes")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

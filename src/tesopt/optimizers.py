@@ -162,7 +162,7 @@ class CurrentPattern:
     y: np.ndarray
     electrode_ids: tuple[int, ...]
     active_ids: tuple[int, ...]
-    status: str                 # optimal | degenerate | max_iter | infeasible | unbounded | error
+    status: str                 # optimal | degenerate | max_iter | error
     raw_objective: float
 
     @property

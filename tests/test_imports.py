@@ -1,12 +1,17 @@
-"""Package modules import each other at module level only and use all they define.
+"""Package modules import each other at module level only, load few
+outside modules and use all they define.
 
 An import deferred into a function or class body hides a module cycle
 or a dependency from the reader; the package's layering keeps every
-intra-package import at the top of its module.  A definition no package
-code names serves only the tests, and belongs with them.
+intra-package import at the top of its module.  Importing the package
+is part of every CLI call's start-up, so an outside import beyond the
+standard library, numpy and the two scipy subpackages the solvers use
+is a deliberate edit of ``THIRD_PARTY_ALLOWED``.  A definition no
+package code names serves only the tests, and belongs with them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import tesopt
@@ -36,6 +41,30 @@ def test_no_deferred_package_imports():
     offenders = [f"{path.name}:{line}"
                  for path in modules
                  for line in _deferred_package_imports(ast.parse(path.read_text()))]
+    assert not offenders, offenders
+
+
+THIRD_PARTY_ALLOWED = {"numpy", "scipy.linalg", "scipy.sparse"}
+
+
+def _outside_imports(tree: ast.Module):
+    """(line, module) of every import of a module outside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name.split(".")[0] != "tesopt")
+        elif isinstance(node, ast.ImportFrom) and not _is_package_import(node):
+            yield node.lineno, node.module
+
+
+def test_outside_imports_stay_light():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    offenders = [f"{path.name}:{line} {name}"
+                 for path in modules
+                 for line, name in _outside_imports(ast.parse(path.read_text()))
+                 if name.split(".")[0] not in sys.stdlib_module_names
+                 and name not in THIRD_PARTY_ALLOWED]
     assert not offenders, offenders
 
 

