@@ -46,11 +46,11 @@ def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
     points = io.load_field_points(out_dir / "fieldpoints.json")
     target = io.load_target(out_dir / "target.json")
     system = fem.assemble(mesh, layout)
-    # the roundoff of the factor's dense fronts depends on the BLAS thread
-    # count, so they run on one thread whatever the process started with
+    # the roundoff of the factor's dense fronts and of the nuisance QR depends
+    # on the BLAS thread count, so both run on one thread whatever the default
     with search.single_thread_blas():
         lf = fem.lead_field(system, mesh, points, target_point=target.point_index)
-    problem = fem.split_problem(lf, target, cfg.mu)
+        problem = fem.split_problem(lf, target, cfg.mu)
     io.write_lead_field(lf, problem, out_dir / "leadfield.bin")
     print(f"lead field: {lf.matrix.shape[0]}x{lf.matrix.shape[1]} "
           f"-> {out_dir / 'leadfield.bin'}")
@@ -59,10 +59,10 @@ def cmd_leadfield(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_optimize(cfg: RunConfig, out_dir: Path, method: str,
                  alpha_db: float, weight_db: float) -> int:
-    _, problem = io.read_lead_field(out_dir / "leadfield.bin")
-    # on one BLAS thread, as a lattice solves its cells, so that the cell
-    # rounds as it does in the lattice CSV
+    # on one BLAS thread, as a search reads the problem and a lattice
+    # solves its cells, so that the cell rounds as it does in the lattice CSV
     with search.single_thread_blas():
+        _, problem = io.read_lead_field(out_dir / "leadfield.bin")
         pattern = search.solve_single_cell(problem, method, alpha_db, weight_db,
                                            cfg.solver_opts())
         metrics = compute_metrics(problem, pattern)
@@ -120,7 +120,9 @@ def run_search_pipeline(problem, cfg: RunConfig):
 
 
 def cmd_search(cfg: RunConfig, out_dir: Path) -> int:
-    _, problem = io.read_lead_field(out_dir / "leadfield.bin")
+    # the nuisance QR on one BLAS thread, as the lattices run
+    with search.single_thread_blas():
+        _, problem = io.read_lead_field(out_dir / "leadfield.bin")
     outcomes, timings = run_search_pipeline(problem, cfg)
     for outcome in outcomes:
         stem = f"lattice_{outcome.method}_case{outcome.case}_k{outcome.channels}"

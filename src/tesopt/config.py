@@ -78,10 +78,11 @@ class RunConfig:
                      "lattice_step_db", "l1l2_tol"):
             if not _positive(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite and positive")
-        if not (all(_finite(v) for v in self.target_hint) and any(self.target_hint)):
-            raise ConfigError("target_hint must be finite and not all zero")
+        if not (len(self.target_hint) == 3 and all(_finite(v) for v in self.target_hint)
+                and any(self.target_hint)):
+            raise ConfigError("target_hint must hold 3 finite entries, not all zero")
         for name, least in (("electrode_count", 2), ("field_point_count", 1),
-                            ("l1l2_max_iter", 1)):
+                            ("l1l2_max_iter", 1), ("seed", 0)):
             if not _integer_at_least(getattr(self, name), least):
                 raise ConfigError(f"{name} must be an integer of at least {least}")
         if not (self.threads is None or _integer_at_least(self.threads, 1)):
@@ -109,6 +110,9 @@ class RunConfig:
             if k > self.electrode_count:
                 raise ConfigError(f"channels: channel count {k} exceeds the "
                                   f"{self.electrode_count} electrodes")
+        for name in ("methods", "cases", "channels"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} must not repeat an entry")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

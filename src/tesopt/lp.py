@@ -54,8 +54,9 @@ and ``p`` and supplies
   one correction removes.
 
 The package's one operator is ``optimizers.L1L1Constraints``, for the
-LP of ``build_l1l1_lp``; the test suite drives the same loop through a
-generic operator over CSR matrices, which is its reference.
+LP of ``build_l1l1_lp``: ``solve_l1l1`` builds one per call and hands it
+to every lane of that call.  The test suite drives the same loop through
+a generic operator over CSR matrices, which is its reference.
 """
 
 from __future__ import annotations

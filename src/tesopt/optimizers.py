@@ -10,7 +10,7 @@ any balanced vector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -20,7 +20,7 @@ from .lp import solve_lp  # not called here; bench/tracer.py wraps it by this na
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
-NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.nuisance_factor
+NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.from_parts
 
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
@@ -45,15 +45,17 @@ def db_to_linear(d: float) -> float:
     return float(10.0 ** (d / 20.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StimulusProblem:
-    """Split lead field plus dose limits and scale factors.
+    """Split lead field plus dose limits, scale factors and nuisance factor.
 
-    ``L1`` holds the three target rows, ``L2`` the nuisance rows.  The
-    scale factors are zeta = ||L||_1, nu = ||x||_inf and sigma_scale =
-    ||L||_2 of the stacked lead field.  There is no separate per-channel
-    cap: a balanced pattern within the dose ``mu`` puts at most mu/2 on
-    each sign, hence on any one channel.
+    ``L1`` holds the three target rows, ``L2`` the nuisance rows and ``R``
+    the triangular factor of L2 = QR, at most L x L, so that ||R y|| =
+    ||L2 y|| for every y.  The scale factors are zeta = ||L||_1, nu =
+    ||x||_inf and sigma_scale = ||L||_2 of the stacked lead field.  There
+    is no separate per-channel cap: a balanced pattern within the dose
+    ``mu`` puts at most mu/2 on each sign, hence on any one channel.
+    ``from_parts`` and ``restrict`` build problems; none changes after.
     """
 
     L1: np.ndarray              # (3, L) A/m^2 per A
@@ -63,12 +65,8 @@ class StimulusProblem:
     zeta: float
     nu: float
     sigma_scale: float
-    electrode_ids: tuple[int, ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.electrode_ids:
-            self.electrode_ids = tuple(range(1, self.L1.shape[1] + 1))
+    R: np.ndarray               # (min(M, L), L), upper triangular
+    electrode_ids: tuple[int, ...]
 
     @property
     def gamma(self) -> float:
@@ -85,46 +83,44 @@ class StimulusProblem:
 
     @classmethod
     def from_parts(cls, L1, L2, x1, mu, electrode_ids=()) -> "StimulusProblem":
-        """Build a problem; the one place zeta, nu and sigma_scale are derived."""
-        # C-layout normalization keeps BLAS summation order (and hence
-        # results) bitwise identical for column-subset copies
+        """Build a problem; ids default to 1..L.
+
+        R is factored block by block, R <- qr([R; next rows]), so the
+        working copy holds NUISANCE_BLOCK rows rather than all of L2.
+        """
+        L2 = np.ascontiguousarray(L2, dtype=float)
+        R = L2[:0]
+        for start in range(0, L2.shape[0], NUISANCE_BLOCK):
+            R = np.linalg.qr(np.vstack([R, L2[start:start + NUISANCE_BLOCK]]), mode="r")
+        return cls._with_scales(L1, L2, x1, mu, R,
+                                tuple(electrode_ids) or tuple(range(1, L2.shape[1] + 1)))
+
+    @classmethod
+    def _with_scales(cls, L1, L2, x1, mu, R, electrode_ids) -> "StimulusProblem":
+        """The one place zeta, nu and sigma_scale are derived."""
+        # C layout keeps BLAS summation order (and hence results) bitwise
+        # identical for column-subset copies, which numpy makes Fortran-ordered
         L1 = np.ascontiguousarray(L1, dtype=float)
         L2 = np.ascontiguousarray(L2, dtype=float)
         x1 = np.ascontiguousarray(x1, dtype=float)
         stacked = np.vstack([L1, L2])
-        return cls(
-            L1=L1,
-            L2=L2,
-            x1=x1,
-            mu=float(mu),
-            zeta=float(np.abs(stacked).sum(axis=0).max()),
-            nu=float(np.abs(x1).max()),
-            sigma_scale=spectral_norm(stacked),
-            electrode_ids=tuple(electrode_ids),
-        )
+        return cls(L1=L1, L2=L2, x1=x1, mu=float(mu),
+                   zeta=float(np.abs(stacked).sum(axis=0).max()),
+                   nu=float(np.abs(x1).max()), sigma_scale=spectral_norm(stacked),
+                   R=R, electrode_ids=electrode_ids)
 
     def restrict(self, ids) -> "StimulusProblem":
-        """Sub-problem over a channel subset; scale factors are re-derived."""
+        """Sub-problem over a channel subset; scale factors are re-derived.
+
+        L2[:, cols] = Q R[:, cols], so the sub-problem's R is the R of
+        R[:, cols], an at most L x k factorization that never reads L2
+        (column deletion; Golub & Van Loan, Matrix Computations, 6.5).
+        """
         ids = tuple(sorted(ids))
         index = {eid: i for i, eid in enumerate(self.electrode_ids)}
         cols = [index[eid] for eid in ids]
-        return StimulusProblem.from_parts(
-            self.L1[:, cols], self.L2[:, cols], self.x1, self.mu, electrode_ids=ids
-        )
-
-    def nuisance_factor(self) -> np.ndarray:
-        """R of L2 = QR, at most L x L: ||R y|| = ||L2 y|| for every y.
-
-        Factored block by block, R <- qr([R; next rows]), so the working
-        copy holds NUISANCE_BLOCK rows rather than all of L2.
-        """
-        if "r2" not in self._cache:
-            R = self.L2[:0]
-            for start in range(0, self.n_nuisance, NUISANCE_BLOCK):
-                block = self.L2[start:start + NUISANCE_BLOCK]
-                R = np.linalg.qr(np.vstack([R, block]), mode="r")
-            self._cache["r2"] = R
-        return self._cache["r2"]
+        return self._with_scales(self.L1[:, cols], self.L2[:, cols], self.x1, self.mu,
+                                 np.linalg.qr(self.R[:, cols], mode="r"), ids)
 
     def nuisance_norm(self, y: np.ndarray) -> float:
         """||L2 y||, as ||R y|| over the nuisance factor; 0 for y = 0.
@@ -135,7 +131,7 @@ class StimulusProblem:
         """
         if not y.any():
             return 0.0
-        norm = float(np.linalg.norm(self.nuisance_factor() @ y))
+        norm = float(np.linalg.norm(self.R @ y))
         if norm <= self.n_nuisance * np.finfo(float).eps * self.sigma_scale * np.linalg.norm(y):
             return float(np.linalg.norm(self.L2 @ y))
         return norm
@@ -143,16 +139,9 @@ class StimulusProblem:
     def nuisance_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(s, V) with L2'L2 = V diag(s^2) V' and V orthogonal, from the SVD
         of R: s ascending, led by L - M zeros when M < L."""
-        if "r2_svd" not in self._cache:
-            _, s, vt = np.linalg.svd(self.nuisance_factor())
-            s = np.concatenate([np.zeros(self.n_electrodes - s.size), s[::-1]])
-            self._cache["r2_svd"] = (s, np.ascontiguousarray(vt[::-1].T))
-        return self._cache["r2_svd"]
-
-    def target_drive(self) -> np.ndarray:
-        if "l1tx" not in self._cache:
-            self._cache["l1tx"] = self.L1.T @ self.x1
-        return self._cache["l1tx"]
+        _, s, vt = np.linalg.svd(self.R)
+        s = np.concatenate([np.zeros(self.n_electrodes - s.size), s[::-1]])
+        return s, np.ascontiguousarray(vt[::-1].T)
 
 
 @dataclass(frozen=True)
@@ -225,16 +214,17 @@ def l1l2_objective(p: StimulusProblem, y: np.ndarray, alpha: float, eps: float) 
     return float(fit + nuisance + alpha * p.zeta * np.abs(y).sum())
 
 
-def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram:
+def build_l1l1_lp(p: StimulusProblem, ops: L1L1Constraints, alpha: float,
+                  eps: float) -> LinearProgram:
     """Epigraph LP for the dead-zone L1 fitting problem.
 
     Variables are (y, t1, t2, t3); t1/t2 bound the absolute fit and
     nuisance residuals, t3 bounds |y| and carries the dose cap and the
     weighted pattern penalty.  The per-channel cap mu/2 follows from
     balance and the dose cap, so it has no rows of its own.  Only c and
-    h depend on alpha and eps: the constraints are the operator
-    ``L1L1Constraints``, built and equilibrated once per problem, and
-    every program of ``p`` shares it.
+    h depend on alpha and eps: the constraints are ``ops``, the
+    ``L1L1Constraints(p)`` that ``solve_l1l1`` builds and equilibrates
+    once per call, and every program of that call shares it.
     """
     if alpha < 0.0 or eps < 0.0:
         raise OptimizerError("alpha and eps must be non-negative")
@@ -255,9 +245,7 @@ def build_l1l1_lp(p: StimulusProblem, alpha: float, eps: float) -> LinearProgram
     c = np.concatenate([
         np.zeros(L), np.ones(3), np.ones(M), alpha * p.zeta * np.ones(L)
     ])
-    if "l1l1_ops" not in p._cache:
-        p._cache["l1l1_ops"] = L1L1Constraints(p)
-    return LinearProgram(c=c, h=h, f=np.zeros(1), ops=p._cache["l1l1_ops"])
+    return LinearProgram(c=c, h=h, f=np.zeros(1), ops=ops)
 
 
 class _L1L1Blocks:
@@ -321,6 +309,10 @@ class _L1L1Blocks:
 
 class L1L1Constraints:
     """The constraints of ``build_l1l1_lp`` as an operator for ``solve_lp``.
+
+    ``solve_l1l1`` builds one per call, for the lanes of that call, and
+    the operator keeps the Newton state of its last ``factor`` until the
+    call ends; a problem holds none of it.
 
     With K = [L1; L2] and k = 3 + M + L rows per block, the constraints
     on v = (y, t), t = (t1, t2, t3), are
@@ -486,7 +478,8 @@ def solve_l1l1(p: StimulusProblem, alpha, eps) -> list[CurrentPattern]:
     y = np.zeros((alpha.size, p.n_electrodes))
     status = np.full(alpha.size, "optimal", dtype=object)
     lanes = np.flatnonzero(~_zero_optimal(p, p.L1.T @ np.sign(p.x1), alpha))
-    sols = solve_lp_lanes([build_l1l1_lp(p, alpha[b], eps[b]) for b in lanes])
+    ops = L1L1Constraints(p) if lanes.size else None   # built only for an LP lane
+    sols = solve_lp_lanes([build_l1l1_lp(p, ops, alpha[b], eps[b]) for b in lanes])
     for b, sol in zip(lanes, sols):
         y[b], status[b] = sol.v[:p.n_electrodes], sol.status
     return [_finalize(p, y[b], status[b], l1l1_objective(p, y[b], alpha[b], eps[b]))
@@ -606,7 +599,7 @@ def solve_l1l2(
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     x1_norm = np.linalg.norm(p.x1)
-    g = p.target_drive() / x1_norm if x1_norm > 0 else np.zeros(p.n_electrodes)
+    g = (p.L1.T @ p.x1) / x1_norm if x1_norm > 0 else np.zeros(p.n_electrodes)
     y = np.zeros((alpha.size, p.n_electrodes))
     status = np.full(alpha.size, "optimal", dtype=object)
     lanes = np.flatnonzero(~_zero_optimal(p, g, alpha))
@@ -624,7 +617,7 @@ def _pdhg_lanes(p: StimulusProblem, thr: np.ndarray, eps: np.ndarray,
     Returns the final y, one row per lane, and each lane's status:
     ``optimal`` where it passed the residual test, else ``max_iter``.
     """
-    K = np.vstack([p.L1, p.nuisance_factor()])
+    K = np.vstack([p.L1, p.R])
     KT = np.ascontiguousarray(K.T)
     op_norm = max(p.sigma_scale, 1e-300)
     tau = 0.99 * p.mu / op_norm
@@ -714,13 +707,12 @@ def tls_raw_solution(p: StimulusProblem, alpha, delta) -> np.ndarray:
     coef = px1 * g / (g * g + (a * a)[:, None])
     y = np.einsum("ij,bj->bi", V, w * (Q * coef[:, None, :]).sum(axis=2))
 
-    R = p.nuisance_factor()
     l1y = np.einsum("ij,bj->bi", p.L1, y)
-    ry = np.einsum("ij,bj->bi", R, y)
+    ry = np.einsum("ij,bj->bi", p.R, y)
     normal = (np.einsum("ji,bj->bi", p.L1, l1y)
-              + ((d * a) ** 2)[:, None] * np.einsum("ji,bj->bi", R, ry)
+              + ((d * a) ** 2)[:, None] * np.einsum("ji,bj->bi", p.R, ry)
               + ((a * a) * sigma2)[:, None] * y)
-    b = p.target_drive()
+    b = p.L1.T @ p.x1
     gram_norm = np.maximum(spectral_norm(p.L1.T) ** 2, (a * a) * (d * d * s[-1] ** 2 + sigma2))
     scale = np.maximum(np.maximum(np.linalg.norm(b), gram_norm * np.linalg.norm(y, axis=1)),
                        1e-300)
@@ -736,7 +728,7 @@ def solve_tls(p: StimulusProblem, alpha, delta) -> list[CurrentPattern]:
     d = np.asarray(delta, dtype=float)
     y = tls_raw_solution(p, a, d)
     fit = np.einsum("ij,bj->bi", p.L1, y) - p.x1
-    ry = np.einsum("ij,bj->bi", p.nuisance_factor(), y)
+    ry = np.einsum("ij,bj->bi", p.R, y)
     raw = ((fit * fit).sum(axis=1) + (d * a) ** 2 * (ry * ry).sum(axis=1)
            + (a * p.sigma_scale) ** 2 * (y * y).sum(axis=1))
     return [_finalize(p, row, "optimal", float(obj)) for row, obj in zip(y, raw)]

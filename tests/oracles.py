@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tesopt.lp import REGULARIZATION, LinearProgram, ruiz_scalings
-from tesopt.optimizers import build_l1l1_lp, solve_l1l1, solve_l1l2, solve_tls
+from tesopt.optimizers import L1L1Constraints, build_l1l1_lp, solve_l1l1, solve_l1l2, solve_tls
 
 
 def make_program(c, G, h, E=None, f=None) -> LinearProgram:
@@ -195,7 +195,7 @@ def assembled_l1l1_lp(p, alpha, eps):
         format="csr",
     )
     E = sp.csr_matrix(np.concatenate([np.ones(L), np.zeros(3 + M + L)])[None, :])
-    lp = build_l1l1_lp(p, alpha, eps)
+    lp = build_l1l1_lp(p, L1L1Constraints(p), alpha, eps)
     return make_program(lp.c, G, lp.h, E, lp.f), G, E
 
 
@@ -326,7 +326,7 @@ def ridge_reference(p, alpha):
     eigenpairs of L1'L1, whose rank of at most three rules out Cholesky."""
     lam, Q = np.linalg.eigh(p.L1.T @ p.L1)
     Qs = Q / (np.maximum(lam, 0.0) + (alpha * p.sigma_scale) ** 2)
-    return Qs @ (Q.T @ p.target_drive()), Qs @ Q.T
+    return Qs @ (Q.T @ (p.L1.T @ p.x1)), Qs @ Q.T
 
 
 def tls_exact(p, alpha, delta):

@@ -113,7 +113,7 @@ def test_criterion_3_tls_exactness():
         y = tls_raw_solution(p, alpha, delta)
         A = (p.L1.T @ p.L1 + (delta * alpha) ** 2 * (p.L2.T @ p.L2)
              + (alpha * p.sigma_scale) ** 2 * np.eye(p.n_electrodes))
-        b = p.target_drive()
+        b = p.L1.T @ p.x1
         worst = max(worst, np.linalg.norm(A @ y - b) / np.linalg.norm(b))
     elapsed = time.perf_counter() - t0
     check(3, f"20 normal-equation solves with relative residual <= 1e-10 "

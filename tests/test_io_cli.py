@@ -252,7 +252,7 @@ def test_lead_field_sidecar_scale_keys_ignored(tmp_path, rng):
 
 
 def assert_same_problem(a, b):
-    for name in ("L1", "L2", "x1"):
+    for name in ("L1", "L2", "x1", "R"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("mu", "zeta", "nu", "sigma_scale", "electrode_ids"):
         assert getattr(a, name) == getattr(b, name), name
@@ -387,6 +387,15 @@ def test_config_rejects_removed_lp_keys(tmp_path):
     ("cases", []),
     ("lattice_step_db", 7.0),
     ("channels", [40]),
+    ("methods", ["tls", "tls"]),
+    ("cases", ["B", "A", "B"]),
+    ("channels", [4, 4]),
+    ("seed", True),
+    ("seed", -1),
+    ("seed", 2.5),
+    ("seed", "3"),
+    ("target_hint", [0.0, 1.0]),
+    ("target_hint", [0.0, 0.0, 1.0, 0.0]),
 ])
 def test_config_rejects_bad_numbers(tmp_path, key, value):
     path = tmp_path / "cfg.json"
@@ -403,6 +412,21 @@ def test_cli_mesh_rejects_bad_config(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
     assert "target_hint" in capsys.readouterr().err
+    assert not (out / "mesh.bin").exists()
+
+
+def test_cli_mesh_rejects_repeats_and_bad_seed(tmp_path, capsys):
+    # a repeated method, case or channel count would solve and write the
+    # same record twice, and a negative --seed overrides a valid config:
+    # both fail at mesh, before any file is written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"methods": ["tls", "tls"], "cases": ["B"],
+                                "channels": [4, 4]}))
+    out = tmp_path / "run"
+    assert cli.main(["mesh", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert "methods must not repeat" in capsys.readouterr().err
+    assert cli.main(["mesh", "--seed=-1", "--out-dir", str(out)]) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
     assert not (out / "mesh.bin").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,8 +36,7 @@ def test_focused_density_orthogonal(rng):
 
 
 def test_focused_density_zero_target_rejected(rng):
-    p = random_problem(rng)
-    p.x1[:] = 0.0
+    p = replace(random_problem(rng), x1=np.zeros(3))
     with pytest.raises(MetricError):
         focused_density(p, np.ones(3))
 
@@ -171,7 +171,8 @@ def test_compute_metrics_theta_is_current_ratio(rng):
         m = compute_metrics(p, CurrentPattern(y - y.mean(), (), (), "optimal", 0.0))
         assert m.theta == current_ratio(p, y - y.mean()) and m.flags == ()
     p = random_problem(rng)
-    p.L2[:] = 0.5   # constant nuisance rows: a balanced pattern drives none
+    # constant nuisance rows: a balanced pattern drives none
+    p = StimulusProblem.from_parts(p.L1, np.full_like(p.L2, 0.5), p.x1, p.mu)
     m = compute_metrics(p, CurrentPattern(np.array([1e-3, -1e-3, 0.0]), (), (), "optimal", 0.0))
     assert m.theta == math.inf and m.flags == ("zero_nuisance",)
 

@@ -37,7 +37,7 @@ from tesopt.search import LatticePool, LatticeSpec, default_lattice_spec, evalua
 
 def test_lp_block_counts(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=9)
-    lp = build_l1l1_lp(p, 0.1, 0.01)
+    lp = build_l1l1_lp(p, L1L1Constraints(p), 0.1, 0.01)
     assert lp.c.size == 4 + 3 + 9 + 4
     assert (lp.ops.m, lp.ops.n, lp.ops.p) == (3 * 3 + 3 * 9 + 3 * 4 + 1, 20, 1)
     assert lp.h.shape == (lp.ops.m,) and lp.f.shape == (1,)
@@ -49,7 +49,7 @@ def test_lp_block_counts(rng):
 def test_lp_epigraph_tight_at_optimum(rng):
     p = random_problem(rng)
     alpha, eps = 3e-3, 2e-2
-    lp = build_l1l1_lp(p, alpha, eps)
+    lp = build_l1l1_lp(p, L1L1Constraints(p), alpha, eps)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     L, M = 3, p.n_nuisance
@@ -61,9 +61,7 @@ def test_lp_epigraph_tight_at_optimum(rng):
 
 
 def test_l1l1_zero_target_degenerate(rng):
-    p = random_problem(rng)
-    p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
-                        zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
+    p = replace(random_problem(rng), x1=np.zeros(3), nu=1.0)
     pat = l1l1_cell(p, 0.0, 0.0)
     assert pat.status == "degenerate"
     assert not pat.y.any()
@@ -160,7 +158,7 @@ def test_l1l1_newton_solvers_agree(rng):
 
 def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
     # a serial lattice builds its constraint operator and equilibrates it
-    # once per problem; every cell's pattern is bitwise the one a fresh
+    # once; every cell's pattern is bitwise the one a fresh
     # problem gives
     p = random_problem(rng, n_electrodes=8, n_nuisance=40)
     ruiz, lps = [], []
@@ -337,7 +335,7 @@ def test_l1l1_paths_agree_below_threshold(rng):
         eps = 10 ** rng.uniform(-3, -0.5)
         lp, _, _ = assembled_l1l1_lp(p, alpha, eps)
         sparse = solve_lp(lp)
-        structured = solve_lp(build_l1l1_lp(p, alpha, eps))
+        structured = solve_lp(build_l1l1_lp(p, L1L1Constraints(p), alpha, eps))
         assert sparse.status == structured.status == "optimal"
         a, b = lp.c @ sparse.v, lp.c @ structured.v
         assert abs(a - b) <= 1e-9 * abs(a)
@@ -487,27 +485,32 @@ def test_project_feasible_rows_match_one_dimensional(rng):
 
 def test_nuisance_factor_keeps_norms(rng):
     # tall (three QR blocks, the last one partial), wide, and balanced
-    # rank-deficient (rank 4 < L - 1) nuisance blocks
+    # rank-deficient (rank 4 < L - 1) nuisance blocks, each with a
+    # sub-problem whose R comes from its parent's
     balanced = rng.normal(size=(1500, 4)) @ rng.normal(size=(4, 10))
     balanced -= balanced.mean(axis=1, keepdims=True)
     for L2 in (rng.normal(size=(2500, 32)), rng.normal(size=(6, 12)), balanced):
         p = StimulusProblem.from_parts(rng.normal(size=(3, L2.shape[1])), L2,
                                        np.ones(3), 4e-3)
-        R = p.nuisance_factor()
-        assert R.shape == (min(L2.shape), L2.shape[1])
-        assert p.nuisance_factor() is R
-        for _ in range(10):
-            y = rng.normal(size=L2.shape[1])
-            y -= y.mean()
-            ref = np.linalg.norm(L2 @ y)
-            assert abs(np.linalg.norm(R @ y) - ref) <= 1e-13 * ref
-            assert abs(p.nuisance_norm(y) - ref) <= 1e-13 * ref
+        assert p.R.shape == (min(L2.shape), L2.shape[1])
+        # the R of an upper triangular R is R itself
+        assert p.restrict(p.electrode_ids).R.tobytes() == p.R.tobytes()
+        ids = tuple(sorted(rng.choice(p.electrode_ids, size=L2.shape[1] // 2 + 1,
+                                      replace=False).tolist()))
+        sub = p.restrict(ids)
+        cols = [i - 1 for i in ids]
+        assert sub.R.shape == (min(L2.shape[0], len(ids)), len(ids))
+        for q, block in ((p, L2), (sub, L2[:, cols])):
+            for _ in range(10):
+                y = rng.normal(size=block.shape[1])
+                y -= y.mean()
+                ref = np.linalg.norm(block @ y)
+                assert abs(np.linalg.norm(q.R @ y) - ref) <= 1e-13 * ref
+                assert abs(q.nuisance_norm(y) - ref) <= 1e-13 * ref
 
 
 def test_l1l2_zero_target(rng):
-    p = random_problem(rng)
-    p = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
-                        zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
+    p = replace(random_problem(rng), x1=np.zeros(3), nu=1.0)
     pat = l1l2_cell(p, 0.0, 0.0)
     assert pat.status == "degenerate"
 
@@ -588,7 +591,8 @@ def test_lp_lanes_split_into_stacks(rng, monkeypatch):
     # solve_lp_lanes solves a stack of more than LANE_ENTRIES iterate
     # entries as consecutive stacks, and every lane ends bitwise as in one
     p = random_problem(rng, n_electrodes=8, n_nuisance=40)
-    lps = [build_l1l1_lp(p, a * zero_alpha(p), e)
+    ops = L1L1Constraints(p)
+    lps = [build_l1l1_lp(p, ops, a * zero_alpha(p), e)
            for a, e in zip((0.1, 0.3, 0.5, 0.7, 0.9), (1e-3, 1e-2, 3e-2, 1e-1, 3e-1))]
     whole = solve_lp_lanes(lps)
     calls = []
@@ -689,7 +693,7 @@ def test_tls_delta_zero_matches_ridge(rng):
 def test_tls_scalar_analog():
     p = StimulusProblem(L1=np.array([[1.0], [0.0], [0.0]]), L2=np.array([[1.0]]),
                         x1=np.array([0.3, 0.0, 0.0]), mu=4e-3,
-                        zeta=2.0, nu=0.3, sigma_scale=np.sqrt(2.0),
+                        zeta=2.0, nu=0.3, sigma_scale=np.sqrt(2.0), R=np.array([[1.0]]),
                         electrode_ids=(1,))
     alpha, delta = 0.1, 0.5
     y = tls_raw_solution(p, alpha, delta)
@@ -705,7 +709,7 @@ def test_tls_normal_equation_residual(rng):
         y = tls_raw_solution(p, alpha, delta)
         A = (p.L1.T @ p.L1 + (delta * alpha) ** 2 * (p.L2.T @ p.L2)
              + (alpha * p.sigma_scale) ** 2 * np.eye(6))
-        b = p.target_drive()
+        b = p.L1.T @ p.x1
         assert np.linalg.norm(A @ y - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -774,7 +778,7 @@ def test_tls_diagnostics_residual(rng):
         p = random_problem(rng, n_electrodes=7, n_nuisance=11)
         y_tilde, _ = ridge_reference(p, alpha)
         A = p.L1.T @ p.L1 + (alpha * p.sigma_scale) ** 2 * np.eye(7)
-        b = p.target_drive()
+        b = p.L1.T @ p.x1
         resid = np.linalg.norm(A @ y_tilde - b)
         assert resid <= 1e-10 * max(np.linalg.norm(b),
                                     np.linalg.norm(A, 2) * np.linalg.norm(y_tilde))
@@ -783,17 +787,15 @@ def test_tls_diagnostics_residual(rng):
 def test_tls_diagnostics_consistency(rng):
     p = random_problem(rng, n_electrodes=5, n_nuisance=10)
     y_tilde, W = ridge_reference(p, 0.07)
-    zero = StimulusProblem(L1=p.L1, L2=p.L2, x1=np.zeros(3), mu=p.mu,
-                           zeta=p.zeta, nu=1.0, sigma_scale=p.sigma_scale)
+    zero = replace(p, x1=np.zeros(3), nu=1.0)
     assert not ridge_reference(zero, 0.07)[0].any()
     # the explicit inverse maps the target drive to y_tilde
-    assert np.linalg.norm(W @ p.target_drive() - y_tilde) <= 1e-10 * np.linalg.norm(y_tilde)
+    assert np.linalg.norm(W @ (p.L1.T @ p.x1) - y_tilde) <= 1e-10 * np.linalg.norm(y_tilde)
 
 
 def test_sign_symmetry(rng):
     p = random_problem(rng, n_electrodes=4, n_nuisance=8)
-    flipped = StimulusProblem(L1=p.L1, L2=p.L2, x1=-p.x1, mu=p.mu,
-                              zeta=p.zeta, nu=p.nu, sigma_scale=p.sigma_scale)
+    flipped = replace(p, x1=-p.x1)
     y1 = tls_cell(p, 0.02, 0.3).y
     y2 = tls_cell(flipped, 0.02, 0.3).y
     assert np.abs(y1 + y2).max() <= 1e-6 * np.abs(y1).max()
@@ -840,6 +842,22 @@ def test_method_params_validation(rng):
         solve_single_cell(random_problem(rng), "l1l1", float("nan"), 0.0, {})
 
 
+def test_restrict_reads_no_nuisance_rows(rng, monkeypatch):
+    # a sub-problem's R is factored from its parent's L x L factor: no QR
+    # of restrict has more than L rows, however many nuisance rows there are
+    p = random_problem(rng, n_electrodes=8, n_nuisance=300)
+    qr, rows = np.linalg.qr, []
+
+    def recording(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    sub = p.restrict((2, 3, 5, 7))
+    assert rows and max(rows) <= p.n_electrodes
+    assert sub.R.shape == (4, 4)
+
+
 def test_restrict_maps_columns(rng):
     p = random_problem(rng, n_electrodes=5, n_nuisance=8)
     sub = p.restrict((2, 4, 5))
@@ -851,4 +869,15 @@ def test_restrict_maps_columns(rng):
     full = np.array([0.0, 1.0, 0.0, -0.5, -0.5])
     assert np.allclose(sub.L1 @ y_sub, p.L1 @ full)
     assert np.allclose(sub.L2 @ y_sub, p.L2 @ full)
+    # the data and scale factors are bitwise those of from_parts on the columns
+    big = random_problem(rng, n_electrodes=32, n_nuisance=300)
+    ids = tuple(range(2, 33, 3))
+    cols = [i - 1 for i in ids]
+    ref = StimulusProblem.from_parts(big.L1[:, cols], big.L2[:, cols], big.x1, big.mu, ids)
+    got = big.restrict(ids)
+    for name in ("L1", "L2", "x1"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert getattr(got, name).flags.c_contiguous, name
+    for name in ("mu", "zeta", "nu", "sigma_scale", "electrode_ids"):
+        assert getattr(got, name) == getattr(ref, name), name
 

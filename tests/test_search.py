@@ -7,7 +7,7 @@ import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,20 @@ def test_lattice_failures_recorded_not_raised(rng):
     grid = evaluate_lattice(p, "l1l2", spec)
     assert any(not c.valid and c.status == "degenerate"
                for row in grid.cells for c in row)
+
+
+def test_lattices_store_nothing_on_the_problem(rng):
+    # a problem is immutable: serial lattices of every method leave its
+    # pickle, which each worker task carries, as it was
+    p = random_problem(rng, n_electrodes=8, n_nuisance=40)
+    size = len(pickle.dumps(p))
+    spec = LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0)
+    for method in ("l1l1", "l1l2", "tls"):
+        grid = evaluate_lattice(p, method, spec)
+        assert any(c.pattern.status == "optimal" for row in grid.cells for c in row)
+        assert len(pickle.dumps(p)) == size, method
+    with pytest.raises(FrozenInstanceError):
+        p.R = p.R[:1]
 
 
 def _pooled_lattice(p, method, spec, threads, opts=None):
@@ -287,10 +301,10 @@ def test_l1l1_lattice_error_stays_on_its_cell(rng, monkeypatch):
     assert lanes.cell(1, 1).valid
     build = search.optimizers.build_l1l1_lp
 
-    def failing(p, alpha, eps):
+    def failing(p, ops, alpha, eps):
         if (alpha, eps) == (db_to_linear(bad[0]), db_to_linear(bad[1])):
             raise FloatingPointError("bad lane")
-        return build(p, alpha, eps)
+        return build(p, ops, alpha, eps)
 
     monkeypatch.setattr(search.optimizers, "build_l1l1_lp", failing)
     for threads in (1, 2):
