@@ -15,7 +15,10 @@ The stiffness matrix A, symmetric positive definite, is factored by a
 multifrontal Cholesky (Duff & Reid 1983; Liu 1992) in a nested-dissection
 order of the mesh nodes (George 1973; Lipton, Rose & Tarjan 1979),
 computed once by ``assemble``; its dense fronts are the leaves and
-separators of the dissection.
+separators of the dissection.  The dissection is defined recursively but
+computed level by level: all parts of one level of the tree are cut
+together, by segmented reductions over their nodes and one pass over the
+edges of A.
 """
 
 from __future__ import annotations
@@ -79,11 +82,17 @@ class LeadField:
         return np.array([self.target_point, p + self.target_point, 2 * p + self.target_point])
 
     def split_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Target rows L1 and nuisance rows L2, each in matrix order."""
+        """Target rows L1 and nuisance rows L2, each in matrix order.
+
+        Both are new read-only arrays, so a ``StimulusProblem`` built from
+        them takes them without a copy.
+        """
         rows = self.target_rows()
         mask = np.ones(self.matrix.shape[0], dtype=bool)
         mask[rows] = False
-        return self.matrix[rows], self.matrix[mask]
+        L1, L2 = self.matrix[rows], self.matrix[mask]
+        L1.flags.writeable = L2.flags.writeable = False
+        return L1, L2
 
 
 def _tet_gradients(mesh: HeadMesh, tet_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,41 +118,70 @@ def _tet_gradients(mesh: HeadMesh, tet_ids: np.ndarray) -> tuple[np.ndarray, np.
 def _nested_dissection(nodes: np.ndarray, A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Fill-reducing elimination order of the graph of ``A``, and its fronts.
 
-    Each part of more than ``_DISSECTION_LEAF`` nodes is cut at the median
-    coordinate of its longest axis; the lower-side nodes with a neighbour
-    on the upper side form the separator.  A part is emitted as its lower
-    side, its upper side, then its separator, each side ordered the same
-    way recursively.  Returns the order and the bounds of the non-empty
-    leaves and separators, which are contiguous in it.
+    Each part of more than ``_DISSECTION_LEAF`` nodes, not all at one
+    point, is cut at the median coordinate of its longest axis; the
+    lower-side nodes with a neighbour on the upper side form the
+    separator.  A part is emitted as its lower side, its upper side, then
+    its separator, each side ordered the same way recursively, and the
+    nodes of a leaf or separator by id: the order of the recursive
+    definition kept as ``nested_dissection_reference`` in the tests'
+    oracles.  Here the parts of one level of the tree are cut together,
+    by segmented reductions over the nodes and one masked pass over the
+    edges of A that join two nodes of one part.  Each node carries the
+    rank of its part in the final order; a cut turns rank r into the
+    ranks of 3r, 3r + 1 and 3r + 2 (lower side, upper side, separator)
+    among the keys in use, so ranks stay below n at any depth.  Returns
+    the order and the bounds of the non-empty leaves and separators,
+    which are contiguous in it.
     """
     n = A.shape[0]
-    graph = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=(n, n))
-    upper_mark = np.zeros(n)
-    out: list[np.ndarray] = []
-
-    def dissect(part: np.ndarray) -> None:
-        x = nodes[part]
-        extent = np.ptp(x, axis=0)
-        if part.size <= _DISSECTION_LEAF or not extent.any():
-            out.append(part)
-            return
-        c = x[:, np.argmax(extent)]
-        med = np.median(c)
+    part = np.zeros(n, dtype=np.intp)
+    uncut = np.ones(min(n, 1), dtype=bool)      # per part: may still be cut
+    cols = A.indices
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(A.indptr))
+    side = np.full(n, -1, dtype=np.int8)        # 0 lower, 1 upper, in a part cut now
+    while uncut.any():
+        live = np.flatnonzero(uncut[part])
+        live = live[np.argsort(part[live], kind="stable")]
+        new = np.r_[True, part[live[1:]] != part[live[:-1]]]
+        seg = np.cumsum(new) - 1
+        starts = np.flatnonzero(new)
+        x = nodes[live]
+        extent = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+        size = np.diff(np.r_[starts, live.size])
+        cut = (size > _DISSECTION_LEAF) & extent.any(axis=1)
+        seg_part = part[live[starts]]
+        uncut[seg_part[~cut]] = False
+        if not cut.any():
+            break
+        keep = cut[seg]
+        live, x, seg = live[keep], x[keep], (np.cumsum(cut) - 1)[seg[keep]]
+        seg_part, extent, size = seg_part[cut], extent[cut], size[cut]
+        c = x[np.arange(live.size), extent.argmax(axis=1)[seg]]
+        first = np.r_[0, np.cumsum(size)[:-1]]
+        ranked = c[np.lexsort((c, seg))]
+        med = ((ranked[first + (size - 1) // 2] + ranked[first + size // 2]) / 2)[seg]
         lower = c <= med
-        if lower.all():
-            lower = c < med
-        lo, up = part[lower], part[~lower]
-        upper_mark[up] = 1.0
-        sep = graph[lo] @ upper_mark > 0.0
-        upper_mark[up] = 0.0
-        dissect(lo[~sep])
-        dissect(up)
-        out.append(lo[sep])
-
-    dissect(np.arange(n))
-    sizes = np.array([part.size for part in out])
-    bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
-    return np.concatenate(out), bounds
+        whole = np.add.reduceat(lower, first) == size
+        lower = np.where(whole[seg], c < med, lower)
+        side[live] = ~lower
+        from_side, to_side = side[rows], side[cols]
+        sep = np.zeros(n, dtype=bool)
+        sep[rows[(from_side == 0) & (to_side == 1)]] = True
+        side[live] = -1
+        # an edge stays while its ends are on one side of a part cut now;
+        # one that reaches a new separator node goes at the next level
+        inner = (from_side == to_side) & (from_side >= 0)
+        rows, cols = rows[inner], cols[inner]
+        key = 3 * part
+        key[live] += np.where(lower, 2 * sep[live], 1)
+        used = np.zeros(3 * uncut.size, dtype=bool)
+        used[key] = True
+        part = (np.cumsum(used) - 1)[key]
+        uncut = np.zeros(used.size, dtype=bool)
+        uncut[3 * seg_part] = uncut[3 * seg_part + 1] = True
+        uncut = uncut[used]
+    return np.argsort(part, kind="stable"), np.r_[0, np.cumsum(np.bincount(part))]
 
 
 def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:

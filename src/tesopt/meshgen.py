@@ -139,12 +139,11 @@ def _unit_cube_tets() -> np.ndarray:
 
 _UNIT_TETS = _unit_cube_tets()
 
-_KEY_LIMIT = 2**63  # products of column spans below this fit in int64
+_KEY_LIMIT = 2**63  # integer keys below this fit in int64
 
 
-def _unique_rows(rows: np.ndarray, return_inverse: bool = False,
-                 return_counts: bool = False):
-    """What ``np.unique(rows, axis=0, ...)`` returns, for integer rows.
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(rows, axis=0, return_counts=True)`` returns, for integer rows.
 
     Each row becomes one int64 key: the column minimum is subtracted and
     the columns are combined in mixed radix by their spans, so key order
@@ -158,31 +157,36 @@ def _unique_rows(rows: np.ndarray, return_inverse: bool = False,
         spans = [int(b) - int(a) + 1 for a, b in zip(lo, rows.max(axis=0))]
         fits = math.prod(spans) < _KEY_LIMIT
     if not fits:
-        return np.unique(rows, axis=0, return_inverse=return_inverse,
-                         return_counts=return_counts)
+        return np.unique(rows, axis=0, return_counts=True)
     key = np.zeros(rows.shape[0], dtype=np.int64)
     for col, span in zip((rows - lo).T, spans):
         key *= span
         key += col
-    _, first, *rest = np.unique(key, return_index=True, return_inverse=return_inverse,
-                                return_counts=return_counts)
-    return (rows[first], *rest) if rest else rows[first]
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return rows[first], counts
 
 
 def _mesh_from_cubes(origins: np.ndarray, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
     """Split each cube (given by integer lattice origin) into 6 tets.
 
-    Returns (nodes, tets) with nodes deduplicated via the integer corner
-    lattice, so coordinates are exact multiples of ``cell_size``.
+    Returns (nodes, tets) with nodes numbered on the integer corner
+    lattice, so coordinates are exact multiples of ``cell_size``: the used
+    corners are marked in a boolean array over their bounding box, whose C
+    order is lexicographic (x, y, z) order, and take their ids from its
+    cumulative sum.
     """
     corner_offsets = np.rint(_UNIT_TETS).astype(np.int64)  # (6, 4, 3) in {0,1}
-    # (C, 6, 4, 3) integer corner coordinates
-    corners = origins[:, None, None, :] + corner_offsets[None, :, :, :]
-    flat = corners.reshape(-1, 3)
-    uniq, inverse = _unique_rows(flat, return_inverse=True)
-    nodes = uniq.astype(float) * cell_size
-    tets = inverse.reshape(-1, 4)
-    return nodes, tets
+    lo = origins.min(axis=0)
+    shape = tuple(int(s) + 2 for s in origins.max(axis=0) - lo)
+    # flat box index of every tet corner, (C, 6, 4) raveled
+    cell = np.ravel_multi_index((origins - lo).T, shape)
+    corner = np.ravel_multi_index(corner_offsets.reshape(-1, 3).T, shape)
+    flat = (cell[:, None] + corner[None, :]).ravel()
+    used = np.zeros(math.prod(shape), dtype=bool)
+    used[flat] = True
+    ids = np.cumsum(used) - 1
+    nodes = np.column_stack(np.unravel_index(np.flatnonzero(used), shape)) + lo
+    return nodes.astype(float) * cell_size, ids[flat].reshape(-1, 4)
 
 
 def generate_ball_mesh(
@@ -273,17 +277,36 @@ def boundary_faces(mesh: HeadMesh) -> np.ndarray:
     """Faces belonging to exactly one tet, as (F, 3) node triples.
 
     The list is sorted lexicographically by sorted node triple, which
-    makes face indices reproducible across runs and processes.
+    makes face indices reproducible across runs and processes.  Each
+    sorted triple (a, b, c) becomes the int64 key (a n + b) n + c, n one
+    past the largest node id, whose order is that of the triples; after
+    one sort of the keys, a boundary face is a key that differs from both
+    of its neighbours, since an interior face appears twice.  When n^3
+    does not fit in int64 the triples are counted by ``_unique_rows``.
     """
-    faces = mesh.tets[:, _FACE_LOCAL].reshape(-1, 3)
-    faces = np.sort(faces, axis=1)
-    uniq, counts = _unique_rows(faces, return_counts=True)
-    return uniq[counts == 1]
+    # the faces of a tet with sorted nodes are sorted triples
+    faces = np.sort(mesh.tets, axis=1)[:, _FACE_LOCAL].astype(np.int64, copy=False)
+    n = int(faces[:, 0, 2].max()) + 1 if faces.size else 0
+    if n**3 >= _KEY_LIMIT:
+        uniq, counts = _unique_rows(faces.reshape(-1, 3))
+        return uniq[counts == 1].astype(mesh.tets.dtype, copy=False)
+    key = faces[..., 0] * n
+    key += faces[..., 1]
+    key *= n
+    key += faces[..., 2]
+    key = np.sort(key, axis=None)
+    differs = key[1:] != key[:-1]
+    single = np.ones(key.size, dtype=bool)
+    single[1:] = differs
+    single[:-1] &= differs
+    key = key[single]
+    triples = np.column_stack([key // (n * n), key // n % n, key % n])
+    return triples.astype(mesh.tets.dtype, copy=False)
 
 
 def _check_closed_boundary(faces: np.ndarray) -> None:
     edges = faces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
-    _, counts = _unique_rows(edges, return_counts=True)
+    _, counts = _unique_rows(edges)
     if faces.size and np.any(counts != 2):
         raise MeshError("boundary surface is not closed")
 

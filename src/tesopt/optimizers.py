@@ -45,6 +45,22 @@ def db_to_linear(d: float) -> float:
     return float(10.0 ** (d / 20.0))
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only, C-ordered float array.
+
+    C layout keeps BLAS summation order (and hence results) bitwise
+    identical for column-subset copies, which numpy makes Fortran-ordered.
+    A writeable array of the caller's is copied first, so that freezing
+    it does not freeze the caller's array and the caller cannot change it
+    under a problem; a read-only array is taken as it is.
+    """
+    out = np.ascontiguousarray(a, dtype=float)
+    if out.flags.writeable and np.may_share_memory(out, a):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class StimulusProblem:
     """Split lead field plus dose limits, scale factors and nuisance factor.
@@ -55,7 +71,9 @@ class StimulusProblem:
     ||x||_inf and sigma_scale = ||L||_2 of the stacked lead field.  There
     is no separate per-channel cap: a balanced pattern within the dose
     ``mu`` puts at most mu/2 on each sign, hence on any one channel.
-    ``from_parts`` and ``restrict`` build problems; none changes after.
+    ``from_parts`` and ``restrict`` build problems; none changes after,
+    and its arrays are read-only, so a write cannot leave R or the scale
+    factors stale.
     """
 
     L1: np.ndarray              # (3, L) A/m^2 per A
@@ -88,7 +106,7 @@ class StimulusProblem:
         R is factored block by block, R <- qr([R; next rows]), so the
         working copy holds NUISANCE_BLOCK rows rather than all of L2.
         """
-        L2 = np.ascontiguousarray(L2, dtype=float)
+        L2 = _frozen(L2)
         R = L2[:0]
         for start in range(0, L2.shape[0], NUISANCE_BLOCK):
             R = np.linalg.qr(np.vstack([R, L2[start:start + NUISANCE_BLOCK]]), mode="r")
@@ -98,11 +116,8 @@ class StimulusProblem:
     @classmethod
     def _with_scales(cls, L1, L2, x1, mu, R, electrode_ids) -> "StimulusProblem":
         """The one place zeta, nu and sigma_scale are derived."""
-        # C layout keeps BLAS summation order (and hence results) bitwise
-        # identical for column-subset copies, which numpy makes Fortran-ordered
-        L1 = np.ascontiguousarray(L1, dtype=float)
-        L2 = np.ascontiguousarray(L2, dtype=float)
-        x1 = np.ascontiguousarray(x1, dtype=float)
+        L1, L2, x1 = _frozen(L1), _frozen(L2), _frozen(x1)
+        R.flags.writeable = False
         stacked = np.vstack([L1, L2])
         return cls(L1=L1, L2=L2, x1=x1, mu=float(mu),
                    zeta=float(np.abs(stacked).sum(axis=0).max()),

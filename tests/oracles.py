@@ -7,12 +7,15 @@ Newton step) through which the tests drive the library's interior-point
 loop, the assembled sparse constraint matrix of the L1L1 LP, dense grid
 search on the balanced-current subspace for the convex solvers, finite
 differences for element matrices, scipy's ``splu`` for the CEM solves
-(``cem_reference``, ``forward_reference`` on the ``block_matrix``), and
-an eigendecomposition for the zero-weight TLS ridge solution
-(``ridge_reference``), and exact rational arithmetic for the TLS normal
-equations (``tls_exact``).  ``l1l1_cell``, ``l1l2_cell`` and ``tls_cell``
-are not references: they are the one-cell calls of the library's
-solvers at linear weights, as the tests write them.
+(``cem_reference``, ``forward_reference`` on the ``block_matrix``), an
+eigendecomposition for the zero-weight TLS ridge solution
+(``ridge_reference``), exact rational arithmetic for the TLS normal
+equations (``tls_exact``), ``np.unique(axis=0)`` for the mesh numbering
+and boundary faces, and the recursive nested dissection
+(``nested_dissection_reference``) for the level-by-level one of ``fem``.
+``l1l1_cell``, ``l1l2_cell`` and ``tls_cell`` are not references: they
+are the one-cell calls of the library's solvers at linear weights, as the
+tests write them.
 """
 
 from fractions import Fraction
@@ -368,3 +371,45 @@ def l1l2_cell(p, alpha, eps, **kwargs):
 
 def tls_cell(p, alpha, delta):
     return solve_tls(p, [alpha], [delta])[0]
+
+
+def nested_dissection_reference(nodes, A):
+    """The nested-dissection order and fronts of ``fem``, by recursion.
+
+    Each part of more than ``_DISSECTION_LEAF`` nodes is cut at the median
+    coordinate of its longest axis; the lower-side nodes with a neighbour
+    on the upper side form the separator.  A part is emitted as its lower
+    side, its upper side, then its separator, each side ordered the same
+    way recursively.  Returns the order and the bounds of the non-empty
+    leaves and separators, which are contiguous in it.
+    """
+    from tesopt.fem import _DISSECTION_LEAF
+
+    n = A.shape[0]
+    graph = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=(n, n))
+    upper_mark = np.zeros(n)
+    out = []
+
+    def dissect(part):
+        x = nodes[part]
+        extent = np.ptp(x, axis=0)
+        if part.size <= _DISSECTION_LEAF or not extent.any():
+            out.append(part)
+            return
+        c = x[:, np.argmax(extent)]
+        med = np.median(c)
+        lower = c <= med
+        if lower.all():
+            lower = c < med
+        lo, up = part[lower], part[~lower]
+        upper_mark[up] = 1.0
+        sep = graph[lo] @ upper_mark > 0.0
+        upper_mark[up] = 0.0
+        dissect(lo[~sep])
+        dissect(up)
+        out.append(lo[sep])
+
+    dissect(np.arange(n))
+    sizes = np.array([part.size for part in out])
+    bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+    return np.concatenate(out), bounds

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from oracles import (block_matrix, cem_reference, forward_reference,
-                     tet_gradients_inverse, tet_stiffness_fd)
+                     nested_dissection_reference, tet_gradients_inverse, tet_stiffness_fd)
 from tesopt.fem import (
     FemError,
     _cholesky_fronts,
+    _nested_dissection,
     _tet_gradients,
     assemble,
     lead_field,
@@ -180,6 +181,36 @@ def test_cholesky_on_degenerate_front_trees(cells):
     R = resistivity_matrix(system)
     assert np.abs(S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
     assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+
+
+def assert_dissection_like_oracle(nodes, A):
+    order, bounds = _nested_dissection(nodes, A)
+    ref_order, ref_bounds = nested_dissection_reference(nodes, A)
+    assert order.dtype == ref_order.dtype and np.array_equal(order, ref_order)
+    assert bounds.dtype == ref_bounds.dtype and np.array_equal(bounds, ref_bounds)
+
+
+# (4, 4, 4): a node layer at the median of most parts;
+# (256, 1, 1): a chain of cubes, the deepest tree for its size
+@pytest.mark.parametrize("cells", [*BOX_CELLS, (4, 4, 4), (256, 1, 1)])
+def test_nested_dissection_matches_recursive_oracle(cells):
+    mesh, system = box_system(cells)
+    assert_dissection_like_oracle(mesh.nodes, system.A)
+
+
+def test_nested_dissection_below_median_at_maximum():
+    # the upper three of five node layers share the largest x, which is
+    # then the median of the root: its lower side takes the nodes below it
+    mesh, system = box_system((4, 4, 4))
+    nodes = mesh.nodes.copy()
+    nodes[:, 0] = np.where(nodes[:, 0] > 0.004, 1.0, nodes[:, 0])
+    assert_dissection_like_oracle(nodes, system.A)
+
+
+def test_ball_nested_dissection_matches_recursive_oracle(ball_system, small_ball_mesh):
+    order, bounds = nested_dissection_reference(small_ball_mesh.nodes, ball_system.A)
+    assert np.array_equal(ball_system.order, order)
+    assert np.array_equal(ball_system.front_bounds, bounds)
 
 
 def test_ordered_stiffness_factor_fill(ball_system):

@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 from oracles import boundary_faces_reference, mesh_from_cubes_reference
 from tesopt import meshgen
 from tesopt.meshgen import (
+    HeadMesh,
     MeshError,
     _unique_rows,
     boundary_faces,
@@ -177,15 +178,12 @@ def test_box_mesh_and_explicit_electrodes():
 
 
 def assert_unique_rows_like_numpy(rows):
-    for flags in ({}, {"return_inverse": True}, {"return_counts": True},
-                  {"return_inverse": True, "return_counts": True}):
-        ref = np.unique(rows, axis=0, **flags)
-        got = _unique_rows(rows, **flags)
-        ref, got = (ref, got) if flags else ((ref,), (got,))
-        assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b)
+    ref = np.unique(rows, axis=0, return_counts=True)
+    got = _unique_rows(rows)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -213,11 +211,21 @@ def test_unique_rows_edge_cases(rows):
     assert_unique_rows_like_numpy(rows)
 
 
+def shifted_box_mesh():
+    # a lattice whose lowest corner is off the origin, at mixed-sign indices
+    axes = (np.arange(-3, 2), np.arange(2, 5), np.arange(-7, -5))
+    origins = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    nodes, tets = meshgen._mesh_from_cubes(origins, 0.0025)
+    return HeadMesh(nodes=nodes, tets=tets, labels=np.ones(tets.shape[0], dtype=np.int64),
+                    conductivities={1: 1.0})
+
+
 @pytest.mark.parametrize("build, electrodes", [
     (lambda: generate_ball_mesh([0.09, 0.08, 0.07], [0.33, 0.0042, 0.33], 0.01), 32),
     # every face of the box lies in one octant, so no cap layout fits it
     (lambda: generate_box_mesh((0.04, 0.01, 0.01), (16, 4, 4), 1.0), None),
-], ids=["small_ball", "box"])
+    (shifted_box_mesh, None),
+], ids=["small_ball", "box", "shifted_box"])
 def test_canonical_mesh_numbering(build, electrodes, monkeypatch):
     mesh = build()
     faces = boundary_faces(mesh)
@@ -231,3 +239,14 @@ def test_canonical_mesh_numbering(build, electrodes, monkeypatch):
     if layout is not None:
         monkeypatch.setattr(meshgen, "boundary_faces", boundary_faces_reference)
         assert place_electrodes(ref, electrodes, 1000.0).face_ids == layout.face_ids
+
+
+@pytest.mark.parametrize("limit", ["n_cubed", 1])
+def test_boundary_faces_without_int64_keys(small_ball_mesh, monkeypatch, limit):
+    # at n^3 the face keys no longer fit and the faces are counted by
+    # _unique_rows, which at a limit of 1 hands them to np.unique itself
+    n = small_ball_mesh.n_nodes
+    monkeypatch.setattr(meshgen, "_KEY_LIMIT", n**3 if limit == "n_cubed" else limit)
+    faces = boundary_faces(small_ball_mesh)
+    ref = boundary_faces_reference(small_ball_mesh)
+    assert faces.dtype == ref.dtype and np.array_equal(faces, ref)

@@ -881,3 +881,18 @@ def test_restrict_maps_columns(rng):
     for name in ("mu", "zeta", "nu", "sigma_scale", "electrode_ids"):
         assert getattr(got, name) == getattr(ref, name), name
 
+
+
+@pytest.mark.parametrize("build", ["from_parts", "restrict"])
+def test_problem_arrays_read_only(rng, build):
+    L1, L2, x1 = rng.normal(size=(3, 5)), rng.normal(size=(40, 5)), rng.normal(size=3)
+    p = StimulusProblem.from_parts(L1, L2, x1, 4e-3)
+    if build == "restrict":
+        p = p.restrict((1, 3, 4))
+    for name in ("L1", "L2", "x1", "R"):
+        with pytest.raises(ValueError):
+            getattr(p, name)[0] = 1.0
+    # the caller's arrays stay writeable, and writing them leaves the problem as it was
+    L2_before = p.L2.copy()
+    L2[:] = 0.0
+    assert np.array_equal(p.L2, L2_before)
