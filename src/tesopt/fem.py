@@ -23,7 +23,7 @@ edges of A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,6 @@ class CemSystem:
     n_electrodes: int
     order: np.ndarray           # (N,) fill-reducing node order of A
     front_bounds: np.ndarray    # (F+1,) Cholesky fronts, contiguous in ``order``
-    _stiff_solve: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -315,50 +314,50 @@ def _cholesky_fronts(sys: CemSystem) -> list[_Front]:
 
 
 def _stiffness_solve(sys: CemSystem) -> np.ndarray:
-    """A^{-1} B as a dense (N, L) array, solved once per system.
+    """A^{-1} B as a dense (N, L) array.
 
-    A forward and a back pass over the fronts, which are dropped once the
-    solve is cached.  Every dense product goes through scipy's BLAS, as in
-    the factor: numpy bundles its own BLAS, and alternating calls between
-    the two libraries' thread pools made this solve 7x slower at 2 BLAS
-    threads on a 2-core machine.
+    Factors A, then makes a forward and a back pass over the fronts.
+    Every dense product goes through scipy's BLAS, as in the factor:
+    numpy bundles its own BLAS, and alternating calls between the two
+    libraries' thread pools made this solve 7x slower at 2 BLAS threads
+    on a 2-core machine.
     """
-    if sys._stiff_solve is None:
-        fronts = _cholesky_fronts(sys)
-        X = sys.B.toarray()[sys.order]
-        for start, stop, rows, L11, L21 in fronts:
-            xs = blas.dtrsm(1.0, L11, X[start:stop], lower=1)
-            X[start:stop] = xs
-            if rows.size:
-                X[rows] = blas.dgemm(-1.0, L21, xs, beta=1.0, c=X[rows])
-        for start, stop, rows, L11, L21 in reversed(fronts):
-            xs = X[start:stop]
-            if rows.size:
-                xs = blas.dgemm(-1.0, L21, X[rows], beta=1.0, c=xs, trans_a=1)
-            X[start:stop] = blas.dtrsm(1.0, L11, xs, lower=1, trans_a=1)
-        sys._stiff_solve = np.empty_like(X)
-        sys._stiff_solve[sys.order] = X
-    return sys._stiff_solve
+    fronts = _cholesky_fronts(sys)
+    X = sys.B.toarray()[sys.order]
+    for start, stop, rows, L11, L21 in fronts:
+        xs = blas.dtrsm(1.0, L11, X[start:stop], lower=1)
+        X[start:stop] = xs
+        if rows.size:
+            X[rows] = blas.dgemm(-1.0, L21, xs, beta=1.0, c=X[rows])
+    for start, stop, rows, L11, L21 in reversed(fronts):
+        xs = X[start:stop]
+        if rows.size:
+            xs = blas.dgemm(-1.0, L21, X[rows], beta=1.0, c=xs, trans_a=1)
+        X[start:stop] = blas.dtrsm(1.0, L11, xs, lower=1, trans_a=1)
+    return X[np.argsort(sys.order)]            # rows back in node order
 
 
-def schur_complement(sys: CemSystem) -> np.ndarray:
-    """Electrode-space Schur complement C - B^T A^{-1} B (not deflated)."""
-    return np.diag(sys.c_diag) - sys.B.T @ _stiffness_solve(sys)
+def schur_complement(sys: CemSystem, X: np.ndarray | None = None) -> np.ndarray:
+    """Electrode-space Schur complement C - B^T A^{-1} B (not deflated),
+    from the solve X = A^{-1} B when it is given."""
+    X = _stiffness_solve(sys) if X is None else X
+    return np.diag(sys.c_diag) - sys.B.T @ X
 
 
 def resistivity_matrix(sys: CemSystem) -> np.ndarray:
     """Dense (N, L) map from balanced current patterns to nodal potentials.
 
     Computed as A^{-1} B S^{-1} with the electrode-space Schur complement
-    S = C - B^T A^{-1} B; the constant null vector of S is deflated so the
-    result matches the mean-zero electrode-voltage gauge.
+    S = C - B^T A^{-1} B, both from one solve with A; the constant null
+    vector of S is deflated to match the mean-zero electrode-voltage gauge.
     """
-    S = schur_complement(sys)
+    X = _stiffness_solve(sys)
+    S = schur_complement(sys, X)
     S = 0.5 * (S + S.T)
     L = sys.n_electrodes
     shift = (np.trace(S) / L) * np.ones((L, L)) / L
     Sinv = np.linalg.solve(S + shift, np.eye(L))
-    return _stiffness_solve(sys) @ Sinv
+    return X @ Sinv
 
 
 def lead_field(
@@ -387,7 +386,7 @@ def lead_field(
 
 def split_problem(lf: LeadField, target: TargetSpec, mu: float):
     """Split the lead field into target / nuisance rows and scale factors."""
-    if target.point_index >= lf.n_points:
+    if not 0 <= target.point_index < lf.n_points:
         raise FemError("target point is not part of the lead field")
     lf.target_point = target.point_index
     L1, L2 = lf.split_rows()

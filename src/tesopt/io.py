@@ -248,14 +248,15 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
         raise IoError("sidecar field 'x1' must hold 3 finite numbers")
     if not (type(mu) in (int, float) and math.isfinite(mu) and mu > 0):
         raise IoError("sidecar field 'mu' must be a finite positive number")
-    if not isinstance(ids, list) or len(ids) != cols:
-        raise IoError("sidecar field 'electrode_ids' count does not match matrix columns")
+    if not (isinstance(ids, list) and len(ids) == cols
+            and all(type(i) is int for i in ids) and len(set(ids)) == cols):
+        raise IoError("sidecar field 'electrode_ids' must hold one distinct int per column")
     target_point = sidecar["target_point"]
     if type(target_point) is not int or not 0 <= target_point < rows // 3:
         raise IoError("sidecar field 'target_point' must be an int in [0, rows/3)")
     lf = LeadField(
         matrix=mat.reshape(rows, cols),
-        electrode_ids=tuple(int(i) for i in ids),
+        electrode_ids=tuple(ids),
         target_point=target_point,
     )
     L1, L2 = lf.split_rows()

@@ -13,13 +13,12 @@ with W = z/s and a static regularization d, a relative shift at
 roundoff scale.  The first solve is then already as accurate as the
 elimination's roundoff allows; one correction against the unregularized
 system is applied only when its residual is not yet at that floor.
-Ruiz row and column equilibration is applied to the constraints up
-front and the iteration works on the equilibrated data only: each
-residual is computed once per iteration, and the stopping tests rescale
-it elementwise to original units.  A solve ends ``optimal`` when it
-passes the residual test, and ``max_iter`` otherwise: at the iteration
-cap, on the stall rule or on a singular Newton matrix.  It tests no
-Farkas certificate: the one LP the package solves, that of
+The iteration works on the operator's equilibrated data only: each
+residual is computed once per iteration, and the stopping tests
+rescale it elementwise to original units.  A solve ends ``optimal``
+when it passes the residual test, and ``max_iter`` otherwise: at the
+iteration cap, on the stall rule or on a singular Newton matrix.  It
+tests no Farkas certificate: the one LP the package solves, that of
 ``build_l1l1_lp``, is always feasible and bounded.
 
 ``solve_lp_lanes`` solves programs, the lanes, that share one constraint
@@ -36,13 +35,9 @@ The solver reaches G and E only through a constraint operator, the
 ``ops`` of a ``LinearProgram``.  An operator has the sizes ``m``, ``n``
 and ``p`` and supplies
 
-- for ``ruiz_scalings``, which runs on a working copy of the data that
-  it scales in place: ``row_maxima()``, the absolute row maxima of G
-  and of E, ``scale_rows(rg, re)``, ``col_maxima()`` and
-  ``scale_cols(cc)``, which multiply rows or columns by the given
-  reciprocal factors;
-- the scalings ``dr_g``, ``dr_e`` and ``dc`` that this produced, with
-  Gs = diag(1/dr_g) G diag(1/dc) and Es = diag(1/dr_e) E diag(1/dc);
+- the row and column scalings ``dr_g``, ``dr_e`` and ``dc`` of its
+  equilibrated data, Gs = diag(1/dr_g) G diag(1/dc) and
+  Es = diag(1/dr_e) E diag(1/dc);
 - lane-wise products with Gs, Gs', Es and Es': ``G(v)``, ``GT(z)``,
   ``E(v)`` and ``ET(y)`` map a (B, .) stack to a C-ordered (B, .) stack,
   row by row;
@@ -54,9 +49,10 @@ and ``p`` and supplies
   one correction removes.
 
 The package's one operator is ``optimizers.L1L1Constraints``, for the
-LP of ``build_l1l1_lp``: ``solve_l1l1`` builds one per call and hands it
-to every lane of that call.  The test suite drives the same loop through
-a generic operator over CSR matrices, which is its reference.
+LP of ``build_l1l1_lp``, which computes its Ruiz scalings when it is
+built: ``solve_l1l1`` builds one per call and hands it to every lane of
+that call.  The test suite drives the same loop through a generic
+operator over CSR matrices, which is its reference.
 """
 
 from __future__ import annotations
@@ -70,7 +66,6 @@ REFINE_TOL = 1e-14       # relative residual below which no correction is made
 FRACTION_TO_BOUNDARY = 0.99
 LP_TOL = 1e-10           # default relative stopping tolerance
 LP_MAX_ITER = 200        # default iteration cap
-RUIZ_ITERS = 10          # Ruiz equilibration sweeps
 STALL_ITERS = 15         # iterations without measurable progress that end a lane
 LANE_ENTRIES = 1 << 16   # lanes x inequality rows per stack; ~14 MB of L1L1 arrays
 
@@ -79,8 +74,8 @@ LANE_ENTRIES = 1 << 16   # lanes x inequality rows per stack; ~14 MB of L1L1 arr
 class LinearProgram:
     """min c'v subject to G v <= h, E v = f, with G and E behind ``ops``.
 
-    The operator is equilibrated when it is built, so copies made by
-    ``dataclasses.replace`` with a new c, h or f share its scalings.
+    The operator carries its scalings, so copies made by
+    ``dataclasses.replace`` with a new c, h or f share them.
     """
 
     c: np.ndarray        # (n,)
@@ -104,30 +99,6 @@ class LpSolution:
     iterations: int
     residuals: dict[str, float]       # primal, dual, gap (on original data)
     mu_history: tuple[float, ...] = ()
-
-
-def _scale_factors(maxima: np.ndarray) -> np.ndarray:
-    """Square roots of positive maxima; empty rows or columns keep 1."""
-    return np.where(maxima > 0, np.sqrt(np.where(maxima > 0, maxima, 1.0)), 1.0)
-
-
-def ruiz_scalings(work):
-    """Ruiz row/column scalings (dr_g, dr_e, dc) making [G; E] entries O(1).
-
-    ``work`` holds a copy of the data and scales it in place, so each
-    entry is multiplied by the reciprocal of each factor in turn, exactly
-    as a product with a diagonal matrix would do it.
-    """
-    dr_g, dr_e, dc = np.ones(work.m), np.ones(work.p), np.ones(work.n)
-    for _ in range(RUIZ_ITERS):
-        rg, re = (_scale_factors(mx) for mx in work.row_maxima())
-        work.scale_rows(1.0 / rg, 1.0 / re)
-        cc = _scale_factors(work.col_maxima())
-        work.scale_cols(1.0 / cc)
-        dr_g *= rg
-        dr_e *= re
-        dc *= cc
-    return dr_g, dr_e, dc
 
 
 def _row_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .lp import REGULARIZATION, LinearProgram, ruiz_scalings, solve_lp_lanes
+from .lp import REGULARIZATION, LinearProgram, solve_lp_lanes
 from .lp import solve_lp  # not called here; bench/tracer.py wraps it by this name
 
 DEGENERATE_FRACTION = 1e-12   # ||y||_1 below this times mu counts as no pattern
 
 NUISANCE_BLOCK = 1024         # rows per QR step of StimulusProblem.from_parts
+
+RUIZ_ITERS = 10               # Ruiz equilibration sweeps of the L1L1 constraints
 
 L1L2_TOL = 1e-6
 L1L2_MAX_ITER = 20000
@@ -263,63 +265,46 @@ def build_l1l1_lp(p: StimulusProblem, ops: L1L1Constraints, alpha: float,
     return LinearProgram(c=c, h=h, f=np.zeros(1), ops=ops)
 
 
-class _L1L1Blocks:
-    """Working copy of the L1L1 constraint blocks for ``ruiz_scalings``.
+def _l1l1_scalings(K: np.ndarray):
+    """Ruiz scalings (dr_g, dr_e, dc) of the constraints of ``build_l1l1_lp``.
 
-    Holds the signed entries of [G; E] as dense blocks: ``Ka`` and
-    ``ya`` are the y entries of the rows of block A (K and -I), ``ta``
-    their t entries (-I), ``tc`` the C rows (-I), ``d`` the dose row and
-    ``e`` the balance row.  Block B's entries are those of A with y
-    negated, so its row maxima, and hence its scalings, equal A's; it is
-    not stored.  The scalings equal those of the assembled sparse [G; E]
-    bit for bit, since every entry meets the same products.
+    Each of RUIZ_ITERS sweeps divides every row of [G; E], then every
+    column, by the square root of its largest magnitude (Ruiz,
+    RAL-TR-2001-034), which is positive: each row and column holds a
+    unit entry.  The sweeps scale the entries' magnitudes in place, and
+    the zeros of ``Ky`` change no maximum.  Block B's magnitudes equal
+    A's, so its row scalings do too, and |x s| = |x| s exactly for s > 0,
+    so the scalings equal those of the assembled signed [G; E] bit for bit.
     """
-
-    def __init__(self, K: np.ndarray):
-        nk, L = K.shape
-        self.k = nk + L
-        self.m, self.n, self.p = 3 * self.k + 1, L + self.k, 1
-        self.Ka = K.copy()
-        self.ya = -np.ones(L)
-        self.ta = -np.ones(self.k)
-        self.tc = -np.ones(self.k)
-        self.d = np.ones(L)
-        self.e = np.ones(L)
-
-    def row_maxima(self):
-        nk = self.Ka.shape[0]
-        ra = np.abs(self.ta)
-        ra[:nk] = np.maximum(np.abs(self.Ka).max(axis=1), ra[:nk])
-        ra[nk:] = np.maximum(np.abs(self.ya), ra[nk:])
-        g = np.concatenate([ra, ra, np.abs(self.tc), [np.abs(self.d).max()]])
-        return g, np.array([np.abs(self.e).max()])
-
-    def scale_rows(self, rg, re):
-        nk, k = self.Ka.shape[0], self.k
-        self.Ka *= rg[:nk, None]
-        self.ya *= rg[nk:k]
-        self.ta *= rg[:k]
-        self.tc *= rg[2 * k:3 * k]
-        self.d *= rg[3 * k]
-        self.e *= re[0]
-
-    def col_maxima(self):
-        L = self.ya.size
-        cy = np.maximum(np.maximum(np.abs(self.Ka).max(axis=0), np.abs(self.ya)),
-                        np.abs(self.e))
-        ct = np.maximum(np.abs(self.ta), np.abs(self.tc))
-        ct[self.k - L:] = np.maximum(ct[self.k - L:], np.abs(self.d))
-        return np.concatenate([cy, ct])
-
-    def scale_cols(self, cc):
-        L = self.ya.size
-        cy, ct = cc[:L], cc[L:]
-        self.Ka *= cy[None, :]
-        self.ya *= cy
-        self.e *= cy
-        self.ta *= ct
-        self.tc *= ct
-        self.d *= ct[self.k - L:]
+    nk, L = K.shape
+    k = nk + L
+    Ky = np.abs(np.vstack([K, np.eye(L)]))      # block A on y: [K; -I]
+    ta, tc = np.ones(k), np.ones(k)             # blocks A and C on t: -I
+    d, e = np.ones(L), np.ones(L)               # the dose and balance rows
+    dr_g, dr_e, dc = np.ones(3 * k + 1), np.ones(1), np.ones(L + k)
+    for _ in range(RUIZ_ITERS):
+        ra = np.maximum(Ky.max(axis=1), ta)
+        rg = np.sqrt(np.concatenate([ra, ra, tc, [d.max()]]))
+        re = np.sqrt(e.max(keepdims=True))
+        ig = 1.0 / rg
+        Ky *= ig[:k, None]
+        ta *= ig[:k]
+        tc *= ig[2 * k:3 * k]
+        d *= ig[3 * k]
+        e *= 1.0 / re[0]
+        ct = np.maximum(ta, tc)
+        ct[k - L:] = np.maximum(ct[k - L:], d)
+        cc = np.sqrt(np.concatenate([np.maximum(Ky.max(axis=0), e), ct]))
+        ic = 1.0 / cc
+        Ky *= ic[:L]
+        e *= ic[:L]
+        ta *= ic[L:]
+        tc *= ic[L:]
+        d *= ic[k:]
+        dr_g *= rg
+        dr_e *= re
+        dc *= cc
+    return dr_g, dr_e, dc
 
 
 class L1L1Constraints:
@@ -337,7 +322,7 @@ class L1L1Constraints:
 
     in blocks A, B, C plus the dose row.  Products apply these blocks
     to the equilibrated data, Gs v = G (v/dc) / dr_g and so on, with the
-    Ruiz scalings computed from the blocks once, when the operator is
+    scalings of ``_l1l1_scalings`` computed once, when the operator is
     built; no sparse matrix is formed.  Every method acts on a (B, .)
     stack of lanes: products with K are stacked ``np.matmul`` calls, one
     vector-matrix product per lane, and every reduction is a row sum, so
@@ -374,7 +359,7 @@ class L1L1Constraints:
         self.k = self.nk + self.L               # rows per block A, B, C
         self.m, self.n, self.p = 3 * self.k + 1, self.L + self.k, 1
         self.pen = slice(self.nk, self.k)
-        self.dr_g, self.dr_e, self.dc = ruiz_scalings(_L1L1Blocks(self.K))
+        self.dr_g, self.dr_e, self.dc = _l1l1_scalings(self.K)
         self.dr_g2 = self.dr_g**2
 
     def _K(self, x: np.ndarray) -> np.ndarray:

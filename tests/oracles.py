@@ -4,7 +4,10 @@ These deliberately avoid the library's own code paths: vertex
 enumeration for LPs, a generic constraint operator over CSR matrices
 (``SparseConstraints``, which ``make_program`` builds, with a sparse-LU
 Newton step) through which the tests drive the library's interior-point
-loop, the assembled sparse constraint matrix of the L1L1 LP, dense grid
+loop, Ruiz equilibration by products with sparse diagonal matrices
+(``ruiz_by_diagonal_products``, which equilibrates that operator and
+pins the L1L1 operator's scalings), the assembled sparse constraint
+matrix of the L1L1 LP (``assembled_l1l1_lp``), dense grid
 search on the balanced-current subspace for the convex solvers, finite
 differences for element matrices, scipy's ``splu`` for the CEM solves
 (``cem_reference``, ``forward_reference`` on the ``block_matrix``), an
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from tesopt.lp import REGULARIZATION, LinearProgram, ruiz_scalings
+from tesopt.lp import REGULARIZATION, LinearProgram
 from tesopt.optimizers import L1L1Constraints, build_l1l1_lp, solve_l1l1, solve_l1l2, solve_tls
 
 
@@ -47,12 +50,38 @@ def make_program(c, G, h, E=None, f=None) -> LinearProgram:
     return lp
 
 
-def _row_maxima(A: sp.csr_matrix) -> np.ndarray:
-    out = np.zeros(A.shape[0])
-    filled = np.diff(A.indptr) > 0
-    if A.nnz:
-        out[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
-    return out
+def ruiz_by_diagonal_products(G, E, iters=10):
+    """Reference Ruiz equilibration (RAL-TR-2001-034) of CSR G and E.
+
+    Each sweep takes the row maxima of the scaled copies, scales the rows
+    by a product with a sparse diagonal matrix, then does the same for
+    the columns.  Returns the equilibrated Gs and Es, with sorted
+    indices, and the scalings dr_g, dr_e and dc.
+    """
+    m, n = G.shape
+    p = E.shape[0]
+    dr_g, dr_e, dc = np.ones(m), np.ones(p), np.ones(n)
+    Gs, Es = G.copy(), E.copy()
+
+    def factors(mx):
+        return np.where(mx > 0, np.sqrt(np.where(mx > 0, mx, 1.0)), 1.0)
+
+    for _ in range(iters):
+        rg = factors(abs(Gs).max(axis=1).toarray().ravel())
+        re = factors(abs(Es).max(axis=1).toarray().ravel()) if p else np.ones(0)
+        Gs = sp.diags(1.0 / rg) @ Gs
+        Es = sp.diags(1.0 / re) @ Es if p else Es
+        col = abs(Gs).max(axis=0).toarray().ravel()
+        if p:
+            col = np.maximum(col, abs(Es).max(axis=0).toarray().ravel())
+        cc = factors(col)
+        Gs = Gs @ sp.diags(1.0 / cc)
+        Es = Es @ sp.diags(1.0 / cc) if p else Es
+        dr_g, dr_e, dc = dr_g * rg, dr_e * re, dc * cc
+    Gs, Es = Gs.tocsr(), Es.tocsr()
+    Gs.sort_indices()
+    Es.sort_indices()
+    return Gs, Es, dr_g, dr_e, dc
 
 
 def _lanes_product(A: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
@@ -63,9 +92,8 @@ def _lanes_product(A: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
 class SparseConstraints:
     """The generic constraint operator: CSR G and E, and a sparse KKT LU.
 
-    Equilibrates copies Gs, Es of G and E when built: row maxima come
-    from segment reductions over ``indptr``, column maxima from a
-    scatter-max over ``indices``.  ``factor(W)`` forms Gs'WGs and factors
+    Equilibrates copies Gs, Es of G and E when built, by
+    ``ruiz_by_diagonal_products``.  ``factor(W)`` forms Gs'WGs and factors
     [[Gs'WGs + dI, Es'], [Es, -dI]] by sparse LU, one per lane;
     ``solve(r1, r2)`` returns (dv, dy) for it.  The primal regularization
     d is relative to the largest diagonal entry, so it stays at roundoff
@@ -77,27 +105,9 @@ class SparseConstraints:
 
     def __init__(self, G: sp.csr_matrix, E: sp.csr_matrix):
         (self.m, self.n), self.p = G.shape, E.shape[0]
-        self.Gs, self.Es = G.tocsr(copy=True), E.tocsr(copy=True)
-        self.dr_g, self.dr_e, self.dc = ruiz_scalings(self)
+        self.Gs, self.Es, self.dr_g, self.dr_e, self.dc = ruiz_by_diagonal_products(G, E)
         self.GsT, self.EsT = self.Gs.T.tocsr(), self.Es.T.tocsr()
         self._lu = []
-
-    def row_maxima(self):
-        return _row_maxima(self.Gs), _row_maxima(self.Es)
-
-    def scale_rows(self, rg, re):
-        self.Gs.data *= np.repeat(rg, np.diff(self.Gs.indptr))
-        self.Es.data *= np.repeat(re, np.diff(self.Es.indptr))
-
-    def col_maxima(self):
-        col = np.zeros(self.n)
-        np.maximum.at(col, self.Gs.indices, np.abs(self.Gs.data))
-        np.maximum.at(col, self.Es.indices, np.abs(self.Es.data))
-        return col
-
-    def scale_cols(self, cc):
-        self.Gs.data *= cc[self.Gs.indices]
-        self.Es.data *= cc[self.Es.indices]
 
     def G(self, v):
         return _lanes_product(self.Gs, v)

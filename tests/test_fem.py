@@ -17,6 +17,7 @@ from tesopt.fem import (
 )
 from tesopt.meshgen import (
     HeadMesh,
+    TargetSpec,
     boundary_faces,
     electrodes_from_face_sets,
     generate_box_mesh,
@@ -357,6 +358,20 @@ def test_split_problem_shapes_and_scales(bar_setup):
     assert np.isclose(p.zeta, np.abs(lf.matrix).sum(axis=0).max())
     ref = np.linalg.svd(lf.matrix, compute_uv=False)[0]
     assert abs(p.sigma_scale - ref) <= 1e-4 * ref
+
+
+def test_split_problem_rejects_target_outside_points(bar_setup):
+    # a negative index would pick rows -1, P-1, 2P-1: components of the
+    # last point, mixed
+    mesh, _, sys_, _ = bar_setup
+    pts = sample_field_points(mesh, 1, 10, seed=6)
+    target = place_target(mesh, pts, (1.0, 0.0, 0.0), 0.2)
+    lf = lead_field(sys_, mesh, pts)
+    for index in (-1, -lf.n_points, lf.n_points):
+        with pytest.raises(FemError, match="not part of the lead field"):
+            split_problem(lf, TargetSpec(target.position, target.orientation,
+                                         target.d_target, index), 4e-3)
+        assert lf.target_point is None
 
 
 def test_spectral_norm_matches_svd(rng):

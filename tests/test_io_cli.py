@@ -208,6 +208,9 @@ def test_lead_field_short_header_rejected(tmp_path):
     ("mu", -0.004, "mu"),
     ("mu", float("nan"), "mu"),
     ("mu", "4e-3", "mu"),
+    ("electrode_ids", [1, 1, 2, 3, 4, 5], "electrode_ids"),
+    ("electrode_ids", [1.7, 2, 3, 4, 5, 6], "electrode_ids"),
+    ("electrode_ids", [True, 2, 3, 4, 5, 6], "electrode_ids"),
 ])
 def test_lead_field_sidecar_values_checked(tmp_path, rng, field, value, match):
     # the synthetic lead field has 12 points and 6 electrodes

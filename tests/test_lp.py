@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import random_problem
-from oracles import (SparseConstraints, assembled_l1l1_lp, lp_vertex_minimum, make_program,
-                     random_bounded_lp)
+from oracles import (assembled_l1l1_lp, lp_vertex_minimum, make_program, random_bounded_lp,
+                     ruiz_by_diagonal_products)
 from tesopt.lp import _max_step, solve_lp
-from tesopt.optimizers import StimulusProblem
+from tesopt.optimizers import L1L1Constraints, StimulusProblem
 
 
 def test_lower_bound_vertex():
@@ -141,55 +140,26 @@ def test_deterministic_resolve():
     assert a.mu_history == b.mu_history
 
 
-def ruiz_by_diagonal_products(G, E, iters=10):
-    """Reference equilibration: row and column maxima of the scaled copies,
-    scaling by products with sparse diagonal matrices."""
-    m, n = G.shape
-    p = E.shape[0]
-    dr_g, dr_e, dc = np.ones(m), np.ones(p), np.ones(n)
-    Gs, Es = G.copy(), E.copy()
-
-    def factors(mx):
-        return np.where(mx > 0, np.sqrt(np.where(mx > 0, mx, 1.0)), 1.0)
-
-    for _ in range(iters):
-        rg = factors(abs(Gs).max(axis=1).toarray().ravel())
-        re = factors(abs(Es).max(axis=1).toarray().ravel()) if p else np.ones(0)
-        Gs = sp.diags(1.0 / rg) @ Gs
-        Es = sp.diags(1.0 / re) @ Es if p else Es
-        col = abs(Gs).max(axis=0).toarray().ravel()
-        if p:
-            col = np.maximum(col, abs(Es).max(axis=0).toarray().ravel())
-        cc = factors(col)
-        Gs = Gs @ sp.diags(1.0 / cc)
-        Es = Es @ sp.diags(1.0 / cc) if p else Es
-        dr_g, dr_e, dc = dr_g * rg, dr_e * re, dc * cc
-    return Gs.tocsr(), Es.tocsr(), dr_g, dr_e, dc
-
-
 def test_ruiz_equilibration_bitwise(rng):
-    pairs = []
-    for _ in range(20):
-        c, G, h, E, f = random_bounded_lp(rng)
-        E = sp.csr_matrix((0, c.size)) if E is None else E
-        pairs.append((sp.csr_matrix(G), sp.csr_matrix(E)))
-    G = sp.random(40, 15, density=0.3, random_state=7).toarray()
-    G[G != 0] = np.exp(rng.uniform(-12, 12, np.count_nonzero(G)))  # ~10 decades
-    G[5], G[:, 3] = 0.0, 0.0                        # an empty row and column
-    pairs.append((sp.csr_matrix(G), sp.csr_matrix((0, 15))))
-    _, G, E = assembled_l1l1_lp(random_problem(rng, n_electrodes=8, n_nuisance=30),
-                                1e-3, 1e-2)
-    pairs.append((G, E))
-    for G, E in pairs:
-        ops = SparseConstraints(G, E)
-        got = (ops.Gs, ops.Es, ops.dr_g, ops.dr_e, ops.dc)
-        ref = ruiz_by_diagonal_products(G, E)
-        for a, b in zip(got[:2], ref[:2]):
-            a, b = a.copy(), b.copy()
-            a.sort_indices()
-            b.sort_indices()
-            assert np.array_equal(a.indptr, b.indptr)
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.data, b.data)
-        for a, b in zip(got[2:], ref[2:]):
-            assert np.array_equal(a, b)
+    # the L1L1 operator's scalings, computed from |K| and the unit blocks,
+    # equal the reference Ruiz sweeps over the assembled signed G and E
+    problems = [random_problem(rng, n_electrodes=int(rng.integers(2, 33)),
+                               n_nuisance=int(rng.integers(1, 200))) for _ in range(6)]
+    q = random_problem(rng, n_electrodes=16, n_nuisance=97)
+    spread = np.exp(rng.uniform(-16, 16, (q.n_nuisance + 3, 1))) \
+        * np.exp(rng.uniform(-16, 16, q.n_electrodes))   # ~14 decades per axis
+    problems.append(StimulusProblem.from_parts(q.L1 * spread[:3], q.L2 * spread[3:],
+                                               q.x1, q.mu))
+    L1, L2 = q.L1.copy(), q.L2.copy()
+    L1[:, 5] = L2[:, 5] = 0.0                       # a zero electrode column
+    problems.append(StimulusProblem.from_parts(L1, L2, q.x1, q.mu))
+    L2 = q.L2.copy()
+    L2[40] = 0.0                                    # a zero nuisance row
+    problems.append(StimulusProblem.from_parts(q.L1, L2, q.x1, q.mu))
+    problems.append(random_problem(rng, n_electrodes=32, n_nuisance=3000))
+    for p in problems:
+        _, G, E = assembled_l1l1_lp(p, 1e-3, 1e-2)
+        ops = L1L1Constraints(p)
+        _, _, *ref = ruiz_by_diagonal_products(G, E)
+        for got, want in zip((ops.dr_g, ops.dr_e, ops.dc), ref):
+            assert got.tobytes() == want.tobytes()

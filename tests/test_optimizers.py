@@ -14,7 +14,7 @@ from tesopt.cli import build_model
 from tesopt.config import RunConfig
 from oracles import (SparseConstraints, assembled_l1l1_lp, balanced_grid_minimum, l1l1_cell,
                      l1l2_cell, ridge_reference, tls_cell, tls_exact)
-from tesopt.lp import _refined_solve, ruiz_scalings, solve_lp, solve_lp_lanes
+from tesopt.lp import _refined_solve, solve_lp, solve_lp_lanes
 from tesopt.optimizers import (
     L1L1Constraints,
     OptimizerError,
@@ -162,16 +162,17 @@ def test_l1l1_lattice_equilibrates_once(rng, monkeypatch):
     # problem gives
     p = random_problem(rng, n_electrodes=8, n_nuisance=40)
     ruiz, lps = [], []
+    scalings = optimizers._l1l1_scalings
 
     def counting_ruiz(*args, **kwargs):
         ruiz.append(1)
-        return ruiz_scalings(*args, **kwargs)
+        return scalings(*args, **kwargs)
 
     def counting_solve(lanes, **kwargs):
         lps.extend(lanes)
         return solve_lp_lanes(lanes, **kwargs)
 
-    monkeypatch.setattr(optimizers, "ruiz_scalings", counting_ruiz)
+    monkeypatch.setattr(optimizers, "_l1l1_scalings", counting_ruiz)
     monkeypatch.setattr(optimizers, "solve_lp_lanes", counting_solve)
     grid = evaluate_lattice(p, "l1l1", LatticeSpec(-120.0, 0.0, -60.0, 0.0, 30.0))
     assert len(lps) > 4 and len(ruiz) == 1
