@@ -239,8 +239,9 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
             raise IoError(f"lead-field sidecar missing field '{fld}'")
     if (sidecar["rows"], sidecar["cols"]) != (rows, cols):
         raise IoError("sidecar field 'rows'/'cols' disagrees with the binary header")
-    if rows % 3 != 0:
-        raise IoError("lead-field rows must be a multiple of 3")
+    if rows % 3 != 0 or cols < 2:
+        # three rows per point; a balanced pattern needs two electrodes
+        raise IoError("lead-field rows must be a multiple of 3, and cols at least 2")
     x1, ids, mu = sidecar["x1"], sidecar["electrode_ids"], sidecar["mu"]
     # a JSON number is an int or a float, never a bool
     if not (isinstance(x1, list) and len(x1) == 3

@@ -49,10 +49,12 @@ and ``p`` and supplies
   one correction removes.
 
 The package's one operator is ``optimizers.L1L1Constraints``, for the
-LP of ``build_l1l1_lp``, which computes its Ruiz scalings when it is
-built: ``solve_l1l1`` builds one per call and hands it to every lane of
-that call.  The test suite drives the same loop through a generic
-operator over CSR matrices, which is its reference.
+LP of ``build_l1l1_lp``: ``solve_l1l1`` builds one per call for all its
+lanes.  Of its Ruiz scalings, computed when it is built, only those of
+the rows that apply [K; -I] to y, the balance row and the y columns
+differ from 1; every other row and column keeps a unit entry as its
+largest (``optimizers._l1l1_scalings``).  The test suite drives the
+same loop through a generic operator over CSR matrices, its reference.
 """
 
 from __future__ import annotations

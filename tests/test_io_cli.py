@@ -171,6 +171,14 @@ def test_lead_field_sidecar_dims_checked(tmp_path, rng):
     assert json.loads(path.with_suffix(".json").read_text())["rows"] == 35
     with pytest.raises(io.IoError, match="multiple of 3"):
         io.read_lead_field(path)
+    # header and sidecar agree on fewer columns than a balanced pattern needs
+    for cols in (0, 1):
+        few = LeadField(matrix=lf.matrix[:, :cols], electrode_ids=lf.electrode_ids[:cols],
+                        target_point=2)
+        io.write_lead_field(few, problem, path)
+        assert json.loads(path.with_suffix(".json").read_text())["cols"] == cols
+        with pytest.raises(io.IoError, match="at least 2"):
+            io.read_lead_field(path)
 
 
 def test_lead_field_truncated_binary_rejected(tmp_path, rng):
