@@ -207,6 +207,9 @@ def assemble(mesh: HeadMesh, layout: ElectrodeLayout) -> CemSystem:
     brows, bcols, bvals = [], [], []
     for e in range(L):
         fid = np.asarray(layout.face_ids[e], dtype=int)
+        if np.any((fid < 0) | (fid >= len(faces))):
+            raise FemError(f"electrode {layout.electrode_ids[e]} has a face id outside "
+                           f"the {len(faces)} boundary faces")
         area = layout.areas[e]
         if area <= 0.0:
             raise FemError(f"electrode {layout.electrode_ids[e]} has zero area")
@@ -367,8 +370,10 @@ def lead_field(
     target_point: int | None = None,
 ) -> LeadField:
     """Evaluate -sigma * grad(u) at the field points per unit current column."""
-    R = resistivity_matrix(sys)
     tet_ids = points.tet_index
+    if np.any((tet_ids < 0) | (tet_ids >= mesh.n_tets)):
+        raise FemError(f"field-point tet_index outside the {mesh.n_tets} tets")
+    R = resistivity_matrix(sys)
     grads, _ = _tet_gradients(mesh, tet_ids)          # (P, 4, 3)
     sigma = mesh.conductivity_per_tet()[tet_ids]      # (P,)
     nodes = mesh.tets[tet_ids]                        # (P, 4)

@@ -125,7 +125,7 @@ def load_layout(path: str | Path) -> ElectrodeLayout:
         data = json.load(fh)
     try:
         els = data["electrodes"]
-        return ElectrodeLayout(
+        layout = ElectrodeLayout(
             face_ids=tuple(tuple(int(i) for i in e["faces"]) for e in els),
             impedances=np.array([e["impedance_ohm"] for e in els], dtype=float),
             areas=np.array([e["area_m2"] for e in els], dtype=float),
@@ -133,6 +133,8 @@ def load_layout(path: str | Path) -> ElectrodeLayout:
         )
     except KeyError as exc:
         raise IoError(f"layout file missing field {exc}") from exc
+    layout.validate()
+    return layout
 
 
 def save_field_points(points: FieldPointSet, path: str | Path) -> None:
@@ -242,6 +244,8 @@ def read_lead_field(path: str | Path) -> tuple[LeadField, StimulusProblem]:
     if rows % 3 != 0 or cols < 2:
         # three rows per point; a balanced pattern needs two electrodes
         raise IoError("lead-field rows must be a multiple of 3, and cols at least 2")
+    if not np.isfinite(mat).all():
+        raise IoError("lead-field matrix holds a NaN or infinite entry")
     x1, ids, mu = sidecar["x1"], sidecar["electrode_ids"], sidecar["mu"]
     # a JSON number is an int or a float, never a bool
     if not (isinstance(x1, list) and len(x1) == 3

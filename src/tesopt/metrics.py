@@ -104,7 +104,6 @@ class DeviationEstimate:
     """Half-step deviation of a quadratic fit around a lattice cell."""
 
     deviation: float
-    coefficients: tuple[float, ...]   # c0, ca, cb, caa, cab, cbb
     imputed: bool
     clamped: bool = False
 
@@ -143,10 +142,4 @@ def deviation_estimate(grid3x3, clamped: bool = False) -> DeviationEstimate:
     design = _design(_OFFSETS)
     coeffs, *_ = np.linalg.lstsq(design, values.ravel(), rcond=None)
     fitted = _design(_HALF_OFFSETS) @ coeffs
-    deviation = float(np.abs(fitted - coeffs[0]).max())
-    return DeviationEstimate(
-        deviation=deviation,
-        coefficients=tuple(float(c) for c in coeffs),
-        imputed=imputed,
-        clamped=clamped,
-    )
+    return DeviationEstimate(float(np.abs(fitted - coeffs[0]).max()), imputed, clamped)

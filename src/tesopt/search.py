@@ -208,33 +208,26 @@ def _candidate(p, cell, pattern, status=None) -> CandidateCell:
     return CandidateCell(*cell, pattern, compute_metrics(p, pattern), status)
 
 
-def _solve_cell(p, method, opts, cell) -> CandidateCell:
-    """Solve and measure one lattice cell; a solver failure becomes an
-    ``error`` cell with a zero pattern instead of aborting the sweep."""
+def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
+    """Cells solved in this process by one call of the method's solver.
+
+    Each cell ends bitwise as its one-cell solve, so when a call over
+    several cells raises, each cell is solved again by a one-cell call;
+    a one-cell call that raises gives an ``error`` cell with a zero
+    pattern instead of aborting the sweep.
+    """
     try:
-        pattern = solve_single_cell(p, method, *cell, opts)
+        patterns = _solver(method)(p, [db_to_linear(a) for a, _ in cells],
+                                   [db_to_linear(w) for _, w in cells],
+                                   **opts.get(method, {}))
     except Exception as exc:
+        if len(cells) > 1:
+            return [c for cell in cells for c in _solve_cells(p, method, opts, [cell])]
         pattern = CurrentPattern(
             y=np.zeros(p.n_electrodes), electrode_ids=p.electrode_ids,
             active_ids=(), status="error", raw_objective=math.nan,
         )
-        return _candidate(p, cell, pattern, f"{type(exc).__name__}: {exc}")
-    return _candidate(p, cell, pattern)
-
-
-def _solve_cells(p, method, opts, cells) -> list[CandidateCell]:
-    """Cells solved in this process by one call of the method's solver.
-
-    Each cell ends bitwise as its one-cell solve, so when the call raises,
-    the cells are solved again one by one: the cells that raise become
-    ``error`` cells and the others keep their patterns.
-    """
-    solve = _solver(method)
-    try:
-        patterns = solve(p, [db_to_linear(a) for a, _ in cells],
-                         [db_to_linear(w) for _, w in cells], **opts.get(method, {}))
-    except Exception:
-        return [_solve_cell(p, method, opts, cell) for cell in cells]
+        return [_candidate(p, cells[0], pattern, f"{type(exc).__name__}: {exc}")]
     return [_candidate(p, c, pattern) for c, pattern in zip(cells, patterns)]
 
 
@@ -334,36 +327,31 @@ def evaluate_lattice(p: StimulusProblem, method: str, spec: LatticeSpec,
     return CandidateGrid(method=method, spec=spec, cells=rows)
 
 
-def select_case_a(grid: CandidateGrid, threshold: float = GAMMA_THRESHOLD):
-    """Max current ratio among cells whose focused density clears the bar.
+def _first_max(grid: CandidateGrid, name: str, eligible) -> tuple[int, int] | None:
+    """(i, j) of the largest metric ``name`` among the cells ``eligible``
+    accepts, or None when it accepts none.
 
-    Returns (i, j) or None when no cell passes the threshold.  Ties keep
-    the lowest alpha index, then the lowest weight index.
+    Ties keep the first cell in row-major order: the lowest alpha index,
+    then the lowest weight index.  A NaN metric never wins.
     """
-    best = None
-    best_theta = -math.inf
+    best, best_value = None, -math.inf
     for i, row in enumerate(grid.cells):
         for j, c in enumerate(row):
-            if not c.valid or not (c.metrics.gamma >= threshold):
-                continue
-            if c.metrics.theta > best_theta:
-                best, best_theta = (i, j), c.metrics.theta
+            value = getattr(c.metrics, name)
+            if eligible(c) and value > best_value:
+                best, best_value = (i, j), value
     return best
+
+
+def select_case_a(grid: CandidateGrid, threshold: float = GAMMA_THRESHOLD):
+    """Max current ratio among valid cells whose focused density clears
+    the bar; None when no cell does."""
+    return _first_max(grid, "theta", lambda c: c.valid and c.metrics.gamma >= threshold)
 
 
 def select_case_b(grid: CandidateGrid):
-    """Cell with the largest focused density over all valid cells."""
-    best = None
-    best_gamma = -math.inf
-    for i, row in enumerate(grid.cells):
-        for j, c in enumerate(row):
-            if not c.valid:
-                continue
-            if c.metrics.gamma > best_gamma:
-                best, best_gamma = (i, j), c.metrics.gamma
-    if best is None:
-        raise SearchError("no valid candidate in the grid")
-    return best
+    """Max focused density among valid cells; None when no cell is valid."""
+    return _first_max(grid, "gamma", lambda c: c.valid)
 
 
 def restrict_montage(y: np.ndarray, k: int, electrode_ids=None) -> tuple[int, ...]:
@@ -398,24 +386,21 @@ _METRIC_NAMES = ("gamma", "theta", "ad_deg", "max_current")
 def _window_deviations(grid: CandidateGrid,
                        cell: tuple[int, int]) -> dict[str, DeviationEstimate]:
     ni, nj = grid.dims
-    i = min(max(cell[0], 1), ni - 2) if ni >= 3 else cell[0]
-    j = min(max(cell[1], 1), nj - 2) if nj >= 3 else cell[1]
+    if ni < 3 or nj < 3:
+        # grid too small for a quadratic window: flat surface, no spread
+        return {name: DeviationEstimate(0.0, imputed=False, clamped=True)
+                for name in _METRIC_NAMES}
+    i = min(max(cell[0], 1), ni - 2)
+    j = min(max(cell[1], 1), nj - 2)
     clamped = (i, j) != cell
     out = {}
     for name in _METRIC_NAMES:
-        arr = grid.metric_array(name)
-        if ni >= 3 and nj >= 3:
-            window = arr[i - 1 : i + 2, j - 1 : j + 2]
-            try:
-                out[name] = deviation_estimate(window, clamped=clamped)
-            except MetricError:
-                # too few finite samples to fit: the deviation is unknown
-                out[name] = DeviationEstimate(math.nan, (math.nan,) * 6,
-                                              imputed=True, clamped=clamped)
-        else:
-            # grid too small for a quadratic window: flat surface, no spread
-            out[name] = DeviationEstimate(0.0, (float(arr[cell]), 0, 0, 0, 0, 0),
-                                          imputed=False, clamped=True)
+        window = grid.metric_array(name)[i - 1 : i + 2, j - 1 : j + 2]
+        try:
+            out[name] = deviation_estimate(window, clamped=clamped)
+        except MetricError:
+            # too few finite samples to fit: the deviation is unknown
+            out[name] = DeviationEstimate(math.nan, imputed=True, clamped=clamped)
     return out
 
 
@@ -423,10 +408,7 @@ def _selection(grid: CandidateGrid, case: str, threshold: float):
     if case == "A":
         return select_case_a(grid, threshold)
     if case == "B":
-        try:
-            return select_case_b(grid)
-        except SearchError:
-            return None
+        return select_case_b(grid)
     raise SearchError(f"unknown case {case!r}")
 
 

@@ -237,12 +237,9 @@ def test_criterion_8_determinism_and_dominance(desk, outcomes):
             if g is not None:
                 grids.append(g)
     for g in grids:
-        try:
-            sb = select_case_b(g)
-        except Exception:
-            continue
+        sb = select_case_b(g)
         sa = select_case_a(g, cfg.gamma_threshold)
-        if sa is not None:
+        if sb is not None and sa is not None:
             dominance_ok &= (g.cell(*sb).metrics.gamma
                              >= g.cell(*sa).metrics.gamma)
 

@@ -293,6 +293,29 @@ def test_lead_field_linearity(bar_setup, rng):
     assert np.allclose(lf.matrix @ (-y), -(lf.matrix @ y), atol=0.0)
 
 
+@pytest.mark.parametrize("tet", [-1, 10**9])
+def test_lead_field_rejects_tet_index_outside_mesh(bar_setup, tet):
+    # numpy would wrap -1 to the last tet and fail on 10**9 with a bare IndexError
+    from tesopt.meshgen import FieldPointSet
+
+    mesh, _, sys_, _ = bar_setup
+    pts = sample_field_points(mesh, 1, 4, seed=5)
+    bad = FieldPointSet(points=pts.points, tet_index=np.append(pts.tet_index[:3], tet),
+                        seed=pts.seed, compartment=pts.compartment)
+    with pytest.raises(FemError, match="tet_index"):
+        lead_field(sys_, mesh, bad)
+
+
+@pytest.mark.parametrize("face", [-1, 10**9])
+def test_assemble_rejects_face_id_outside_boundary(bar_setup, face):
+    from dataclasses import replace
+
+    mesh, layout, _, _ = bar_setup
+    bad = replace(layout, face_ids=(layout.face_ids[0] + (face,),) + layout.face_ids[1:])
+    with pytest.raises(FemError, match="face id"):
+        assemble(mesh, bad)
+
+
 def test_lead_field_row_permutation(bar_setup):
     from tesopt.meshgen import FieldPointSet
 

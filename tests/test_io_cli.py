@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from conftest import random_problem
 from tesopt import cli, io, search
 from tesopt.config import ConfigError, RunConfig
 from tesopt.fem import LeadField
-from tesopt.meshgen import generate_ball_mesh, place_electrodes, place_target, \
-    sample_field_points
+from tesopt.meshgen import MeshError, generate_ball_mesh, place_electrodes, \
+    place_target, sample_field_points
 from tesopt.metrics import DeviationEstimate, MetricSet
 from tesopt.optimizers import CurrentPattern, StimulusProblem
 from tesopt.search import CandidateCell, SearchOutcome
@@ -114,6 +115,15 @@ def test_mesh_file_damage_rejected(tmp_path, tiny_model, damage, match):
         io.load_mesh(tmp_path / "mesh.bin")
 
 
+def test_layout_overlap_rejected(tmp_path, tiny_model):
+    # a face listed under two electrodes
+    _, layout, _, _ = tiny_model
+    shared = (layout.face_ids[0] + layout.face_ids[1][:1],) + layout.face_ids[1:]
+    io.save_layout(replace(layout, face_ids=shared), tmp_path / "el.json")
+    with pytest.raises(MeshError, match="overlap"):
+        io.load_layout(tmp_path / "el.json")
+
+
 def test_lead_field_binary_roundtrip(tmp_path, rng):
     lf = synthetic_lead_field(rng)
     rows = lf.target_rows()
@@ -189,6 +199,18 @@ def test_lead_field_truncated_binary_rejected(tmp_path, rng):
     io.write_lead_field(lf, problem, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(io.IoError, match="shorter"):
+        io.read_lead_field(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_lead_field_non_finite_matrix_rejected(tmp_path, rng, value):
+    lf = synthetic_lead_field(rng)
+    L1, L2 = lf.split_rows()
+    problem = StimulusProblem.from_parts(L1, L2, np.array([0.2, 0.0, 0.0]), 4e-3)
+    path = tmp_path / "lf.bin"
+    lf.matrix[5, 3] = value
+    io.write_lead_field(lf, problem, path)
+    with pytest.raises(io.IoError, match="NaN or infinite"):
         io.read_lead_field(path)
 
 
@@ -489,7 +511,7 @@ def _ok_record(method, case, channels, metrics, deviations):
     metric name, max_current in A."""
     pattern = CurrentPattern(np.array([1e-3, -1e-3]), (1, 2), (1, 2), "optimal", 0.0)
     cell = CandidateCell(-90.0, -40.0, pattern, metrics, "ok")
-    est = {name: DeviationEstimate(v, (), imputed=False) for name, v in deviations.items()}
+    est = {name: DeviationEstimate(v, imputed=False) for name, v in deviations.items()}
     return io.result_record(SearchOutcome(method, case, channels, "ok", cell, cell,
                                           (1, 2), est))
 

@@ -107,9 +107,33 @@ def test_select_case_b_all_invalid():
     grid = _grid_from_metrics([[0.1]], [[1.0]])
     grid.cells[0][0] = replace(grid.cells[0][0], status="degenerate")
     assert not grid.cells[0][0].valid
-    with pytest.raises(SearchError):
-        select_case_b(grid)
+    assert select_case_b(grid) is None
     assert select_case_a(grid, 0.0) is None
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("gammas, thetas, invalid, expect_a, expect_b", [
+    # a tie along a row keeps the lower weight index
+    ([[0.1, 0.3, 0.3], [0.2, 0.3, 0.12]], [[9, 4, 4], [2, 4, 1]], (), (0, 1), (0, 1)),
+    # a larger cell that is not ok is never picked
+    ([[0.1, 0.9], [0.2, 0.3]], [[1, 9], [2, 3]], ((0, 1),), (1, 1), (1, 1)),
+    # an ok cell with a NaN density (case B) or ratio (case A) is skipped
+    ([[_NAN, 0.2], [0.5, 0.3]], [[9, _NAN], [3, 1]], (), (1, 0), (1, 0)),
+    # the first of several infinite ratios (zero nuisance) wins
+    ([[0.2, 0.2], [0.2, 0.2]], [[1, _INF], [_INF, 2]], (), (0, 1), (0, 0)),
+    # a density exactly at the threshold qualifies
+    ([[search.GAMMA_THRESHOLD, 0.05]], [[1, 9]], (), (0, 0), (0, 0)),
+    # case B picks among all-negative densities
+    ([[-0.3, -0.1], [-0.2, -0.5]], [[1, 1], [1, 1]], (), None, (0, 1)),
+], ids=["row-tie", "invalid", "nan", "inf-ratio", "at-threshold", "negative"])
+def test_select_first_maximum(gammas, thetas, invalid, expect_a, expect_b):
+    grid = _grid_from_metrics(gammas, thetas)
+    for i, j in invalid:
+        grid.cells[i][j] = replace(grid.cells[i][j], status="max_iter")
+    assert select_case_a(grid) == expect_a
+    assert select_case_b(grid) == expect_b
 
 
 def test_restrict_montage_rules():
@@ -270,14 +294,17 @@ def test_lattice_error_stays_on_its_cell(rng, monkeypatch, method):
     assert all(c.pattern.status != "error" for row in lanes.cells for c in row)
     solve = getattr(search.optimizers, "solve_" + method)
     bad = (db_to_linear(-60.0), db_to_linear(-90.0))
+    lanes_per_call = []
 
     def failing(p, alpha, eps, **kwargs):
+        lanes_per_call.append(len(alpha))
         if bad in zip(alpha, eps):
             raise FloatingPointError("bad lane")
         return solve(p, alpha, eps, **kwargs)
 
     monkeypatch.setattr(search.optimizers, "solve_" + method, failing)
     grid = evaluate_lattice(p, method, spec)
+    assert lanes_per_call == [4, 1, 1, 1, 1]
     for r1, r2 in zip(lanes.cells, grid.cells):
         for c1, c2 in zip(r1, r2):
             if (c2.alpha_db, c2.weight_db) == (-60.0, -90.0):
@@ -287,6 +314,11 @@ def test_lattice_error_stays_on_its_cell(rng, monkeypatch, method):
                 assert c1.pattern.y.tobytes() == c2.pattern.y.tobytes()
                 assert (c1.pattern.status, c1.valid, c1.status) == \
                     (c2.pattern.status, c2.valid, c2.status)
+    # a one-cell lattice that raises is solved once
+    lanes_per_call.clear()
+    one = evaluate_lattice(p, method, LatticeSpec(-60.0, -30.0, -90.0, -60.0, 30.0))
+    assert lanes_per_call == [1]
+    assert one.cell(0, 0).status == "FloatingPointError: bad lane"
 
 
 def test_l1l1_lattice_error_stays_on_its_cell(rng, monkeypatch):
